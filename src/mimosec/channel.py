@@ -1,6 +1,6 @@
 """I.i.d. Rayleigh channel generation with reproducible per-trial streams."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +32,7 @@ def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ChannelRealization:
-    """One draw of the fading matrices plus the fixed large-scale gains.
+    """One draw of the fading matrices.
 
     ``H`` (M x K) holds the user fading vectors column-wise, ``G`` (M x J)
     the eavesdropper ones; entries are i.i.d. CN(0, 1).
@@ -40,18 +40,6 @@ class ChannelRealization:
 
     H: np.ndarray
     G: np.ndarray
-    betas: np.ndarray = field(repr=False)
-    thetas: np.ndarray = field(repr=False)
-
-    @property
-    def B(self) -> np.ndarray:
-        """Diagonal K x K matrix of user large-scale gains."""
-        return np.diag(self.betas)
-
-    @property
-    def Theta(self) -> np.ndarray:
-        """Diagonal J x J matrix of eavesdropper large-scale gains."""
-        return np.diag(self.thetas)
 
 
 def sample_realization(cfg: SystemConfig, master_seed: int,
@@ -67,7 +55,7 @@ def sample_realization(cfg: SystemConfig, master_seed: int,
     rng = derived_rng(master_seed, trial_index)
     H = complex_normal(rng, (cfg.M, cfg.K))
     G = complex_normal(rng, (cfg.M, cfg.J))
-    return ChannelRealization(H=H, G=G, betas=cfg.betas, thetas=cfg.thetas)
+    return ChannelRealization(H=H, G=G)
 
 
 def empirical_moment(values, p: int) -> float:

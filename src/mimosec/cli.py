@@ -17,126 +17,46 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .asymptotics import (COST_MODELS, GROWTH_MODELS, clt_check,
                           fit_cost_anchor, fit_growth, gumbel_check)
 from .errors import ConfigParseError, MimosecError
-from .harness import SweepResult, SweepSpec, run_sweep, run_trial
+from .harness import (PRESETS, SPEC_FIELDS, SweepResult, SweepSpec, run_sweep,
+                      run_trial)
 
 CSV_HEADER = ("scenario,scheme,M,trials,resamples,r_sum_mean,r_sum_se,"
               "r_sum_noeve_mean,r_sum_noeve_se,leakage_mean,leakage_se,"
               "cost_mean,cost_se")
 
-# The two networks used throughout the experiment matrix: 16 users at 0 dB
-# receive SNR overheard by 2 (sparse) or 16 (dense) eavesdroppers at -10 dB.
-PRESETS = {
-    "sparse": dict(K=16, J=2, L=16, total_power=1.0, sigma2=1.0, rho2=1.0,
-                   beta=1.0, theta=0.1),
-    "dense": dict(K=16, J=16, L=16, total_power=1.0, sigma2=1.0, rho2=1.0,
-                  beta=1.0, theta=0.1),
-}
 
-_INT_KEYS = {"K", "J", "L", "quant_bits", "trials", "seed"}
-_FLOAT_KEYS = {"total_power", "sigma2", "rho2"}
-_VECTOR_KEYS = {"beta", "theta", "weights"}
-_STRING_KEYS = {"scenario", "preset", "scheme", "cost_estimator"}
-_ALL_KEYS = _INT_KEYS | _FLOAT_KEYS | _VECTOR_KEYS | _STRING_KEYS | {"m_values"}
-_REQUIRED = ("scheme", "K", "J", "L", "m_values", "total_power", "sigma2",
-             "rho2", "beta", "theta", "trials", "seed")
-
-
-def _parse_scalar(key, raw, line, path):
-    try:
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
-    except ValueError:
-        kind = "integer" if key in _INT_KEYS else "number"
-        raise ConfigParseError(f"expected {kind}, got '{raw}'",
-                               path=path, key=key, line=line) from None
-    return raw
-
-
-def _parse_vector(key, raw, line, path):
-    try:
-        return [float(tok) for tok in raw.split(",")]
-    except ValueError:
-        raise ConfigParseError(f"expected a number or comma-separated numbers, got '{raw}'",
-                               path=path, key=key, line=line) from None
-
-
-def _parse_m_values(raw, line, path):
+def _read_m_grid(raw):
     m = re.fullmatch(r"pow2:(\d+)\.\.(\d+)", raw)
-    if m:
-        lo, hi = int(m.group(1)), int(m.group(2))
-        if hi < lo:
-            raise ConfigParseError(f"empty pow2 range '{raw}'",
-                                   path=path, key="m_values", line=line)
-        return [2 ** e for e in range(lo, hi + 1)]
-    try:
+    if m is None:
         return [int(tok) for tok in raw.split(",")]
-    except ValueError:
-        raise ConfigParseError(f"expected comma-separated integers or 'pow2:a..b', got '{raw}'",
-                               path=path, key="m_values", line=line) from None
+    lo, hi = int(m.group(1)), int(m.group(2))
+    if hi < lo:
+        raise ValueError("empty pow2 range")
+    return [2 ** e for e in range(lo, hi + 1)]
 
 
-def _broadcast(values, n, key, path):
-    if len(values) == 1:
-        return [values[0]] * n
-    if len(values) != n:
-        raise ConfigParseError(f"expected 1 or {n} values, got {len(values)}",
-                               path=path, key=key)
-    return values
+# Field kind: (read a config-file value, what the value must look like).
+_READERS = {
+    "int": (int, "integer"),
+    "float": (float, "number"),
+    "string": (str, "string"),
+    "vector": (lambda raw: [float(tok) for tok in raw.split(",")],
+               "a number or comma-separated numbers"),
+    "m_grid": (_read_m_grid, "comma-separated integers or 'pow2:a..b' with a <= b"),
+}
+_FIELD_BY_KEY = {f.key: f for f in SPEC_FIELDS}
+_CONFIG_KEY = {f.manifest: f.key for f in SPEC_FIELDS}
 
 
-def _spec_from_document(doc: dict, path: str) -> SweepSpec:
-    entries = dict(doc)
-    preset = entries.pop("preset", (None, None))[0]
-    if preset is not None:
-        if preset not in PRESETS:
-            raise ConfigParseError(f"unknown preset '{preset}', expected one of "
-                                   f"{sorted(PRESETS)}", path=path, key="preset",
-                                   line=doc["preset"][1])
-        for key, value in PRESETS[preset].items():
-            entries.setdefault(key, (value, None))
-    entries.setdefault("weights", (1.0, None))
-    entries.setdefault("cost_estimator", ("mean_of_ratios", None))
-    if "scenario" not in entries and preset is not None:
-        entries["scenario"] = (preset, None)
-    for key in ("scenario",) + _REQUIRED:
-        if key not in entries:
-            raise ConfigParseError("missing required key", path=path, key=key)
-
-    def value(key, default=None):
-        return entries[key][0] if key in entries else default
-
-    K, J = value("K"), value("J")
-    for key, n in (("beta", K), ("theta", J), ("weights", K)):
-        vec = value(key)
-        if not isinstance(vec, list):
-            vec = [float(vec)]
-        entries[key] = (_broadcast(vec, n, key, path), entries.get(key, (None, None))[1])
-    try:
-        return SweepSpec(
-            scenario=str(value("scenario")), scheme=str(value("scheme")),
-            K=K, J=J, L=value("L"),
-            total_power=value("total_power"), sigma2=value("sigma2"),
-            rho2=value("rho2"),
-            betas=np.array(value("beta")), thetas=np.array(value("theta")),
-            weights=np.array(value("weights")),
-            m_values=tuple(value("m_values")), trials=value("trials"),
-            master_seed=value("seed"), quant_bits=value("quant_bits"),
-            cost_estimator=str(value("cost_estimator")))
-    except MimosecError as exc:
-        raise ConfigParseError(str(exc), path=path) from exc
-
-
-def _parse_text_config(path: Path):
+def _read_documents(text: str, path: str) -> list:
+    """Split a text config into its documents, each a dict mapping manifest
+    keys (and ``preset``) to (typed value, line number)."""
     documents = [{}]
-    for lineno, raw_line in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -145,71 +65,85 @@ def _parse_text_config(path: Path):
             continue
         if ":" not in line:
             raise ConfigParseError(f"expected 'key: value', got '{line}'",
-                                   path=str(path), line=lineno)
+                                   path=path, line=lineno)
         key, _, raw = line.partition(":")
         key, raw = key.strip(), raw.strip()
-        if key not in _ALL_KEYS:
-            raise ConfigParseError("unknown key", path=str(path), key=key, line=lineno)
-        if key in documents[-1]:
-            raise ConfigParseError("duplicate key", path=str(path), key=key, line=lineno)
-        if key == "m_values":
-            parsed = _parse_m_values(raw, lineno, str(path))
-        elif key in _VECTOR_KEYS:
-            parsed = _parse_vector(key, raw, lineno, str(path))
-        else:
-            parsed = _parse_scalar(key, raw, lineno, str(path))
-        documents[-1][key] = (parsed, lineno)
+        field = _FIELD_BY_KEY.get(key)
+        if field is None and key != "preset":
+            raise ConfigParseError("unknown key", path=path, key=key, line=lineno)
+        name, kind = (field.manifest, field.kind) if field else (key, "string")
+        if name in documents[-1]:
+            raise ConfigParseError("duplicate key", path=path, key=key, line=lineno)
+        read, expected = _READERS[kind]
+        try:
+            documents[-1][name] = (read(raw), lineno)
+        except ValueError:
+            raise ConfigParseError(f"expected {expected}, got '{raw}'",
+                                   path=path, key=key, line=lineno) from None
     documents = [d for d in documents if d]
     if not documents:
-        raise ConfigParseError("config defines no sweeps", path=str(path))
-    return [_spec_from_document(d, str(path)) for d in documents]
+        raise ConfigParseError("config defines no sweeps", path=path)
+    return documents
 
 
-def _spec_from_manifest(entry: dict, path: str) -> SweepSpec:
+def _spec_from_text(doc: dict, path: str) -> SweepSpec:
+    entries = {key: value for key, (value, _) in doc.items()}
+    preset = entries.pop("preset", None)
+    if preset is not None:
+        if preset not in PRESETS:
+            raise ConfigParseError(f"unknown preset '{preset}', expected one of "
+                                   f"{sorted(PRESETS)}", path=path, key="preset",
+                                   line=doc["preset"][1])
+        entries = {"scenario": preset, **PRESETS[preset], **entries}
     try:
-        return SweepSpec(
-            scenario=entry["scenario"], scheme=entry["scheme"],
-            K=entry["K"], J=entry["J"], L=entry["L"],
-            total_power=entry["total_power"], sigma2=entry["sigma2"],
-            rho2=entry["rho2"], betas=np.array(entry["betas"]),
-            thetas=np.array(entry["thetas"]), weights=np.array(entry["weights"]),
-            m_values=tuple(entry["m_values"]), trials=entry["trials"],
-            master_seed=entry["seed"], quant_bits=entry.get("quant_bits"),
-            cost_estimator=entry.get("cost_estimator", "mean_of_ratios"))
-    except KeyError as exc:
-        raise ConfigParseError("missing required key", path=path,
-                               key=str(exc)) from exc
-    except MimosecError as exc:
-        raise ConfigParseError(str(exc), path=path) from exc
+        return SweepSpec.from_dict(entries, path=path)
+    except ConfigParseError as exc:
+        # Name the key as the config file spells it, with its line.
+        line = doc[exc.key][1] if exc.key in doc else None
+        raise ConfigParseError(exc.reason, path=path, key=_CONFIG_KEY.get(exc.key, exc.key),
+                               line=line) from exc
 
 
 def parse_config(path) -> list:
     """Parse a sweep config (text format or emitted JSON manifest) into a
-    list of SweepSpec."""
+    list of SweepSpec.  Both formats are checked against ``SPEC_FIELDS``."""
     path = Path(path)
-    if not path.exists():
-        raise ConfigParseError("no such file", path=str(path))
-    if path.suffix == ".json":
-        body = json.loads(path.read_text())
-        return [_spec_from_manifest(body["sweep"], str(path))]
-    return _parse_text_config(path)
+    try:
+        text = path.read_text()
+    except OSError as exc:
+        raise ConfigParseError(f"cannot read: {exc.strerror}", path=str(path)) from None
+    if path.suffix != ".json":
+        return [_spec_from_text(doc, str(path)) for doc in _read_documents(text, str(path))]
+    try:
+        body = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigParseError(f"not valid JSON: {exc}", path=str(path)) from None
+    if not isinstance(body, dict) or "sweep" not in body:
+        raise ConfigParseError("expected a manifest object with a 'sweep' entry",
+                               path=str(path), key="sweep")
+    return [SweepSpec.from_dict(body["sweep"], path=str(path))]
 
 
 def _fmt(value: float) -> str:
     return format(float(value), ".9g")
 
 
-def _spec_as_dict(spec: SweepSpec) -> dict:
-    return {
-        "scenario": spec.scenario, "scheme": spec.scheme,
-        "K": spec.K, "J": spec.J, "L": spec.L,
-        "total_power": spec.total_power, "sigma2": spec.sigma2,
-        "rho2": spec.rho2, "betas": list(spec.betas),
-        "thetas": list(spec.thetas), "weights": list(spec.weights),
-        "m_values": list(spec.m_values), "trials": spec.trials,
-        "seed": spec.master_seed, "quant_bits": spec.quant_bits,
-        "cost_estimator": spec.cost_estimator,
-    }
+def _write_all(files) -> None:
+    """Write each (path, text) to a temp file in its directory, then rename
+    them into place.  If any step fails, none of the files is left behind."""
+    staged, placed = [], []
+    try:
+        for path, text in files:
+            tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+            staged.append(tmp)
+            tmp.write_text(text, newline="\n")
+        for tmp, (path, _) in zip(staged, files):
+            os.replace(tmp, path)
+            placed.append(path)
+    except BaseException:
+        for leftover in staged + placed:
+            leftover.unlink(missing_ok=True)
+        raise
 
 
 def emit_results(result: SweepResult, path) -> None:
@@ -217,6 +151,7 @@ def emit_results(result: SweepResult, path) -> None:
 
     Floating-point fields carry 9 significant digits with a dot decimal
     separator; rerunning the manifest reproduces the CSV byte for byte.
+    Both files appear together or, if writing fails, not at all.
     """
     path = Path(path)
     lines = [CSV_HEADER]
@@ -227,24 +162,23 @@ def emit_results(result: SweepResult, path) -> None:
             _fmt(p.r_sum_noeve_mean), _fmt(p.r_sum_noeve_se),
             _fmt(p.leakage_mean), _fmt(p.leakage_se),
             _fmt(p.cost_mean), _fmt(p.cost_se)]))
+    cfg0 = result.spec.config_for(max(result.spec.m_values)) \
+        if result.spec.m_values else None
+    manifest = {
+        "tool": "mimosec",
+        "version": __version__,
+        "created": datetime.now(timezone.utc).isoformat(),
+        "master_seed": result.spec.master_seed,
+        "output": path.name,
+        "sweep": result.spec.to_dict(),
+        "derived": {
+            "snr_user_db": list(cfg0.snr_user_db()) if cfg0 else [],
+            "snr_eve_db": list(cfg0.snr_eve_db()) if cfg0 else [],
+        },
+    }
     try:
-        path.write_text("\n".join(lines) + "\n", newline="\n")
-        cfg0 = result.spec.config_for(max(result.spec.m_values)) \
-            if result.spec.m_values else None
-        manifest = {
-            "tool": "mimosec",
-            "version": __version__,
-            "created": datetime.now(timezone.utc).isoformat(),
-            "master_seed": result.spec.master_seed,
-            "output": path.name,
-            "sweep": _spec_as_dict(result.spec),
-            "derived": {
-                "snr_user_db": list(cfg0.snr_user_db()) if cfg0 else [],
-                "snr_eve_db": list(cfg0.snr_eve_db()) if cfg0 else [],
-            },
-        }
-        manifest_path = path.with_suffix(".manifest.json")
-        manifest_path.write_text(json.dumps(manifest, indent=2) + "\n")
+        _write_all([(path, "\n".join(lines) + "\n"),
+                    (path.with_suffix(".manifest.json"), json.dumps(manifest, indent=2) + "\n")])
     except OSError as exc:
         raise MimosecError(f"cannot write results to {path}: {exc}") from exc
 
@@ -284,8 +218,11 @@ def _cmd_sweep(args) -> int:
 
 
 def _read_results_csv(path: Path):
-    with path.open(newline="") as fh:
-        rows = list(csv.DictReader(fh))
+    try:
+        with path.open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
+    except OSError as exc:
+        raise MimosecError(f"cannot read {path}: {exc.strerror}") from None
     if not rows:
         raise MimosecError(f"{path}: no data rows to fit")
     return rows
@@ -294,7 +231,9 @@ def _read_results_csv(path: Path):
 def _lookup_k(csv_path: Path) -> int:
     manifest = csv_path.with_suffix(".manifest.json")
     if manifest.exists():
-        return int(json.loads(manifest.read_text())["sweep"]["K"])
+        return parse_config(manifest)[0].K
+    print(f"warning: no {manifest.name} next to {csv_path.name}; "
+          "fitting with K=1 (set it with --k)", file=sys.stderr)
     return 1
 
 
@@ -351,16 +290,10 @@ def _cmd_single(args) -> int:
     print(f"m: {args.m}")
     print(f"seed: {seed}")
     print(f"trial: {args.trial}")
-    print(_vector_line("sinr", report.sinr))
-    print(_vector_line("esnr", report.esnr))
-    print(_vector_line("r_secrecy", report.r_secrecy))
-    print(_vector_line("r_noeve", report.r_noeve))
-    print(_vector_line("interference", report.interference))
-    print(_vector_line("eve_power", report.eve_power))
-    print(f"r_sum: {_fmt(report.r_sum)}")
-    print(f"r_sum_noeve: {_fmt(report.r_sum_noeve)}")
-    print(f"leakage: {_fmt(report.leakage)}")
-    print(f"cost: {_fmt(report.cost)}")
+    for name in ("sinr", "esnr", "r_secrecy", "r_noeve", "interference", "eve_power"):
+        print(_vector_line(name, getattr(report, name)))
+    for name in ("r_sum", "r_sum_noeve", "leakage", "cost"):
+        print(f"{name}: {_fmt(getattr(report, name))}")
     return 0
 
 

@@ -10,7 +10,12 @@ from .errors import ConfigurationError
 def _as_vector(x, n: int, name: str) -> np.ndarray:
     v = np.atleast_1d(np.asarray(x, dtype=float))
     if v.ndim != 1 or v.size != n:
-        raise ConfigurationError(f"{name} must be a length-{n} vector, got shape {v.shape}")
+        raise ConfigurationError(f"{name} must be a length-{n} vector, got shape {v.shape}",
+                                 field=name)
+    if not np.all(np.isfinite(v)):
+        raise ConfigurationError(f"{name} must be finite", field=name)
+    if np.any(v < 0):
+        raise ConfigurationError(f"{name} must be non-negative", field=name)
     return v
 
 
@@ -38,30 +43,23 @@ class SystemConfig:
 
     def __post_init__(self):
         if self.M < 1:
-            raise ConfigurationError(f"M must be >= 1, got {self.M}")
+            raise ConfigurationError(f"M must be >= 1, got {self.M}", field="M")
         if self.K < 1:
-            raise ConfigurationError(f"K must be >= 1, got {self.K}")
+            raise ConfigurationError(f"K must be >= 1, got {self.K}", field="K")
         if self.J < 0:
-            raise ConfigurationError(f"J must be >= 0, got {self.J}")
+            raise ConfigurationError(f"J must be >= 0, got {self.J}", field="J")
         if not 1 <= self.L <= self.M:
-            raise ConfigurationError(f"L must satisfy 1 <= L <= M, got L={self.L}, M={self.M}")
-        if self.total_power < 0:
-            raise ConfigurationError(f"total_power must be >= 0, got {self.total_power}")
-        if self.sigma2 <= 0:
-            raise ConfigurationError(f"sigma2 must be > 0, got {self.sigma2}")
-        if self.rho2 <= 0:
-            raise ConfigurationError(f"rho2 must be > 0, got {self.rho2}")
-        object.__setattr__(self, "betas", _as_vector(self.betas, self.K, "betas"))
-        object.__setattr__(self, "thetas", _as_vector(self.thetas, self.J, "thetas"))
-        object.__setattr__(self, "weights", _as_vector(self.weights, self.K, "weights"))
-        if np.any(self.betas < 0):
-            raise ConfigurationError("betas must be non-negative")
-        if np.any(self.thetas < 0):
-            raise ConfigurationError("thetas must be non-negative")
-        if np.any(self.weights < 0):
-            raise ConfigurationError("weights must be non-negative")
+            raise ConfigurationError(f"L must satisfy 1 <= L <= M, got L={self.L}, M={self.M}",
+                                     field="L")
+        for name, ok, rule in (("total_power", self.total_power >= 0, ">= 0"),
+                               ("sigma2", self.sigma2 > 0, "> 0"), ("rho2", self.rho2 > 0, "> 0")):
+            if not (ok and np.isfinite(getattr(self, name))):
+                raise ConfigurationError(f"{name} must be finite and {rule}, "
+                                         f"got {getattr(self, name)}", field=name)
+        for name, n in (("betas", self.K), ("thetas", self.J), ("weights", self.K)):
+            object.__setattr__(self, name, _as_vector(getattr(self, name), n, name))
         if not np.any(self.weights > 0):
-            raise ConfigurationError("weights must not be all zero")
+            raise ConfigurationError("weights must not be all zero", field="weights")
 
     @classmethod
     def uniform(cls, M: int, K: int, J: int, L: int, total_power: float,

@@ -6,7 +6,11 @@ class MimosecError(ValueError):
 
 
 class ConfigurationError(MimosecError):
-    """Inconsistent or out-of-range system parameters."""
+    """Inconsistent or out-of-range system parameters, naming any one at fault in ``field``."""
+
+    def __init__(self, message: str, *, field: str | None = None):
+        self.field = field
+        super().__init__(message)
 
 
 class DegenerateChannelError(MimosecError):
@@ -31,17 +35,14 @@ class ConfigParseError(MimosecError):
     Carries the offending key and line number when they are known.
     """
 
-    def __init__(self, message: str, *, path: str | None = None,
+    def __init__(self, reason: str, *, path: str | None = None,
                  key: str | None = None, line: int | None = None):
-        self.path = path
-        self.key = key
-        self.line = line
-        where = []
-        if path is not None:
-            where.append(str(path))
-        if line is not None:
-            where.append(f"line {line}")
-        if key is not None:
-            where.append(f"key '{key}'")
-        prefix = " ".join(where)
-        super().__init__(f"{prefix}: {message}" if prefix else message)
+        super().__init__(reason)
+        self.reason, self.path, self.key, self.line = reason, path, key, line
+
+    def __str__(self) -> str:
+        where = [f"{self.path}" if self.path is not None else "",
+                 f"line {self.line}" if self.line is not None else "",
+                 f"key '{self.key}'" if self.key is not None else ""]
+        prefix = " ".join(w for w in where if w)
+        return f"{prefix}: {self.reason}" if prefix else self.reason

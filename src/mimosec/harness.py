@@ -2,6 +2,7 @@
 and aggregates the rate metrics with standard errors."""
 
 import logging
+from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -14,8 +15,8 @@ from .beamforming import (BeamformerSet, analog_phase_match,
                           zf_effective)
 from .channel import derive_seed, sample_realization
 from .config import SystemConfig
-from .errors import (ConfigurationError, DegenerateChannelError,
-                     SingularChannelError)
+from .errors import (ConfigParseError, ConfigurationError,
+                     DegenerateChannelError, SingularChannelError)
 from .metrics import RateReport, rate_report
 
 log = logging.getLogger(__name__)
@@ -25,6 +26,55 @@ COST_ESTIMATORS = ("mean_of_ratios", "ratio_of_means")
 
 # Retry budget for resampling measure-zero degenerate draws.
 _MAX_RESAMPLES = 16
+
+# One row of the sweep-spec schema: the SweepSpec attribute, the key it goes
+# by in config files and in manifests, its kind (a key of FIELD_KINDS) and its
+# default, NO_DEFAULT when the key is required.  A vector names in ``size`` the
+# count field, listed before it, that gives its length.
+NO_DEFAULT = object()
+SpecField = namedtuple("SpecField", "name key manifest kind default size",
+                       defaults=(NO_DEFAULT, None))
+
+# The schema, in manifest order.
+SPEC_FIELDS = (
+    SpecField("scenario", "scenario", "scenario", "string"),
+    SpecField("scheme", "scheme", "scheme", "string"),
+    SpecField("K", "K", "K", "int"),
+    SpecField("J", "J", "J", "int"),
+    SpecField("L", "L", "L", "int"),
+    SpecField("total_power", "total_power", "total_power", "float"),
+    SpecField("sigma2", "sigma2", "sigma2", "float"),
+    SpecField("rho2", "rho2", "rho2", "float"),
+    SpecField("betas", "beta", "betas", "vector", size="K"),
+    SpecField("thetas", "theta", "thetas", "vector", size="J"),
+    SpecField("weights", "weights", "weights", "vector", (1.0,), size="K"),
+    SpecField("m_values", "m_values", "m_values", "m_grid"),
+    SpecField("trials", "trials", "trials", "int"),
+    SpecField("master_seed", "seed", "seed", "int"),
+    SpecField("quant_bits", "quant_bits", "quant_bits", "int", None),
+    SpecField("cost_estimator", "cost_estimator", "cost_estimator", "string", "mean_of_ratios"),
+)
+
+# What a value of each field kind must be, as JSON has it.
+FIELD_KINDS = {"int": "an integer", "float": "a number", "string": "a string",
+               "vector": "a list of numbers", "m_grid": "a list of integers"}
+_SCALAR_TYPES = {"int": int, "float": (int, float), "string": str}
+_ITEM_KIND = {"vector": "float", "m_grid": "int"}
+
+
+def _is_kind(value, kind: str) -> bool:
+    if kind in _ITEM_KIND:
+        return (isinstance(value, (list, tuple))
+                and all(_is_kind(v, _ITEM_KIND[kind]) for v in value))
+    return isinstance(value, _SCALAR_TYPES[kind]) and not isinstance(value, bool)
+
+
+# The two networks used throughout the experiment matrix: 16 users at 0 dB
+# receive SNR overheard by 2 (sparse) or 16 (dense) eavesdroppers at -10 dB.
+# Keyed like manifests; a config's ``preset`` key fills in what it omits.
+_SPARSE = dict(K=16, J=2, L=16, total_power=1.0, sigma2=1.0, rho2=1.0,
+               betas=(1.0,), thetas=(0.1,))
+PRESETS = {"sparse": _SPARSE, "dense": dict(_SPARSE, J=16)}
 
 
 @dataclass(frozen=True)
@@ -55,31 +105,65 @@ class SweepSpec:
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
-            raise ConfigurationError(f"unknown scheme '{self.scheme}', expected one of {SCHEMES}")
+            raise ConfigurationError(f"unknown scheme '{self.scheme}', expected one of "
+                                     f"{SCHEMES}", field="scheme")
         if self.cost_estimator not in COST_ESTIMATORS:
             raise ConfigurationError(f"unknown cost_estimator '{self.cost_estimator}', "
-                                     f"expected one of {COST_ESTIMATORS}")
+                                     f"expected one of {COST_ESTIMATORS}", field="cost_estimator")
         m = tuple(int(v) for v in self.m_values)
         object.__setattr__(self, "m_values", m)
-        if len(m) == 0:
-            pass  # empty sweeps are allowed; they emit a header-only CSV
-        elif any(b <= a for a, b in zip(m, m[1:])):
-            raise ConfigurationError("m_values must be strictly increasing")
+        # An empty m_values is allowed; it emits a header-only CSV.
+        if any(b <= a for a, b in zip(m, m[1:])):
+            raise ConfigurationError("m_values must be strictly increasing", field="m_values")
         floor = max(self.L, self.K)
         if any(v < floor for v in m):
-            raise ConfigurationError(f"every m must be >= max(L, K) = {floor}")
+            raise ConfigurationError(f"every m must be >= max(L, K) = {floor}", field="m_values")
         if (self.scheme == "HADP_B") != (self.quant_bits is not None):
             raise ConfigurationError("quant_bits is required for scheme HADP_B "
-                                     "and must be absent otherwise")
+                                     "and must be absent otherwise", field="quant_bits")
+        if self.quant_bits is not None and self.quant_bits < 1:
+            raise ConfigurationError(f"quant_bits must be >= 1, got {self.quant_bits}",
+                                     field="quant_bits")
         if self.trials < 1:
-            raise ConfigurationError(f"trials must be >= 1, got {self.trials}")
+            raise ConfigurationError(f"trials must be >= 1, got {self.trials}", field="trials")
         if self.master_seed < 0:
-            raise ConfigurationError("master_seed must be non-negative")
+            raise ConfigurationError("master_seed must be non-negative", field="master_seed")
         # Normalize vectors early so the sweep round-trips through manifests.
         probe = self.config_for(floor)
-        object.__setattr__(self, "betas", probe.betas)
-        object.__setattr__(self, "thetas", probe.thetas)
-        object.__setattr__(self, "weights", probe.weights)
+        for name in ("betas", "thetas", "weights"):
+            object.__setattr__(self, name, getattr(probe, name))
+
+    @classmethod
+    def from_dict(cls, entries, *, path: str | None = None) -> "SweepSpec":
+        """Inverse of ``to_dict``: build a spec from a dict keyed like a
+        manifest's ``sweep`` object.  Absent optional keys take their default
+        and a one-element vector repeats to its length.  A bad key or value
+        raises ConfigParseError naming the manifest key and ``path``."""
+        if not isinstance(entries, dict):
+            raise ConfigParseError("expected an object of sweep settings", path=path)
+        unknown = [key for key in entries if key not in {f.manifest for f in SPEC_FIELDS}]
+        if unknown:
+            raise ConfigParseError("unknown key", path=path, key=unknown[0])
+        values = {}
+        for f in SPEC_FIELDS:
+            value = values[f.name] = entries.get(f.manifest, f.default)
+            if value is NO_DEFAULT:
+                raise ConfigParseError("missing required key", path=path, key=f.manifest)
+            if not (_is_kind(value, f.kind) or (value is None and f.default is None)):
+                raise ConfigParseError(f"expected {FIELD_KINDS[f.kind]}, got {value!r}",
+                                       path=path, key=f.manifest)
+            if f.size is not None and len(value) == 1:
+                values[f.name] = list(value) * values[f.size]
+        try:
+            return cls(**values)
+        except ConfigurationError as exc:
+            key = next((f.manifest for f in SPEC_FIELDS if f.name == exc.field), None)
+            raise ConfigParseError(str(exc), path=path, key=key) from exc
+
+    def to_dict(self) -> dict:
+        """The spec as JSON values, keyed and ordered as in manifests."""
+        return {f.manifest: list(getattr(self, f.name)) if f.kind in _ITEM_KIND
+                else getattr(self, f.name) for f in SPEC_FIELDS}
 
     def config_for(self, m: int) -> SystemConfig:
         """System config of this network at array size m."""
@@ -107,7 +191,6 @@ class SweepPoint:
     leakage_se: float
     cost_mean: float
     cost_se: float
-    se_valid: bool
 
 
 @dataclass(frozen=True)
@@ -116,9 +199,6 @@ class SweepResult:
 
     spec: SweepSpec
     points: tuple
-
-    def column(self, name: str) -> np.ndarray:
-        return np.array([getattr(p, name) for p in self.points])
 
 
 def build_beamformers(H: np.ndarray, cfg: SystemConfig, scheme: str,
@@ -223,7 +303,6 @@ def _aggregate(spec: SweepSpec, m: int, r_sum, r_noeve, leakage, cost,
         r_sum_noeve_mean=float(np.mean(r_noeve)), r_sum_noeve_se=_standard_error(r_noeve),
         leakage_mean=float(np.mean(leakage)), leakage_se=_standard_error(leakage),
         cost_mean=cost_mean, cost_se=cost_se,
-        se_valid=spec.trials > 1,
     )
 
 

@@ -33,16 +33,6 @@ class TestSampleRealization:
         assert not np.array_equal(a.H, b.H)
         assert not np.array_equal(a.H, c.H)
 
-    def test_unit_betas_give_identity_B(self):
-        ch = sample_realization(make_cfg(beta=1.0), 5, 0)
-        assert np.array_equal(ch.B, np.eye(4))
-
-    def test_theta_trace_dense_network(self):
-        # 16 eavesdroppers at theta = 0.1 aggregate to trace 1.6
-        cfg = make_cfg(M=32, K=16, J=16, L=16, theta=0.1)
-        ch = sample_realization(cfg, 5, 0)
-        assert np.trace(ch.Theta) == pytest.approx(1.6)
-
     def test_rejects_non_config(self):
         with pytest.raises(ConfigurationError):
             sample_realization("not a config", 1, 0)
@@ -107,6 +97,10 @@ class TestConfigValidation:
             make_cfg(sigma2=0.0)
         with pytest.raises(ConfigurationError):
             make_cfg(rho2=-1.0)
+        for bad in (dict(sigma2=np.nan), dict(rho2=np.inf), dict(total_power=np.inf),
+                    dict(beta=np.nan), dict(theta=np.inf), dict(weight=np.nan)):
+            with pytest.raises(ConfigurationError):
+                make_cfg(**bad)
 
     def test_weights_not_all_zero(self):
         with pytest.raises(ConfigurationError):

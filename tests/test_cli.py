@@ -1,10 +1,18 @@
+import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from mimosec import ConfigParseError, SweepSpec, fit_growth, run_sweep
+import mimosec.cli as cli
+from mimosec import SCHEMES, ConfigParseError, SweepSpec, fit_growth, run_sweep
 from mimosec.cli import emit_results, main, parse_config
+from mimosec.harness import COST_ESTIMATORS
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 SPARSE_TAS = """\
 # sparse network, per-user strongest-antenna selection
@@ -122,6 +130,10 @@ def tiny_spec(m_values=(8, 16), trials=3, scheme="TAS_A", J=1):
                      master_seed=3)
 
 
+def manifest_with(**changes):
+    return json.dumps({"sweep": {**tiny_spec().to_dict(), **changes}})
+
+
 class TestEmitResults:
     def test_csv_layout_and_roundtrip(self, tmp_path):
         result = run_sweep(tiny_spec())
@@ -150,6 +162,26 @@ class TestEmitResults:
         emit_results(result, a)
         emit_results(run_sweep(tiny_spec()), b)
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("failing", ["json.dumps", "os.replace"])
+    def test_failed_write_leaves_nothing(self, tmp_path, monkeypatch, failing):
+        real_replace = cli.os.replace
+
+        def refuse(*args, **kwargs):
+            raise OSError("injected")
+
+        def replace_csv_only(src, dst):
+            if str(dst).endswith(".manifest.json"):
+                raise OSError("injected")
+            real_replace(src, dst)
+
+        if failing == "json.dumps":
+            monkeypatch.setattr(cli.json, "dumps", refuse)
+        else:
+            monkeypatch.setattr(cli.os, "replace", replace_csv_only)
+        with pytest.raises(Exception, match="injected"):
+            emit_results(run_sweep(tiny_spec()), tmp_path / "tiny.csv")
+        assert list(tmp_path.iterdir()) == []
 
     def test_manifest_contents_and_reload(self, tmp_path):
         result = run_sweep(tiny_spec())
@@ -243,3 +275,95 @@ class TestSubcommands:
         missing = tmp_path / "gone.cfg"
         assert main(["sweep", str(missing)]) == 1
         assert "error:" in capsys.readouterr().err
+        base = "preset: sparse\nscheme: TAS_A\nm_values: 16\ntrials: 1\nseed: 1\n"
+        for extra, key in [("sigma2: nan", "sigma2"), ("rho2: -inf", "rho2"),
+                           ("total_power: inf", "total_power"), ("beta: nan", "beta"),
+                           ("theta: 0.1, nan", "theta"), ("weights: inf", "weights")]:
+            cfg = write(tmp_path, base + extra + "\n")
+            out = tmp_path / key
+            assert main(["sweep", str(cfg), "--out", str(out)]) == 1
+            assert f"line 6 key '{key}'" in capsys.readouterr().err
+            assert not out.exists()
+        cfg = write(tmp_path, base.replace("TAS_A", "HADP_B") + "quant_bits: 0\n")
+        assert main(["sweep", str(cfg), "--out", str(tmp_path / "b0")]) == 1
+        assert "line 6 key 'quant_bits'" in capsys.readouterr().err
+        assert not (tmp_path / "b0").exists()
+
+    @pytest.mark.parametrize("body, key", [
+        ("{not json", None),
+        ("{}", "sweep"),
+        ("[1]", "sweep"),
+        ('{"sweep": [1]}', None),
+        (manifest_with(K="16"), "K"),
+        (manifest_with(sigma2=float("nan")), "sigma2"),
+        (manifest_with(bogus=1), "bogus"),
+    ], ids=["malformed", "empty", "array", "sweep_array", "string_K", "nan_sigma2",
+            "unknown_key"])
+    def test_bad_manifest_rejected(self, tmp_path, capsys, body, key):
+        manifest = write(tmp_path, body, name="bad.manifest.json")
+        with pytest.raises(ConfigParseError):
+            parse_config(manifest)
+        assert main(["sweep", str(manifest), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        if key is not None:
+            assert f"key '{key}'" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_fit_of_missing_csv_is_an_error(self, tmp_path, capsys):
+        assert main(["fit", str(tmp_path / "nope.csv"), "--model", "LOG_GROWTH"]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_fit_reads_k_from_manifest_or_warns(self, tmp_path, capsys):
+        spec = dataclasses.replace(tiny_spec(), m_values=(8, 16, 32))
+        emit_results(run_sweep(spec), tmp_path / "tiny.csv")
+        assert main(["fit", str(tmp_path / "tiny.csv"), "--model", "LOG_GROWTH"]) == 0
+        with_manifest = capsys.readouterr()
+        (tmp_path / "tiny.manifest.json").unlink()
+        assert main(["fit", str(tmp_path / "tiny.csv"), "--model", "LOG_GROWTH"]) == 0
+        without = capsys.readouterr()
+        assert with_manifest.err == ""
+        assert without.err.startswith("warning: ") and "K=1" in without.err
+        assert len(without.err.splitlines()) == 1
+        # K=2 from the manifest halves the slope of the K=1 fallback
+        slope = {name: float(out.out.split("slope: ")[1].split()[0])
+                 for name, out in (("k2", with_manifest), ("k1", without))}
+        assert slope["k2"] == pytest.approx(slope["k1"] / 2)
+
+
+@st.composite
+def sweep_specs(draw):
+    K, J, L = draw(st.integers(1, 4)), draw(st.integers(0, 3)), draw(st.integers(1, 4))
+    scheme = draw(st.sampled_from(SCHEMES))
+    gains = st.floats(0.0, 1e6)
+    noise = st.floats(1e-6, 1e6)
+    m_values = draw(st.lists(st.integers(max(K, L), 4096), unique=True, max_size=4))
+    return SweepSpec(
+        scenario=draw(st.text(max_size=8)), scheme=scheme, K=K, J=J, L=L,
+        total_power=draw(gains), sigma2=draw(noise), rho2=draw(noise),
+        betas=np.array(draw(st.lists(gains, min_size=K, max_size=K))),
+        thetas=np.array(draw(st.lists(gains, min_size=J, max_size=J))),
+        weights=np.array(draw(st.lists(gains, min_size=K, max_size=K).filter(any))),
+        m_values=tuple(sorted(m_values)), trials=draw(st.integers(1, 10 ** 6)),
+        master_seed=draw(st.integers(0, 2 ** 64)),
+        quant_bits=draw(st.integers(1, 16)) if scheme == "HADP_B" else None,
+        cost_estimator=draw(st.sampled_from(COST_ESTIMATORS)))
+
+
+def assert_round_trips(spec):
+    again = SweepSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
+    for field in dataclasses.fields(SweepSpec):
+        a, b = getattr(again, field.name), getattr(spec, field.name)
+        assert type(a) is type(b), field.name
+        assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b, field.name
+
+
+class TestSpecSchema:
+    @given(sweep_specs())
+    def test_dict_round_trip(self, spec):
+        assert_round_trips(spec)
+
+    @pytest.mark.parametrize("config", sorted(CONFIGS.glob("*.cfg")), ids=lambda p: p.name)
+    def test_shipped_configs_round_trip(self, config):
+        for spec in parse_config(config):
+            assert_round_trips(spec)
