@@ -4,6 +4,19 @@ analog-digital precoding)."""
 
 __version__ = "0.1.0"
 
+import os
+
+# One BLAS thread per process.  Trials multiply K x K matrices, too small to
+# gain from BLAS threads; with a pool of trial workers each worker's threads
+# only contend for the cores.  OpenBLAS reads these variables once, when numpy
+# loads it, so they are set here, before any submodule imports numpy, and
+# forked pool workers inherit them.  A value already set in the environment
+# wins.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+for _var in BLAS_THREAD_VARS:
+    os.environ.setdefault(_var, "1")
+del _var
+
 from .asymptotics import (FitResult, GumbelCheck, clt_check, fit_cost_anchor,
                           fit_growth, gumbel_check, phase_aligned_sums)
 from .beamforming import (BeamformerSet, SelectionResult, analog_phase_match,

@@ -11,7 +11,6 @@ inner one natural.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .channel import derived_rng
 from .errors import FitError, MimosecError
@@ -130,6 +129,7 @@ def gumbel_check(m: int, trials: int, seed: int) -> GumbelCheck:
         maxima[done:done + n] = rng.standard_exponential((n, m)).max(axis=1)
         done += n
     shifted = maxima - np.log(m)
+    from scipy import stats  # imported here: it dominates the CLI's start-up
     ks = float(stats.kstest(shifted, stats.gumbel_r.cdf).statistic)
     return GumbelCheck(m=m, trials=trials, ks_statistic=ks,
                        sample_mean_shifted=float(np.mean(shifted)))
@@ -158,4 +158,5 @@ def clt_check(m: int, trials: int, seed: int) -> float:
     if trials < 1:
         raise MimosecError("clt_check needs trials >= 1")
     s = phase_aligned_sums(m, trials, derived_rng(seed))
+    from scipy import stats  # imported here: it dominates the CLI's start-up
     return float(stats.kstest(np.sqrt(2.0) * s.real, "norm").statistic)

@@ -228,6 +228,22 @@ def _read_results_csv(path: Path):
     return rows
 
 
+def _column(rows, name: str, kind, path: Path) -> list:
+    """One column of a results CSV read as ``kind``; a missing column or a
+    cell that is not a number of that kind raises MimosecError naming it."""
+    if name not in rows[0]:
+        raise MimosecError(f"{path}: no column '{name}'")
+    values = []
+    for lineno, row in enumerate(rows, start=2):
+        try:
+            values.append(kind(row[name]))
+        except (TypeError, ValueError):
+            raise MimosecError(f"{path} line {lineno} column '{name}': expected "
+                               f"{'an integer' if kind is int else 'a number'}, "
+                               f"got {row[name]!r}") from None
+    return values
+
+
 def _lookup_k(csv_path: Path) -> int:
     manifest = csv_path.with_suffix(".manifest.json")
     if manifest.exists():
@@ -240,13 +256,13 @@ def _lookup_k(csv_path: Path) -> int:
 def _cmd_fit(args) -> int:
     path = Path(args.csv)
     rows = _read_results_csv(path)
-    m = [int(r["M"]) for r in rows]
+    m = _column(rows, "M", int, path)
     if args.model in GROWTH_MODELS:
-        y = [float(r["r_sum_noeve_mean"]) for r in rows]
+        y = _column(rows, "r_sum_noeve_mean", float, path)
         k = args.k if args.k is not None else _lookup_k(path)
         fit = fit_growth(m, y, k, args.model)
     else:
-        c = [float(r["cost_mean"]) for r in rows]
+        c = _column(rows, "cost_mean", float, path)
         anchor = args.anchor if args.anchor is not None else max(m)
         fit = fit_cost_anchor(m, c, args.model, anchor)
     print(f"model: {fit.model}")
@@ -357,6 +373,11 @@ def main(argv=None) -> int:
         return args.func(args)
     except MimosecError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except (MemoryError, OverflowError) as exc:
+        # A size read from the input that no array or index can hold.
+        reason = "out of memory" if isinstance(exc, MemoryError) else "value too large"
+        print(f"error: {reason}: {exc}" if str(exc) else f"error: {reason}", file=sys.stderr)
         return 1
 
 

@@ -2,12 +2,15 @@
 and aggregates the rate metrics with standard errors."""
 
 import logging
+import os
+import time
 from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import BLAS_THREAD_VARS
 from .beamforming import (BeamformerSet, analog_phase_match,
                           analog_selection_matrix, digital_mrt_selected,
                           mrt_effective, power_uniform, quantize_phases,
@@ -261,12 +264,20 @@ def _trial_with_resampling(cfg, scheme, quant_bits, seed, trial_index, trials):
     raise AssertionError("unreachable")
 
 
-def _trial_task(args):
-    cfg, scheme, quant_bits, seed, trial_index, trials = args
-    report, resamples = _trial_with_resampling(cfg, scheme, quant_bits, seed,
-                                               trial_index, trials)
-    return (trial_index, report.r_sum, report.r_sum_noeve, report.leakage,
-            report.cost, resamples)
+def _block_task(args):
+    """Run trials lo..hi-1 of array size m; returns (m, lo, a (4, hi-lo)
+    array of r_sum, r_sum_noeve, leakage and cost, number of resamples)."""
+    spec, m, lo, hi = args
+    cfg = spec.config_for(m)
+    seed = derive_seed(spec.master_seed, m)
+    rows = np.empty((4, hi - lo))
+    resamples = 0
+    for i, t in enumerate(range(lo, hi)):
+        report, extra = _trial_with_resampling(cfg, spec.scheme, spec.quant_bits,
+                                               seed, t, spec.trials)
+        rows[:, i] = report.r_sum, report.r_sum_noeve, report.leakage, report.cost
+        resamples += extra
+    return m, lo, rows, resamples
 
 
 def _standard_error(x: np.ndarray) -> float:
@@ -314,39 +325,37 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
     spec : SweepSpec
         Network profile, scheme, m grid, trial count and master seed.
     workers : int
-        Process count for the trial loop.  Results are placed by trial
-        index before aggregation, so the output is bitwise-identical for
-        any worker count.
+        Process count for the trial loop.  Trials go out in blocks whose
+        size depends on ``spec.trials`` alone, and results are placed by
+        trial index before aggregation, so the output is bitwise-identical
+        for any worker count.
     """
+    block = max(1, spec.trials // 8)
+    tasks = [(spec, m, lo, min(lo + block, spec.trials))
+             for m in spec.m_values for lo in range(0, spec.trials, block)]
+    log.info("%s %s: %d workers, %d trials per block, %s", spec.scenario, spec.scheme,
+             workers, block, " ".join(f"{var}={os.environ.get(var, 'unset')}"
+                                      for var in BLAS_THREAD_VARS))
     points = []
+    values = np.empty((4, spec.trials))
+    resamples = 0
+    last = time.perf_counter()
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
-        for m in spec.m_values:
-            cfg = spec.config_for(m)
-            seed = derive_seed(spec.master_seed, m)
-            tasks = [(cfg, spec.scheme, spec.quant_bits, seed, t, spec.trials)
-                     for t in range(spec.trials)]
-            r_sum = np.empty(spec.trials)
-            r_noeve = np.empty(spec.trials)
-            leakage = np.empty(spec.trials)
-            cost = np.empty(spec.trials)
-            resamples = 0
-            if pool is None:
-                results = map(_trial_task, tasks)
-            else:
-                chunk = max(1, spec.trials // (workers * 4))
-                results = pool.map(_trial_task, tasks, chunksize=chunk)
-            for t, rs, rn, lk, c, extra in results:
-                r_sum[t] = rs
-                r_noeve[t] = rn
-                leakage[t] = lk
-                cost[t] = c
-                resamples += extra
-            points.append(_aggregate(spec, m, r_sum, r_noeve, leakage, cost,
-                                     resamples))
-            log.info("%s %s m=%d: r_sum=%.4f cost=%.4f (%d trials, %d resampled)",
+        # Tasks are m-major and both maps yield in task order, so an m is
+        # complete when the block ending at its last trial arrives.
+        results = map(_block_task, tasks) if pool is None else pool.map(_block_task, tasks)
+        for m, lo, rows, extra in results:
+            values[:, lo:lo + rows.shape[1]] = rows
+            resamples += extra
+            if lo + rows.shape[1] < spec.trials:
+                continue
+            points.append(_aggregate(spec, m, *values, resamples))
+            now = time.perf_counter()
+            log.info("%s %s m=%d: r_sum=%.4f cost=%.4f (%d trials, %d resampled, %.2f s)",
                      spec.scenario, spec.scheme, m, points[-1].r_sum_mean,
-                     points[-1].cost_mean, spec.trials, resamples)
+                     points[-1].cost_mean, spec.trials, resamples, now - last)
+            resamples, last = 0, now
     finally:
         if pool is not None:
             pool.shutdown()

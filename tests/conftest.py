@@ -1,0 +1,23 @@
+# Imported first: mimosec pins BLAS to one thread per process, and pytest loads
+# this file before the test modules import numpy, so the suite and its worker
+# pools run with the threads users get.
+import mimosec
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+
+@pytest.fixture
+def fresh_python():
+    """Run code in a new interpreter that finds this package and sees none
+    of the BLAS thread variables except those passed; returns its stdout."""
+    def run(code, **env):
+        clean = {k: v for k, v in os.environ.items() if k not in mimosec.BLAS_THREAD_VARS}
+        clean.update(env, PYTHONPATH=str(Path(mimosec.__file__).resolve().parents[1]))
+        return subprocess.run([sys.executable, "-c", code], env=clean, check=True,
+                              capture_output=True, text=True, timeout=120).stdout
+    return run

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import mimosec.cli as cli
+import mimosec.harness as harness
 from mimosec import SCHEMES, ConfigParseError, SweepSpec, fit_growth, run_sweep
 from mimosec.cli import emit_results, main, parse_config
 from mimosec.harness import COST_ESTIMATORS
@@ -313,6 +314,39 @@ class TestSubcommands:
     def test_fit_of_missing_csv_is_an_error(self, tmp_path, capsys):
         assert main(["fit", str(tmp_path / "nope.csv"), "--model", "LOG_GROWTH"]) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("text, detail", [
+        ("a,b\n1,2\n", "no column 'M'"),
+        ("M,r_sum_noeve_mean\n64,x\n", "line 2 column 'r_sum_noeve_mean': expected a number"),
+    ], ids=["no_results_columns", "non_numeric_cell"])
+    def test_fit_of_malformed_csv_is_an_error(self, tmp_path, capsys, text, detail):
+        path = write(tmp_path, text, name="bad.csv")
+        assert main(["fit", str(path), "--model", "LOG_GROWTH", "--k", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and detail in err
+        assert len(err.splitlines()) == 1
+
+    def test_oversized_count_is_an_error(self, tmp_path, capsys):
+        # Rejected while the spec is built, before anything is allocated.
+        cfg = write(tmp_path, SPARSE_TAS + "K: 1000000000000000000000\n")
+        assert main(["sweep", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_out_of_memory_is_an_error(self, tmp_path, capsys, monkeypatch):
+        def exhausted(*args):
+            raise MemoryError("injected")
+
+        monkeypatch.setattr(harness, "run_trial", exhausted)
+        cfg = write(tmp_path, SPARSE_TAS)
+        assert main(["sweep", str(cfg), "--out", str(tmp_path), "--workers", "1"]) == 1
+        assert capsys.readouterr().err == "error: out of memory: injected\n"
+
+    def test_import_leaves_scipy_unloaded(self, fresh_python):
+        # scipy.stats is imported by the gumbel and clt checks alone.
+        code = "import sys, mimosec.cli; print('scipy' in sys.modules)"
+        assert fresh_python(code).strip() == "False"
 
     def test_fit_reads_k_from_manifest_or_warns(self, tmp_path, capsys):
         spec = dataclasses.replace(tiny_spec(), m_values=(8, 16, 32))

@@ -1,6 +1,10 @@
+import logging
+import os
+
 import numpy as np
 import pytest
 
+import mimosec
 import mimosec.harness as harness
 from mimosec import (ConfigurationError, DegenerateChannelError, SweepSpec,
                      SystemConfig, build_beamformers, run_sweep, run_trial,
@@ -97,9 +101,10 @@ class TestRunSweep:
         assert a.points == b.points
 
     def test_worker_count_does_not_change_results(self):
-        a = run_sweep(small_spec(trials=12), workers=1)
-        b = run_sweep(small_spec(trials=12), workers=2)
-        assert a.points == b.points
+        # 19 trials go out in blocks of 2, the last one short
+        a = run_sweep(small_spec(trials=19), workers=1)
+        for workers in (2, 3):
+            assert run_sweep(small_spec(trials=19), workers=workers).points == a.points
 
     def test_empty_sweep(self):
         result = run_sweep(small_spec(m_values=()))
@@ -107,17 +112,18 @@ class TestRunSweep:
 
     def test_degenerate_draws_resampled_and_counted(self, monkeypatch):
         real_run_trial = harness.run_trial
-        trials = 10
 
         def flaky(cfg, scheme, quant_bits, seed, trial_index):
-            if trial_index == 3:  # first attempt of trial 3 only
+            # 19 trials go out in blocks of 2: trial 3 ends the second block.
+            # Only its first attempt at the second m fails.
+            if cfg.M == 16 and trial_index == 3:
                 raise DegenerateChannelError("injected")
             return real_run_trial(cfg, scheme, quant_bits, seed, trial_index)
 
         monkeypatch.setattr(harness, "run_trial", flaky)
-        result = run_sweep(small_spec(trials=trials, m_values=(8,)))
-        assert result.points[0].resamples == 1
-        assert np.isfinite(result.points[0].r_sum_mean)
+        result = run_sweep(small_spec(trials=19, m_values=(8, 16, 32)))
+        assert [p.resamples for p in result.points] == [0, 1, 0]
+        assert np.isfinite(result.points[1].r_sum_mean)
 
     def test_cost_estimators_agree_in_scale(self):
         from dataclasses import replace
@@ -141,3 +147,25 @@ class TestRunSweep:
         for i in range(len(costs) - 1):
             slack = np.hypot(ses[i], ses[i + 1])
             assert costs[i + 1] < costs[i] + slack
+
+    def test_verbose_log_reports_dispatch_and_time_per_m(self, caplog):
+        with caplog.at_level(logging.INFO, logger="mimosec.harness"):
+            run_sweep(small_spec(trials=19), workers=2)
+        head, *per_m = caplog.messages
+        assert "2 workers, 2 trials per block" in head
+        for var in mimosec.BLAS_THREAD_VARS:
+            assert f"{var}={os.environ.get(var, 'unset')}" in head
+        assert [line.split(":")[0] for line in per_m] == ["unit TAS_A m=8", "unit TAS_A m=16"]
+        assert all(line.endswith(" s)") for line in per_m)
+
+
+class TestBlasThreads:
+    PRINT_VARS = ("import mimosec, os; "
+                  "print(*(os.environ[v] for v in mimosec.BLAS_THREAD_VARS))")
+
+    def test_pinned_to_one_on_import(self, fresh_python):
+        assert fresh_python(self.PRINT_VARS).split() == ["1", "1", "1"]
+
+    def test_value_set_by_the_user_wins(self, fresh_python):
+        out = fresh_python(self.PRINT_VARS, OPENBLAS_NUM_THREADS="3")
+        assert out.split() == ["3", "1", "1"]
