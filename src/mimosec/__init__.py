@@ -5,14 +5,17 @@ analog-digital precoding)."""
 __version__ = "0.1.0"
 
 import os
+import sys
 
 # One BLAS thread per process.  Trials multiply K x K matrices, too small to
 # gain from BLAS threads; with a pool of trial workers each worker's threads
 # only contend for the cores.  OpenBLAS reads these variables once, when numpy
 # loads it, so they are set here, before any submodule imports numpy, and
 # forked pool workers inherit them.  A value already set in the environment
-# wins.
+# wins.  When numpy was imported first the setting comes too late, and
+# NUMPY_BEFORE_PIN records that for the sweep log.
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+NUMPY_BEFORE_PIN = "numpy" in sys.modules
 for _var in BLAS_THREAD_VARS:
     os.environ.setdefault(_var, "1")
 del _var

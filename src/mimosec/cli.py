@@ -374,10 +374,10 @@ def main(argv=None) -> int:
     except MimosecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (MemoryError, OverflowError) as exc:
-        # A size read from the input that no array or index can hold.
-        reason = "out of memory" if isinstance(exc, MemoryError) else "value too large"
-        print(f"error: {reason}: {exc}" if str(exc) else f"error: {reason}", file=sys.stderr)
+    except MemoryError as exc:
+        # Sizes within bounds whose arrays still do not fit this machine.
+        print(f"error: out of memory: {exc}" if str(exc) else "error: out of memory",
+              file=sys.stderr)
         return 1
 
 

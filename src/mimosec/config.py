@@ -6,6 +6,11 @@ import numpy as np
 
 from .errors import ConfigurationError
 
+# Largest array size M and largest user, eavesdropper or RF-chain count a
+# system may have.  One draw holds M x (K + J) complex gains, so 2**20
+# antennas with 16 users and 16 eavesdroppers already take 512 MiB.
+MAX_SIZE = 1 << 20
+
 
 def _as_vector(x, n: int, name: str) -> np.ndarray:
     v = np.atleast_1d(np.asarray(x, dtype=float))
@@ -42,14 +47,12 @@ class SystemConfig:
     weights: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.M < 1:
-            raise ConfigurationError(f"M must be >= 1, got {self.M}", field="M")
-        if self.K < 1:
-            raise ConfigurationError(f"K must be >= 1, got {self.K}", field="K")
-        if self.J < 0:
-            raise ConfigurationError(f"J must be >= 0, got {self.J}", field="J")
-        if not 1 <= self.L <= self.M:
-            raise ConfigurationError(f"L must satisfy 1 <= L <= M, got L={self.L}, M={self.M}",
+        for name, low in (("K", 1), ("J", 0), ("L", 1), ("M", 1)):
+            if not low <= getattr(self, name) <= MAX_SIZE:
+                raise ConfigurationError(f"{name} must be between {low} and {MAX_SIZE}, "
+                                         f"got {getattr(self, name)}", field=name)
+        if self.L > self.M:
+            raise ConfigurationError(f"L must satisfy L <= M, got L={self.L}, M={self.M}",
                                      field="L")
         for name, ok, rule in (("total_power", self.total_power >= 0, ">= 0"),
                                ("sigma2", self.sigma2 > 0, "> 0"), ("rho2", self.rho2 > 0, "> 0")):

@@ -10,14 +10,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import BLAS_THREAD_VARS
+from . import BLAS_THREAD_VARS, NUMPY_BEFORE_PIN
 from .beamforming import (BeamformerSet, analog_phase_match,
                           analog_selection_matrix, digital_mrt_selected,
                           mrt_effective, power_uniform, quantize_phases,
                           select_antennas_protocol1, stepwise_tas,
                           zf_effective)
 from .channel import derive_seed, sample_realization
-from .config import SystemConfig
+from .config import MAX_SIZE, SystemConfig
 from .errors import (ConfigParseError, ConfigurationError,
                      DegenerateChannelError, SingularChannelError)
 from .metrics import RateReport, rate_report
@@ -29,6 +29,10 @@ COST_ESTIMATORS = ("mean_of_ratios", "ratio_of_means")
 
 # Retry budget for resampling measure-zero degenerate draws.
 _MAX_RESAMPLES = 16
+
+# Finest phase-shifter resolution: a grid of more points than 2**52 is finer
+# than a double resolves an angle near pi.
+_MAX_QUANT_BITS = 52
 
 # One row of the sweep-spec schema: the SweepSpec attribute, the key it goes
 # by in config files and in manifests, its kind (a key of FIELD_KINDS) and its
@@ -85,8 +89,9 @@ class SweepSpec:
     """One Monte Carlo sweep: a network profile swept over array sizes.
 
     ``m_values`` must be strictly increasing and each at least
-    max(L, K) so every scheme stays feasible.  ``quant_bits`` is the
-    phase-shifter resolution and is required exactly for scheme HADP_B.
+    max(L, K) so every scheme stays feasible, and at most ``MAX_SIZE``.
+    ``quant_bits`` is the phase-shifter resolution and is required exactly
+    for scheme HADP_B.
     """
 
     scenario: str
@@ -113,28 +118,32 @@ class SweepSpec:
         if self.cost_estimator not in COST_ESTIMATORS:
             raise ConfigurationError(f"unknown cost_estimator '{self.cost_estimator}', "
                                      f"expected one of {COST_ESTIMATORS}", field="cost_estimator")
+        # The network at its smallest feasible size checks the counts and
+        # vectors, and normalizes the vectors so the sweep round-trips
+        # through manifests.
+        floor = max(self.L, self.K)
+        probe = self.config_for(floor)
+        for name in ("betas", "thetas", "weights"):
+            object.__setattr__(self, name, getattr(probe, name))
         m = tuple(int(v) for v in self.m_values)
         object.__setattr__(self, "m_values", m)
         # An empty m_values is allowed; it emits a header-only CSV.
         if any(b <= a for a, b in zip(m, m[1:])):
             raise ConfigurationError("m_values must be strictly increasing", field="m_values")
-        floor = max(self.L, self.K)
-        if any(v < floor for v in m):
-            raise ConfigurationError(f"every m must be >= max(L, K) = {floor}", field="m_values")
+        if any(not floor <= v <= MAX_SIZE for v in m):
+            raise ConfigurationError(f"every m must be between max(L, K) = {floor} "
+                                     f"and {MAX_SIZE}", field="m_values")
         if (self.scheme == "HADP_B") != (self.quant_bits is not None):
             raise ConfigurationError("quant_bits is required for scheme HADP_B "
                                      "and must be absent otherwise", field="quant_bits")
-        if self.quant_bits is not None and self.quant_bits < 1:
-            raise ConfigurationError(f"quant_bits must be >= 1, got {self.quant_bits}",
-                                     field="quant_bits")
-        if self.trials < 1:
-            raise ConfigurationError(f"trials must be >= 1, got {self.trials}", field="trials")
+        if self.quant_bits is not None and not 1 <= self.quant_bits <= _MAX_QUANT_BITS:
+            raise ConfigurationError(f"quant_bits must be between 1 and {_MAX_QUANT_BITS}, "
+                                     f"got {self.quant_bits}", field="quant_bits")
+        if not 1 <= self.trials <= MAX_SIZE:
+            raise ConfigurationError(f"trials must be between 1 and {MAX_SIZE}, "
+                                     f"got {self.trials}", field="trials")
         if self.master_seed < 0:
             raise ConfigurationError("master_seed must be non-negative", field="master_seed")
-        # Normalize vectors early so the sweep round-trips through manifests.
-        probe = self.config_for(floor)
-        for name in ("betas", "thetas", "weights"):
-            object.__setattr__(self, name, getattr(probe, name))
 
     @classmethod
     def from_dict(cls, entries, *, path: str | None = None) -> "SweepSpec":
@@ -155,7 +164,9 @@ class SweepSpec:
             if not (_is_kind(value, f.kind) or (value is None and f.default is None)):
                 raise ConfigParseError(f"expected {FIELD_KINDS[f.kind]}, got {value!r}",
                                        path=path, key=f.manifest)
-            if f.size is not None and len(value) == 1:
+            # A count above MAX_SIZE is left for SystemConfig to reject, so
+            # the repeat never builds a list that large.
+            if f.size is not None and len(value) == 1 and values[f.size] <= MAX_SIZE:
                 values[f.name] = list(value) * values[f.size]
         try:
             return cls(**values)
@@ -325,17 +336,21 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
     spec : SweepSpec
         Network profile, scheme, m grid, trial count and master seed.
     workers : int
-        Process count for the trial loop.  Trials go out in blocks whose
-        size depends on ``spec.trials`` alone, and results are placed by
-        trial index before aggregation, so the output is bitwise-identical
-        for any worker count.
+        Process count for the trial loop; below 1 runs serially.  Each
+        array size goes out in blocks of ``trials // (4 * workers)``
+        trials, about four per worker.
+        Results are placed by trial index before aggregation, so the output
+        is bitwise-identical for any worker count.
     """
-    block = max(1, spec.trials // 8)
+    workers = max(1, workers)
+    block = max(1, spec.trials // (4 * workers))
     tasks = [(spec, m, lo, min(lo + block, spec.trials))
              for m in spec.m_values for lo in range(0, spec.trials, block)]
-    log.info("%s %s: %d workers, %d trials per block, %s", spec.scenario, spec.scheme,
+    log.info("%s %s: %d workers, %d trials per block, env %s%s", spec.scenario, spec.scheme,
              workers, block, " ".join(f"{var}={os.environ.get(var, 'unset')}"
-                                      for var in BLAS_THREAD_VARS))
+                                      for var in BLAS_THREAD_VARS),
+             " (set after numpy loaded, so BLAS kept its own thread count)"
+             if NUMPY_BEFORE_PIN else "")
     points = []
     values = np.empty((4, spec.trials))
     resamples = 0

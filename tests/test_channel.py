@@ -4,6 +4,7 @@ import pytest
 from mimosec import (ConfigurationError, MimosecError, SystemConfig,
                      complex_normal, derived_rng, empirical_moment,
                      sample_realization)
+from mimosec.config import MAX_SIZE
 
 
 def make_cfg(**overrides):
@@ -101,6 +102,14 @@ class TestConfigValidation:
                     dict(beta=np.nan), dict(theta=np.inf), dict(weight=np.nan)):
             with pytest.raises(ConfigurationError):
                 make_cfg(**bad)
+
+    @pytest.mark.parametrize("field", ["M", "K", "J", "L"])
+    def test_sizes_bounded(self, field):
+        sizes = {"M": MAX_SIZE, "K": 4, "J": 2, "L": 4, field: MAX_SIZE + 1}
+        with pytest.raises(ConfigurationError) as exc:
+            SystemConfig(**sizes, total_power=1.0, sigma2=1.0, rho2=1.0,
+                         betas=np.ones(1), thetas=np.ones(1), weights=np.ones(1))
+        assert exc.value.field == field
 
     def test_weights_not_all_zero(self):
         with pytest.raises(ConfigurationError):

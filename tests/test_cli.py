@@ -326,13 +326,31 @@ class TestSubcommands:
         assert err.startswith("error: ") and detail in err
         assert len(err.splitlines()) == 1
 
-    def test_oversized_count_is_an_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("line, key", [
+        ("K: 1000000000000000000000", "K"),
+        ("K: 1000000000", "K"),
+        ("J: 1000000000", "J"),
+        ("L: 1000000000", "L"),
+        ("m_values: 1000000000000000000000", "m_values"),
+        ("trials: 1000000000000000000000", "trials"),
+    ])
+    def test_size_out_of_bounds_is_an_error(self, tmp_path, capsys, line, key):
         # Rejected while the spec is built, before anything is allocated.
-        cfg = write(tmp_path, SPARSE_TAS + "K: 1000000000000000000000\n")
+        name = line.split(":")[0]
+        text = "".join(row for row in SPARSE_TAS.splitlines(keepends=True)
+                       if not row.startswith(name + ":"))
+        cfg = write(tmp_path, text + line + "\n")
         assert main(["sweep", str(cfg), "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert err.startswith("error: ") and f"key '{key}'" in err
+        assert len(err.splitlines()) == 1
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("m", ["1099511627776", "1000000000000000000000"])
+    def test_single_oversized_m_is_an_error(self, tmp_path, capsys, m):
+        cfg = write(tmp_path, SPARSE_TAS)
+        assert main(["single", str(cfg), "--m", m]) == 1
+        assert capsys.readouterr().err.startswith("error: M must be between 1 and ")
 
     def test_out_of_memory_is_an_error(self, tmp_path, capsys, monkeypatch):
         def exhausted(*args):

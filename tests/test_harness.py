@@ -6,6 +6,7 @@ import pytest
 
 import mimosec
 import mimosec.harness as harness
+from mimosec.config import MAX_SIZE
 from mimosec import (ConfigurationError, DegenerateChannelError, SweepSpec,
                      SystemConfig, build_beamformers, run_sweep, run_trial,
                      sample_realization)
@@ -44,6 +45,16 @@ class TestSpecValidation:
     def test_unknown_scheme(self):
         with pytest.raises(ConfigurationError):
             small_spec(scheme="TAS_C")
+
+    @pytest.mark.parametrize("field, overrides", [
+        ("m_values", dict(m_values=(8, MAX_SIZE + 1))),
+        ("trials", dict(trials=MAX_SIZE + 1)),
+        ("quant_bits", dict(scheme="HADP_B", quant_bits=53)),
+    ])
+    def test_sizes_bounded(self, field, overrides):
+        with pytest.raises(ConfigurationError) as exc:
+            small_spec(**overrides)
+        assert exc.value.field == field
 
 
 class TestRunTrial:
@@ -101,9 +112,10 @@ class TestRunSweep:
         assert a.points == b.points
 
     def test_worker_count_does_not_change_results(self):
-        # 19 trials go out in blocks of 2, the last one short
+        # 19 trials go out in blocks of 4, 2 and 1 for 1, 2 and 3 workers,
+        # the last block of 4 and of 2 short; 0 workers runs serially
         a = run_sweep(small_spec(trials=19), workers=1)
-        for workers in (2, 3):
+        for workers in (0, 2, 3):
             assert run_sweep(small_spec(trials=19), workers=workers).points == a.points
 
     def test_empty_sweep(self):
@@ -114,9 +126,9 @@ class TestRunSweep:
         real_run_trial = harness.run_trial
 
         def flaky(cfg, scheme, quant_bits, seed, trial_index):
-            # 19 trials go out in blocks of 2: trial 3 ends the second block.
-            # Only its first attempt at the second m fails.
-            if cfg.M == 16 and trial_index == 3:
+            # One worker takes 19 trials in blocks of 4: trial 5 is inside
+            # the second block.  Only its first attempt at the second m fails.
+            if cfg.M == 16 and trial_index == 5:
                 raise DegenerateChannelError("injected")
             return real_run_trial(cfg, scheme, quant_bits, seed, trial_index)
 
@@ -148,13 +160,17 @@ class TestRunSweep:
             slack = np.hypot(ses[i], ses[i + 1])
             assert costs[i + 1] < costs[i] + slack
 
-    def test_verbose_log_reports_dispatch_and_time_per_m(self, caplog):
+    @pytest.mark.parametrize("numpy_first", [False, True])
+    def test_verbose_log_reports_dispatch_and_time_per_m(self, caplog, monkeypatch,
+                                                         numpy_first):
+        monkeypatch.setattr(harness, "NUMPY_BEFORE_PIN", numpy_first)
         with caplog.at_level(logging.INFO, logger="mimosec.harness"):
             run_sweep(small_spec(trials=19), workers=2)
         head, *per_m = caplog.messages
-        assert "2 workers, 2 trials per block" in head
+        assert "2 workers, 2 trials per block, env " in head
         for var in mimosec.BLAS_THREAD_VARS:
             assert f"{var}={os.environ.get(var, 'unset')}" in head
+        assert ("set after numpy loaded" in head) == numpy_first
         assert [line.split(":")[0] for line in per_m] == ["unit TAS_A m=8", "unit TAS_A m=16"]
         assert all(line.endswith(" s)") for line in per_m)
 
@@ -169,3 +185,9 @@ class TestBlasThreads:
     def test_value_set_by_the_user_wins(self, fresh_python):
         out = fresh_python(self.PRINT_VARS, OPENBLAS_NUM_THREADS="3")
         assert out.split() == ["3", "1", "1"]
+
+    @pytest.mark.parametrize("imports, late", [("mimosec", "False"),
+                                               ("numpy, mimosec", "True")])
+    def test_records_numpy_loaded_first(self, fresh_python, imports, late):
+        code = f"import {imports}; print(mimosec.NUMPY_BEFORE_PIN)"
+        assert fresh_python(code).strip() == late
