@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import derived_rng
+from .channel import complex_normal, derived_rng
+from .config import MAX_SIZE
 from .errors import FitError, MimosecError
 
 GROWTH_MODELS = ("LOGLOG_GROWTH", "LOG_GROWTH")
@@ -47,6 +48,12 @@ class GumbelCheck:
     @property
     def sample_mean_max(self) -> float:
         return self.sample_mean_shifted + float(np.log(self.m))
+
+
+def _check_sizes(check: str, m: int, trials: int) -> None:
+    for name, value in (("m", m), ("trials", trials)):
+        if not 1 <= value <= MAX_SIZE:
+            raise MimosecError(f"{check} needs {name} between 1 and {MAX_SIZE}, got {value}")
 
 
 def _regressor(m_values: np.ndarray, model: str) -> np.ndarray:
@@ -118,11 +125,10 @@ def gumbel_check(m: int, trials: int, seed: int) -> GumbelCheck:
     statistic.  Sampling uses the exponential identity directly rather than
     squaring complex Gaussians.
     """
-    if trials < 1:
-        raise MimosecError("gumbel_check needs trials >= 1")
+    _check_sizes("gumbel_check", m, trials)
     rng = derived_rng(seed)
     maxima = np.empty(trials)
-    block = max(1, (1 << 22) // max(m, 1))
+    block = (1 << 22) // m
     done = 0
     while done < trials:
         n = min(block, trials - done)
@@ -144,8 +150,8 @@ def phase_aligned_sums(m: int, trials: int, rng: np.random.Generator) -> np.ndar
     done = 0
     while done < trials:
         n = min(block, trials - done)
-        a = (rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))) / np.sqrt(2)
-        b = (rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))) / np.sqrt(2)
+        a = complex_normal(rng, (n, m))
+        b = complex_normal(rng, (n, m))
         out[done:done + n] = (a * np.conj(b) / np.abs(b)).sum(axis=1) / np.sqrt(m)
         done += n
     return out
@@ -155,8 +161,7 @@ def clt_check(m: int, trials: int, seed: int) -> float:
     """KS statistic of sqrt(2) * Re(S) against the standard normal CDF,
     where S is the phase-aligned cross sum of two independent CN(0,1)
     vectors of length m."""
-    if trials < 1:
-        raise MimosecError("clt_check needs trials >= 1")
+    _check_sizes("clt_check", m, trials)
     s = phase_aligned_sums(m, trials, derived_rng(seed))
     from scipy import stats  # imported here: it dominates the CLI's start-up
     return float(stats.kstest(np.sqrt(2.0) * s.real, "norm").statistic)

@@ -9,33 +9,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import SystemConfig
-from .errors import (DegenerateChannelError, InfeasibleSelectionError,
-                     MimosecError, SingularChannelError)
+from .errors import (ConfigurationError, DegenerateChannelError,
+                     InfeasibleSelectionError, MimosecError,
+                     SingularChannelError)
+
+SCHEMES = ("TAS_A", "TAS_B", "HADP_A", "HADP_B")
 
 ZF_CONDITION_LIMIT = 1e10
-
-
-@dataclass(frozen=True)
-class SelectionResult:
-    """Antenna indices driven by the RF chains (0-based, pairwise distinct).
-
-    Chain order is scheme-defined: the per-user strongest-gain protocol
-    returns entry k as the antenna assigned to user k, while greedy
-    selection returns indices in ascending order (no user pairing).
-    """
-
-    indices: np.ndarray
-
-    def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=int)
-        object.__setattr__(self, "indices", idx)
-        if idx.ndim != 1 or idx.size == 0:
-            raise InfeasibleSelectionError("selection must be a non-empty index vector")
-        if len(np.unique(idx)) != idx.size:
-            raise InfeasibleSelectionError("selected antenna indices must be distinct")
-
-    def __len__(self) -> int:
-        return self.indices.size
 
 
 @dataclass(frozen=True)
@@ -52,7 +32,7 @@ class BeamformerSet:
     powers: np.ndarray
 
 
-def select_antennas_protocol1(H: np.ndarray) -> SelectionResult:
+def select_antennas_protocol1(H: np.ndarray) -> np.ndarray:
     """Assign each user its strongest still-free antenna, in user order.
 
     Per user k the channel gains |H[m, k]|^2 are ranked in decreasing
@@ -60,7 +40,7 @@ def select_antennas_protocol1(H: np.ndarray) -> SelectionResult:
     its best-ranked antenna among those not claimed by earlier users.
     Ties in gain are broken towards the smaller antenna index.
 
-    Returns entry k of the selection as the antenna of user k.
+    Returns a length-K index vector whose entry k is the antenna of user k.
     """
     H = np.asarray(H)
     M, K = H.shape
@@ -76,13 +56,21 @@ def select_antennas_protocol1(H: np.ndarray) -> SelectionResult:
                 chosen[k] = antenna
                 taken[antenna] = True
                 break
-    return SelectionResult(chosen)
+    return chosen
 
 
-def analog_selection_matrix(sel: SelectionResult, M: int) -> np.ndarray:
+def analog_selection_matrix(idx: np.ndarray, M: int) -> np.ndarray:
     """Switching-network analog matrix: column l is the basis vector of
-    antenna ``sel.indices[l]``."""
-    idx = sel.indices
+    antenna ``idx[l]``.
+
+    This is where a selection is checked: ``idx`` must be a non-empty
+    vector of pairwise distinct antenna indices in [0, M).
+    """
+    idx = np.asarray(idx, dtype=int)
+    if idx.ndim != 1 or idx.size == 0:
+        raise InfeasibleSelectionError("selection must be a non-empty index vector")
+    if np.unique(idx).size != idx.size:
+        raise InfeasibleSelectionError("selected antenna indices must be distinct")
     if np.any(idx < 0) or np.any(idx >= M):
         raise MimosecError(f"antenna index out of range [0, {M})")
     F = np.zeros((M, idx.size), dtype=complex)
@@ -90,18 +78,18 @@ def analog_selection_matrix(sel: SelectionResult, M: int) -> np.ndarray:
     return F
 
 
-def digital_mrt_selected(H: np.ndarray, sel: SelectionResult) -> np.ndarray:
+def digital_mrt_selected(H: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """Single-tap matched filter per user over its assigned antenna.
 
     Column k of the returned K x K matrix has one unit-magnitude entry at
-    row k whose phase conjugates H[sel.indices[k], k], so the cascade with
-    the selection matrix delivers |H[sel.indices[k], k]| to user k.
+    row k whose phase conjugates H[idx[k], k], so the cascade with the
+    selection matrix delivers |H[idx[k], k]| to user k.
     """
     H = np.asarray(H)
     K = H.shape[1]
-    if len(sel) != K:
-        raise MimosecError(f"selection size {len(sel)} != number of users {K}")
-    coeff = H[sel.indices, np.arange(K)]
+    if len(idx) != K:
+        raise MimosecError(f"selection size {len(idx)} != number of users {K}")
+    coeff = H[idx, np.arange(K)]
     if np.any(coeff == 0):
         raise DegenerateChannelError("zero channel coefficient on a selected antenna")
     W = np.zeros((K, K), dtype=complex)
@@ -175,7 +163,7 @@ def power_uniform(K: int, total_power: float) -> np.ndarray:
     return np.full(K, total_power / K)
 
 
-def stepwise_tas(H: np.ndarray, L: int, cfg: SystemConfig) -> SelectionResult:
+def stepwise_tas(H: np.ndarray, L: int, cfg: SystemConfig) -> np.ndarray:
     """Greedy antenna selection maximizing the weighted no-eavesdropper
     sum-rate under MRT digital precoding and uniform power.
 
@@ -200,12 +188,18 @@ def stepwise_tas(H: np.ndarray, L: int, cfg: SystemConfig) -> SelectionResult:
     available = np.ones(M, dtype=bool)
     selected = []
     diag = np.arange(K)
+    # The (M, K, K) work arrays of every step, allocated once per call: fresh
+    # ones at each step fault their pages in again whenever the allocator
+    # has handed the last step's back to the system.
+    cand = np.empty_like(outer)                         # (M, K, K)
+    cross = np.empty(outer.shape)
     for _ in range(L):
-        cand = gram[None, :, :] + outer                 # (M, K, K)
+        np.add(gram, outer, out=cand)
         col_pow = cand[:, diag, diag].real              # (M, K): ||h_eff_k||^2
         safe_pow = np.maximum(col_pow, np.finfo(float).tiny)
         # interference on user k from stream i: P_i |gram[i, k]|^2 / ||h_eff_i||^2
-        cross = (np.abs(cand) ** 2) / safe_pow[:, :, None]
+        np.square(np.abs(cand, out=cross), out=cross)
+        cross /= safe_pow[:, :, None]
         interference = np.einsum("aik,i->ak", cross, powers) - powers * col_pow
         interference = np.maximum(interference, 0.0)    # clip rounding residue
         sinr = powers * betas * col_pow / (sigma2 + betas * interference)
@@ -215,4 +209,38 @@ def stepwise_tas(H: np.ndarray, L: int, cfg: SystemConfig) -> SelectionResult:
         selected.append(best)
         available[best] = False
         gram = gram + outer[best]
-    return SelectionResult(np.sort(selected))
+    return np.sort(selected)
+
+
+def build_beamformers(H: np.ndarray, cfg: SystemConfig, scheme: str,
+                      quant_bits: int | None = None) -> BeamformerSet:
+    """Construct the analog/digital pair of the given scheme from the user
+    channels alone.
+
+    TAS_A: per-user strongest-antenna selection with a single-tap matched
+    filter per user.  TAS_B: greedy sum-rate antenna selection with MRT over
+    the selected rows.  HADP_A: phase matching in the analog stage, identity
+    digital stage.  HADP_B: quantized phase matching followed by zero
+    forcing over the effective channel.
+    """
+    K = cfg.K
+    powers = power_uniform(K, cfg.total_power)
+    if scheme == "TAS_A":
+        idx = select_antennas_protocol1(H)
+        F = analog_selection_matrix(idx, cfg.M)
+        W = digital_mrt_selected(H, idx)
+    elif scheme == "TAS_B":
+        idx = stepwise_tas(H, cfg.L, cfg)
+        F = analog_selection_matrix(idx, cfg.M)
+        W = mrt_effective(H[idx])
+    elif scheme == "HADP_A":
+        F = analog_phase_match(H)
+        W = np.eye(K, dtype=complex)
+    elif scheme == "HADP_B":
+        if quant_bits is None:
+            raise ConfigurationError("HADP_B requires quant_bits")
+        F = quantize_phases(analog_phase_match(H), quant_bits)
+        W = zf_effective(F.T @ H)
+    else:
+        raise ConfigurationError(f"unknown scheme '{scheme}'")
+    return BeamformerSet(F=F, W=W, powers=powers)

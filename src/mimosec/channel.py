@@ -8,6 +8,15 @@ from .config import SystemConfig
 from .errors import ConfigurationError, MimosecError
 
 
+def _seed_sequence(key) -> np.random.SeedSequence:
+    """The stream of a key tuple; a negative entry raises MimosecError."""
+    entropy = [int(k) for k in key]
+    if any(k < 0 for k in entropy):
+        raise MimosecError(f"random stream key {tuple(entropy)} must be non-negative: "
+                           "seeds and trial indices are integers >= 0")
+    return np.random.SeedSequence(entropy)
+
+
 def derived_rng(*key: int) -> np.random.Generator:
     """Independent generator derived by hashing a tuple of non-negative ints.
 
@@ -15,12 +24,12 @@ def derived_rng(*key: int) -> np.random.Generator:
     is stable across processes and call order, so trials can run on any
     number of workers without shared RNG state.
     """
-    return np.random.default_rng(np.random.SeedSequence([int(k) for k in key]))
+    return np.random.default_rng(_seed_sequence(key))
 
 
 def derive_seed(*key: int) -> int:
     """Collapse a key tuple into a single non-negative integer seed."""
-    return int(np.random.SeedSequence([int(k) for k in key]).generate_state(1, np.uint64)[0])
+    return int(_seed_sequence(key).generate_state(1, np.uint64)[0])
 
 
 def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:

@@ -199,9 +199,12 @@ def _workers_from_env() -> int:
 
 def _cmd_sweep(args) -> int:
     specs = parse_config(args.config)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     workers = args.workers if args.workers is not None else _workers_from_env()
+    out_dir = Path(args.out)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise MimosecError(f"cannot create output directory {out_dir}: {exc.strerror}") from None
     used = set()
     for spec in specs:
         if args.seed is not None:

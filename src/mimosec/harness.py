@@ -11,11 +11,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import BLAS_THREAD_VARS, NUMPY_BEFORE_PIN
-from .beamforming import (BeamformerSet, analog_phase_match,
-                          analog_selection_matrix, digital_mrt_selected,
-                          mrt_effective, power_uniform, quantize_phases,
-                          select_antennas_protocol1, stepwise_tas,
-                          zf_effective)
+from .beamforming import SCHEMES, build_beamformers
 from .channel import derive_seed, sample_realization
 from .config import MAX_SIZE, SystemConfig
 from .errors import (ConfigParseError, ConfigurationError,
@@ -24,7 +20,6 @@ from .metrics import RateReport, rate_report
 
 log = logging.getLogger(__name__)
 
-SCHEMES = ("TAS_A", "TAS_B", "HADP_A", "HADP_B")
 COST_ESTIMATORS = ("mean_of_ratios", "ratio_of_means")
 
 # Retry budget for resampling measure-zero degenerate draws.
@@ -213,40 +208,6 @@ class SweepResult:
 
     spec: SweepSpec
     points: tuple
-
-
-def build_beamformers(H: np.ndarray, cfg: SystemConfig, scheme: str,
-                      quant_bits: int | None = None) -> BeamformerSet:
-    """Construct the analog/digital pair of the given scheme from the user
-    channels alone.
-
-    TAS_A: per-user strongest-antenna selection with a single-tap matched
-    filter per user.  TAS_B: greedy sum-rate antenna selection with MRT over
-    the selected rows.  HADP_A: phase matching in the analog stage, identity
-    digital stage.  HADP_B: quantized phase matching followed by zero
-    forcing over the effective channel.
-    """
-    K = cfg.K
-    powers = power_uniform(K, cfg.total_power)
-    if scheme == "TAS_A":
-        sel = select_antennas_protocol1(H)
-        F = analog_selection_matrix(sel, cfg.M)
-        W = digital_mrt_selected(H, sel)
-    elif scheme == "TAS_B":
-        sel = stepwise_tas(H, cfg.L, cfg)
-        F = analog_selection_matrix(sel, cfg.M)
-        W = mrt_effective(F.T @ H)
-    elif scheme == "HADP_A":
-        F = analog_phase_match(H)
-        W = np.eye(K, dtype=complex)
-    elif scheme == "HADP_B":
-        if quant_bits is None:
-            raise ConfigurationError("HADP_B requires quant_bits")
-        F = quantize_phases(analog_phase_match(H), quant_bits)
-        W = zf_effective(F.T @ H)
-    else:
-        raise ConfigurationError(f"unknown scheme '{scheme}'")
-    return BeamformerSet(F=F, W=W, powers=powers)
 
 
 def run_trial(cfg: SystemConfig, scheme: str, quant_bits: int | None,

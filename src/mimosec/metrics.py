@@ -45,26 +45,6 @@ def _check_dims(ch: ChannelRealization, bf: BeamformerSet, cfg: SystemConfig):
         raise ConfigurationError("powers must be a length-K vector")
 
 
-def _link_gains(ch: ChannelRealization, bf: BeamformerSet):
-    """(K x K, J x K) matrices of h_k^T F w_i and g_j^T F w_i."""
-    T = bf.F @ bf.W
-    return ch.H.T @ T, ch.G.T @ T
-
-
-def _sinr_values(a: np.ndarray, powers, betas, sigma2):
-    sig = np.abs(a[np.arange(a.shape[0]), np.arange(a.shape[1])]) ** 2
-    total = (np.abs(a) ** 2) @ powers
-    interference = total - powers * sig
-    interference = np.maximum(interference, 0.0)
-    sinr = powers * betas * sig / (sigma2 + betas * interference)
-    return sinr, interference
-
-
-def _eve_values(b: np.ndarray, powers, thetas, rho2):
-    eve_power = thetas @ (np.abs(b) ** 2)
-    return powers * eve_power / rho2, eve_power
-
-
 def sinr_k(k: int, ch: ChannelRealization, bf: BeamformerSet,
            cfg: SystemConfig) -> float:
     r"""SINR of user k:
@@ -73,10 +53,7 @@ def sinr_k(k: int, ch: ChannelRealization, bf: BeamformerSet,
         -----------------------------------------------
         sigma^2 + beta_k sum_{i != k} P_i |h_k^T F w_i|^2
     """
-    _check_dims(ch, bf, cfg)
-    a, _ = _link_gains(ch, bf)
-    sinr, _ = _sinr_values(a, bf.powers, cfg.betas, cfg.sigma2)
-    return float(sinr[k])
+    return float(rate_report(ch, bf, cfg).sinr[k])
 
 
 def esnr_k(k: int, ch: ChannelRealization, bf: BeamformerSet,
@@ -85,10 +62,7 @@ def esnr_k(k: int, ch: ChannelRealization, bf: BeamformerSet,
 
         (P_k / rho^2) sum_j theta_j |g_j^T F w_k|^2
     """
-    _check_dims(ch, bf, cfg)
-    _, b = _link_gains(ch, bf)
-    esnr, _ = _eve_values(b, bf.powers, cfg.thetas, cfg.rho2)
-    return float(esnr[k])
+    return float(rate_report(ch, bf, cfg).esnr[k])
 
 
 def rate_report(ch: ChannelRealization, bf: BeamformerSet,
@@ -101,9 +75,14 @@ def rate_report(ch: ChannelRealization, bf: BeamformerSet,
     1 - R_sum / R_sum_noeve (defined as 0 when R_sum_noeve is 0).
     """
     _check_dims(ch, bf, cfg)
-    a, b = _link_gains(ch, bf)
-    sinr, interference = _sinr_values(a, bf.powers, cfg.betas, cfg.sigma2)
-    esnr, eve_power = _eve_values(b, bf.powers, cfg.thetas, cfg.rho2)
+    T = bf.F @ bf.W
+    a, b = ch.H.T @ T, ch.G.T @ T  # h_k^T F w_i and g_j^T F w_i
+    powers = bf.powers
+    sig = np.abs(np.diagonal(a)) ** 2
+    interference = np.maximum((np.abs(a) ** 2) @ powers - powers * sig, 0.0)
+    sinr = powers * cfg.betas * sig / (cfg.sigma2 + cfg.betas * interference)
+    eve_power = cfg.thetas @ (np.abs(b) ** 2)
+    esnr = powers * eve_power / cfg.rho2
 
     r_noeve = np.log2(1.0 + sinr)
     r_secrecy = np.maximum(r_noeve - np.log2(1.0 + esnr), 0.0)

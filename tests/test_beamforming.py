@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import oracles
 from mimosec import (DegenerateChannelError, InfeasibleSelectionError,
-                     MimosecError, SelectionResult, SingularChannelError,
+                     MimosecError, SingularChannelError,
                      SystemConfig, analog_phase_match, analog_selection_matrix,
                      complex_normal, derived_rng, digital_mrt_selected,
                      mrt_effective, power_uniform, quantize_phases,
@@ -20,14 +23,14 @@ def cfg_for(M, K, **overrides):
 class TestProtocol1:
     def test_single_user_takes_argmax(self):
         H = np.array([[0.2], [3.0], [1.1]], dtype=complex)
-        sel = select_antennas_protocol1(np.sqrt(H))
-        assert list(sel.indices) == [1]
+        idx = select_antennas_protocol1(np.sqrt(H))
+        assert list(idx) == [1]
 
     def test_fallback_to_next_strongest(self):
         # user 0 gains (4, 1); user 1 gains (3, 2): user 1's best is taken
         H = np.sqrt(np.array([[4.0, 3.0], [1.0, 2.0]])).astype(complex)
-        sel = select_antennas_protocol1(H)
-        assert list(sel.indices) == [0, 1]
+        idx = select_antennas_protocol1(H)
+        assert list(idx) == [0, 1]
 
     def test_requires_enough_antennas(self):
         with pytest.raises(InfeasibleSelectionError):
@@ -36,81 +39,96 @@ class TestProtocol1:
     @pytest.mark.parametrize("seed", range(25))
     def test_matches_rank_fallback_oracle(self, seed):
         H = complex_normal(derived_rng(800, seed), (6, 3))
-        sel = select_antennas_protocol1(H)
-        assert list(sel.indices) == oracles.protocol1_assignment(H)
+        idx = select_antennas_protocol1(H)
+        assert list(idx) == oracles.protocol1_assignment(H)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_oracle_larger(self, seed):
         H = complex_normal(derived_rng(801, seed), (12, 5))
-        sel = select_antennas_protocol1(H)
-        assert list(sel.indices) == oracles.protocol1_assignment(H)
+        idx = select_antennas_protocol1(H)
+        assert list(idx) == oracles.protocol1_assignment(H)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_optimal_fallback_invariant(self, seed):
         # any antenna strictly stronger (for user k) than the assigned one
         # must be held by an earlier user
         H = complex_normal(derived_rng(802, seed), (8, 4))
-        sel = select_antennas_protocol1(H)
+        idx = select_antennas_protocol1(H)
         gains = np.abs(H) ** 2
-        for k, antenna in enumerate(sel.indices):
+        for k, antenna in enumerate(idx):
             better = np.nonzero(gains[:, k] > gains[antenna, k])[0]
-            assert set(better) <= set(sel.indices[:k])
+            assert set(better) <= set(idx[:k])
 
     def test_distinct_indices(self):
         H = complex_normal(derived_rng(803), (5, 5))
-        sel = select_antennas_protocol1(H)
-        assert len(set(sel.indices)) == 5
+        idx = select_antennas_protocol1(H)
+        assert idx.ndim == 1 and idx.dtype.kind == "i"
+        assert len(set(idx)) == 5
 
 
 class TestSelectionMatrix:
     def test_basis_column(self):
-        F = analog_selection_matrix(SelectionResult(np.array([1])), 3)
+        F = analog_selection_matrix(np.array([1]), 3)
         assert np.array_equal(F[:, 0], np.array([0, 1, 0], dtype=complex))
 
     def test_two_columns(self):
-        F = analog_selection_matrix(SelectionResult(np.array([0, 2])), 3)
+        F = analog_selection_matrix(np.array([0, 2]), 3)
         assert np.array_equal(F[:, 0], np.array([1, 0, 0], dtype=complex))
         assert np.array_equal(F[:, 1], np.array([0, 0, 1], dtype=complex))
 
     def test_orthonormal_columns(self):
-        F = analog_selection_matrix(SelectionResult(np.array([4, 0, 2])), 6)
+        F = analog_selection_matrix(np.array([4, 0, 2]), 6)
         assert np.allclose(F.T @ F, np.eye(3))
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(MimosecError):
-            analog_selection_matrix(SelectionResult(np.array([3])), 3)
+        for idx in ([3], [0, -1]):
+            with pytest.raises(MimosecError, match="out of range"):
+                analog_selection_matrix(np.array(idx), 3)
 
-    def test_duplicate_indices_rejected(self):
+    @pytest.mark.parametrize("idx", [np.array([], dtype=int), np.array([[0, 1]]),
+                                     np.array([1, 1])], ids=["empty", "2-D", "duplicate"])
+    def test_infeasible_selection_rejected(self, idx):
         with pytest.raises(InfeasibleSelectionError):
-            SelectionResult(np.array([1, 1]))
+            analog_selection_matrix(idx, 3)
+
+    @given(st.data())
+    def test_product_is_row_gather(self, data):
+        # The one-hot product adds only exact zeros, so F^T H equals H[idx] exactly.
+        M = data.draw(st.integers(1, 12))
+        K = data.draw(st.integers(1, 4))
+        idx = np.array(data.draw(st.lists(st.integers(0, M - 1), min_size=1,
+                                          max_size=M, unique=True)))
+        H = data.draw(hnp.arrays(complex, (M, K), elements=st.complex_numbers(
+            max_magnitude=1e150, allow_nan=False, allow_infinity=False)))
+        assert np.array_equal(analog_selection_matrix(idx, M).T @ H, H[idx])
 
 
 class TestDigitalMrtSelected:
     def test_real_positive_coefficient(self):
         H = np.array([[1.0 + 0j]])
-        W = digital_mrt_selected(H, SelectionResult(np.array([0])))
+        W = digital_mrt_selected(H, np.array([0]))
         assert np.array_equal(W, np.eye(1, dtype=complex))
 
     def test_phase_conjugation(self):
         H = np.array([[1j]])
-        W = digital_mrt_selected(H, SelectionResult(np.array([0])))
+        W = digital_mrt_selected(H, np.array([0]))
         assert W[0, 0] == pytest.approx(-1j)
         assert abs(W[0, 0]) == pytest.approx(1.0)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matched_filter_property(self, seed):
         H = complex_normal(derived_rng(810, seed), (6, 3))
-        sel = select_antennas_protocol1(H)
-        W = digital_mrt_selected(H, sel)
+        idx = select_antennas_protocol1(H)
+        W = digital_mrt_selected(H, idx)
         for k in range(3):
-            delivered = H[sel.indices[k], k] * W[k, k]
+            delivered = H[idx[k], k] * W[k, k]
             assert delivered.imag == pytest.approx(0.0, abs=1e-12)
-            assert delivered.real == pytest.approx(abs(H[sel.indices[k], k]))
+            assert delivered.real == pytest.approx(abs(H[idx[k], k]))
 
     def test_zero_coefficient_rejected(self):
         H = np.array([[0.0 + 0j], [1.0 + 0j]])
         with pytest.raises(DegenerateChannelError):
-            digital_mrt_selected(H, SelectionResult(np.array([0])))
+            digital_mrt_selected(H, np.array([0]))
 
 
 class TestMrtEffective:
@@ -232,13 +250,14 @@ class TestPowerUniform:
 class TestStepwiseTas:
     def test_single_antenna_single_user_is_argmax(self):
         H = complex_normal(derived_rng(860), (7, 1))
-        sel = stepwise_tas(H, 1, cfg_for(7, 1, L=1))
-        assert sel.indices[0] == int(np.argmax(np.abs(H[:, 0])))
+        idx = stepwise_tas(H, 1, cfg_for(7, 1, L=1))
+        assert idx[0] == int(np.argmax(np.abs(H[:, 0])))
 
     def test_full_selection_is_everything(self):
         H = complex_normal(derived_rng(861), (5, 2))
-        sel = stepwise_tas(H, 5, cfg_for(5, 2, L=5))
-        assert list(sel.indices) == [0, 1, 2, 3, 4]
+        idx = stepwise_tas(H, 5, cfg_for(5, 2, L=5))
+        assert idx.ndim == 1 and idx.dtype.kind == "i"
+        assert list(idx) == [0, 1, 2, 3, 4]
 
     def test_infeasible_rejected(self):
         H = complex_normal(derived_rng(862), (3, 2))
@@ -249,16 +268,16 @@ class TestStepwiseTas:
     def test_matches_per_step_oracle_small(self, seed):
         H = complex_normal(derived_rng(863, seed), (5, 2))
         cfg = cfg_for(5, 2, L=2)
-        sel = stepwise_tas(H, 2, cfg)
+        idx = stepwise_tas(H, 2, cfg)
         expected = oracles.greedy_tas(H, 2, power_uniform(2, 1.0),
                                       cfg.betas, cfg.weights, cfg.sigma2)
-        assert list(sel.indices) == expected
+        assert list(idx) == expected
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_per_step_oracle_wider(self, seed):
         H = complex_normal(derived_rng(864, seed), (8, 3))
         cfg = cfg_for(8, 3, L=4)
-        sel = stepwise_tas(H, 4, cfg)
+        idx = stepwise_tas(H, 4, cfg)
         expected = oracles.greedy_tas(H, 4, power_uniform(3, 1.0),
                                       cfg.betas, cfg.weights, cfg.sigma2)
-        assert list(sel.indices) == expected
+        assert list(idx) == expected

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from mimosec import (ConfigurationError, MimosecError, SystemConfig,
-                     complex_normal, derived_rng, empirical_moment,
-                     sample_realization)
+                     complex_normal, derive_seed, derived_rng,
+                     empirical_moment, sample_realization)
 from mimosec.config import MAX_SIZE
 
 
@@ -37,6 +37,11 @@ class TestSampleRealization:
     def test_rejects_non_config(self):
         with pytest.raises(ConfigurationError):
             sample_realization("not a config", 1, 0)
+
+    @pytest.mark.parametrize("derive", [derived_rng, derive_seed])
+    def test_negative_key_rejected(self, derive):
+        with pytest.raises(MimosecError, match=r"key \(5, -2\) must be non-negative"):
+            derive(5, -2)
 
 
 N_STAT = 100_000

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import logging
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ import mimosec.cli as cli
 import mimosec.harness as harness
 from mimosec import SCHEMES, ConfigParseError, SweepSpec, fit_growth, run_sweep
 from mimosec.cli import emit_results, main, parse_config
+from mimosec.config import MAX_SIZE
 from mimosec.harness import COST_ESTIMATORS
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -351,6 +353,49 @@ class TestSubcommands:
         cfg = write(tmp_path, SPARSE_TAS)
         assert main(["single", str(cfg), "--m", m]) == 1
         assert capsys.readouterr().err.startswith("error: M must be between 1 and ")
+
+    @pytest.mark.parametrize("argv, detail", [
+        (["single", "hadp_sparse.cfg", "--m", "64", "--trial", "-1"], "non-negative"),
+        (["single", "hadp_sparse.cfg", "--m", "64", "--seed", "-3"], "non-negative"),
+        (["gumbel", "--m", "8", "--trials", "3", "--seed", "-1"], "non-negative"),
+        (["gumbel", "--m", "0", "--trials", "3"], "m between 1 and"),
+        (["gumbel", "--m", "-4", "--trials", "3"], "m between 1 and"),
+        (["gumbel", "--m", "1000000000000000000000", "--trials", "3"], "m between 1 and"),
+        (["gumbel", "--m", "8", "--trials", "0"], "trials between 1 and"),
+        (["clt", "--m", "0", "--trials", "3"], "m between 1 and"),
+        (["clt", "--m", "8", "--trials", str(MAX_SIZE + 1)], "trials between 1 and"),
+    ], ids=["single_trial_-1", "single_seed_-3", "gumbel_seed_-1", "gumbel_m_0",
+            "gumbel_m_-4", "gumbel_m_1e21", "gumbel_trials_0", "clt_m_0",
+            "clt_trials_too_many"])
+    def test_bad_argument_is_an_error(self, capsys, argv, detail):
+        argv = [str(CONFIGS / arg) if arg.endswith(".cfg") else arg for arg in argv]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and detail in err
+        assert len(err.splitlines()) == 1
+
+    def test_sweep_out_on_a_file_is_an_error(self, tmp_path, capsys):
+        cfg = write(tmp_path, SPARSE_TAS)
+        taken = write(tmp_path, "", name="taken")
+        assert main(["sweep", str(cfg), "--out", str(taken), "--workers", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot create output directory ")
+        assert len(err.splitlines()) == 1
+
+    def test_bad_sim_threads_is_an_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("SIM_THREADS", "abc")
+        cfg = write(tmp_path, SPARSE_TAS)
+        assert main(["sweep", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: SIM_THREADS must be an integer, got 'abc'\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_sim_threads_zero_runs_one_worker(self, tmp_path, caplog, monkeypatch):
+        monkeypatch.setenv("SIM_THREADS", "0")
+        cfg = write(tmp_path, SPARSE_TAS.replace("pow2:4..8", "16"))
+        with caplog.at_level(logging.INFO, logger="mimosec.harness"):
+            assert main(["-v", "sweep", str(cfg), "--out", str(tmp_path)]) == 0
+        assert caplog.messages[0].startswith("sparse-demo TAS_A: 1 workers, ")
 
     def test_out_of_memory_is_an_error(self, tmp_path, capsys, monkeypatch):
         def exhausted(*args):
