@@ -35,10 +35,11 @@ class BeamformerSet:
 def select_antennas_protocol1(H: np.ndarray) -> np.ndarray:
     """Assign each user its strongest still-free antenna, in user order.
 
-    Per user k the channel gains |H[m, k]|^2 are ranked in decreasing
-    order; user 0 takes its top-ranked antenna, and each later user takes
-    its best-ranked antenna among those not claimed by earlier users.
-    Ties in gain are broken towards the smaller antenna index.
+    User 0 takes the antenna of largest gain |H[m, 0]|^2; each later user
+    takes its largest-gain antenna among those not claimed by earlier users.
+    Ties in gain go to the smaller antenna index.  This is the first free
+    antenna of each user's best-first ranking, found as one masked argmax
+    per user: O(MK) work, no sort.
 
     Returns a length-K index vector whose entry k is the antenna of user k.
     """
@@ -46,16 +47,13 @@ def select_antennas_protocol1(H: np.ndarray) -> np.ndarray:
     M, K = H.shape
     if M < K:
         raise InfeasibleSelectionError(f"need M >= K antennas, got M={M}, K={K}")
-    gains = np.abs(H) ** 2
-    ranking = np.argsort(-gains, axis=0, kind="stable")  # (M, K), best first
-    taken = np.zeros(M, dtype=bool)
+    gains = np.ascontiguousarray(np.abs(H.T) ** 2)     # (K, M): one row per user
     chosen = np.empty(K, dtype=int)
     for k in range(K):
-        for antenna in ranking[:, k]:
-            if not taken[antenna]:
-                chosen[k] = antenna
-                taken[antenna] = True
-                break
+        # Gains are >= 0, so a taken antenna never wins; argmax returns the
+        # first maximum, the smallest index among equal gains.
+        gains[k, chosen[:k]] = -1.0
+        chosen[k] = np.argmax(gains[k])
     return chosen
 
 
@@ -169,8 +167,11 @@ def stepwise_tas(H: np.ndarray, L: int, cfg: SystemConfig) -> np.ndarray:
 
     Starting from the empty set, each of the L steps adds the antenna whose
     inclusion maximizes sum_k q_k log2(1 + SINR_k) evaluated on the enlarged
-    candidate set; ties go to the smallest antenna index.  Returns the
-    selected indices in ascending order (MRT is order-invariant).
+    candidate set; ties go to the smallest antenna index.  Every candidate
+    of a step is scored at once from the K x K Gram matrix of the set so
+    far, in O(MK^2) matrix products, so the search costs O(LMK^2) and holds
+    only (M, K) arrays.  Returns the selected indices in ascending order
+    (MRT is order-invariant).
     """
     H = np.asarray(H)
     M, K = H.shape
@@ -181,34 +182,33 @@ def stepwise_tas(H: np.ndarray, L: int, cfg: SystemConfig) -> np.ndarray:
     betas = cfg.betas
     sigma2 = cfg.sigma2
 
-    # Rank-1 Gram updates: adding antenna a to the set S changes the K x K
-    # Gram H_S^H H_S by conj(H[a, :]) outer H[a, :].
-    outer = np.conj(H)[:, :, None] * H[:, None, :]      # (M, K, K)
+    # Adding antenna a to the set S turns the Gram H_S^H H_S into
+    # gram + conj(H[a, :]) outer H[a, :].  Its diagonal is the MRT signal
+    # power of each stream, and user k hears stream i with power
+    # w[a, i] |gram[i, k] + conj(H[a, i]) H[a, k]|^2, w[a, i] = P_i / col_pow[a, i].
+    # Expanding the square splits the sum over i into three (M, K) terms.
+    conj_H = np.conj(H)
+    abs2 = np.abs(H) ** 2
     gram = np.zeros((K, K), dtype=complex)
     available = np.ones(M, dtype=bool)
     selected = []
-    diag = np.arange(K)
-    # The (M, K, K) work arrays of every step, allocated once per call: fresh
-    # ones at each step fault their pages in again whenever the allocator
-    # has handed the last step's back to the system.
-    cand = np.empty_like(outer)                         # (M, K, K)
-    cross = np.empty(outer.shape)
     for _ in range(L):
-        np.add(gram, outer, out=cand)
-        col_pow = cand[:, diag, diag].real              # (M, K): ||h_eff_k||^2
-        safe_pow = np.maximum(col_pow, np.finfo(float).tiny)
-        # interference on user k from stream i: P_i |gram[i, k]|^2 / ||h_eff_i||^2
-        np.square(np.abs(cand, out=cross), out=cross)
-        cross /= safe_pow[:, :, None]
-        interference = np.einsum("aik,i->ak", cross, powers) - powers * col_pow
-        interference = np.maximum(interference, 0.0)    # clip rounding residue
+        col_pow = gram.diagonal().real + abs2          # (M, K): ||h_eff_k||^2
+        # A stream with no power yet contributes nothing: its Gram row and
+        # its candidate entry are both exactly zero.
+        w = np.divide(powers, col_pow, out=np.zeros_like(col_pow), where=col_pow > 0)
+        received = w @ (np.abs(gram) ** 2)
+        received += 2.0 * (H * ((w * conj_H) @ np.conj(gram))).real
+        received += abs2 * (w * abs2).sum(axis=1, keepdims=True)
+        # The i = k term is the user's own signal.
+        interference = np.maximum(received - powers * col_pow, 0.0)  # clip rounding residue
         sinr = powers * betas * col_pow / (sigma2 + betas * interference)
         utility = (q * np.log2(1.0 + sinr)).sum(axis=1)
         utility[~available] = -np.inf
         best = int(np.argmax(utility))                  # first max = smallest index
         selected.append(best)
         available[best] = False
-        gram = gram + outer[best]
+        gram += np.outer(conj_H[best], H[best])
     return np.sort(selected)
 
 

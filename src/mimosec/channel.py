@@ -33,10 +33,17 @@ def derive_seed(*key: int) -> int:
 
 
 def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
-    r"""Draw CN(0, 1) entries as (x + jy)/sqrt(2) with x, y standard normal."""
-    re = rng.standard_normal(shape)
-    im = rng.standard_normal(shape)
-    return (re + 1j * im) / np.sqrt(2.0)
+    r"""Draw CN(0, 1) entries as (x + jy)/sqrt(2) with x, y standard normal.
+
+    All x are drawn before all y.  Each draw is scaled by 1/sqrt(2) straight
+    into the real or imaginary part of the result, which gives the same bits
+    as dividing the complex sum by sqrt(2) without its temporaries.
+    """
+    out = np.empty(shape, dtype=complex)
+    scale = 1.0 / np.sqrt(2.0)
+    np.multiply(rng.standard_normal(shape), scale, out=out.real)
+    np.multiply(rng.standard_normal(shape), scale, out=out.imag)
+    return out
 
 
 @dataclass(frozen=True)

@@ -20,9 +20,10 @@ from pathlib import Path
 from . import __version__
 from .asymptotics import (COST_MODELS, GROWTH_MODELS, clt_check,
                           fit_cost_anchor, fit_growth, gumbel_check)
+from .channel import derive_seed
 from .errors import ConfigParseError, MimosecError
-from .harness import (PRESETS, SPEC_FIELDS, SweepResult, SweepSpec, run_sweep,
-                      run_trial)
+from .harness import (PRESETS, SPEC_FIELDS, SweepResult, SweepSpec,
+                      _trial_with_resampling, run_sweep)
 
 CSV_HEADER = ("scenario,scheme,M,trials,resamples,r_sum_mean,r_sum_se,"
               "r_sum_noeve_mean,r_sum_noeve_se,leakage_mean,leakage_se,"
@@ -300,15 +301,20 @@ def _vector_line(name, values) -> str:
 
 
 def _cmd_single(args) -> int:
+    """Trial ``--trial`` at ``--m`` of the config's first sweep, drawn and
+    resampled exactly as ``sweep`` draws it."""
     spec = parse_config(args.config)[0]
     seed = args.seed if args.seed is not None else spec.master_seed
     cfg = spec.config_for(args.m)
-    report = run_trial(cfg, spec.scheme, spec.quant_bits, seed, args.trial)
+    report, resamples = _trial_with_resampling(cfg, spec.scheme, spec.quant_bits,
+                                               derive_seed(seed, args.m), args.trial,
+                                               spec.trials)
     print(f"scenario: {spec.scenario}")
     print(f"scheme: {spec.scheme}")
     print(f"m: {args.m}")
     print(f"seed: {seed}")
     print(f"trial: {args.trial}")
+    print(f"resamples: {resamples.sum()}")
     for name in ("sinr", "esnr", "r_secrecy", "r_noeve", "interference", "eve_power"):
         print(_vector_line(name, getattr(report, name)))
     for name in ("r_sum", "r_sum_noeve", "leakage", "cost"):

@@ -25,6 +25,11 @@ COST_ESTIMATORS = ("mean_of_ratios", "ratio_of_means")
 # Retry budget for resampling measure-zero degenerate draws.
 _MAX_RESAMPLES = 16
 
+# What a trial is redrawn for: an exactly zero coefficient, and an effective
+# channel too ill-conditioned for zero forcing.  Named in the -v log line.
+RESAMPLE_CAUSES = (DegenerateChannelError, SingularChannelError)
+_CAUSE_NAMES = ("zero coefficient", "ill-conditioned")
+
 # Finest phase-shifter resolution: a grid of more points than 2**52 is finer
 # than a double resolves an angle near pi.
 _MAX_QUANT_BITS = 52
@@ -225,25 +230,29 @@ def run_trial(cfg: SystemConfig, scheme: str, quant_bits: int | None,
 
 def _trial_with_resampling(cfg, scheme, quant_bits, seed, trial_index, trials):
     """Run one trial, retrying on measure-zero degeneracies with a fresh
-    derived stream; returns (report, number of resamples)."""
+    derived stream.  Returns the report and the number of redrawn attempts
+    per cause, an array indexed like ``RESAMPLE_CAUSES``."""
+    resamples = np.zeros(len(RESAMPLE_CAUSES), dtype=int)
     for attempt in range(_MAX_RESAMPLES + 1):
         try:
             return run_trial(cfg, scheme, quant_bits, seed,
-                             attempt * trials + trial_index), attempt
-        except (DegenerateChannelError, SingularChannelError):
+                             attempt * trials + trial_index), resamples
+        except RESAMPLE_CAUSES as exc:
             if attempt == _MAX_RESAMPLES:
                 raise
+            resamples[next(i for i, cause in enumerate(RESAMPLE_CAUSES)
+                           if isinstance(exc, cause))] += 1
     raise AssertionError("unreachable")
 
 
 def _block_task(args):
     """Run trials lo..hi-1 of array size m; returns (m, lo, a (4, hi-lo)
-    array of r_sum, r_sum_noeve, leakage and cost, number of resamples)."""
+    array of r_sum, r_sum_noeve, leakage and cost, resamples per cause)."""
     spec, m, lo, hi = args
     cfg = spec.config_for(m)
     seed = derive_seed(spec.master_seed, m)
     rows = np.empty((4, hi - lo))
-    resamples = 0
+    resamples = np.zeros(len(RESAMPLE_CAUSES), dtype=int)
     for i, t in enumerate(range(lo, hi)):
         report, extra = _trial_with_resampling(cfg, spec.scheme, spec.quant_bits,
                                                seed, t, spec.trials)
@@ -314,7 +323,7 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
              if NUMPY_BEFORE_PIN else "")
     points = []
     values = np.empty((4, spec.trials))
-    resamples = 0
+    resamples = np.zeros(len(RESAMPLE_CAUSES), dtype=int)
     last = time.perf_counter()
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
@@ -326,12 +335,15 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
             resamples += extra
             if lo + rows.shape[1] < spec.trials:
                 continue
-            points.append(_aggregate(spec, m, *values, resamples))
+            points.append(_aggregate(spec, m, *values, int(resamples.sum())))
             now = time.perf_counter()
-            log.info("%s %s m=%d: r_sum=%.4f cost=%.4f (%d trials, %d resampled, %.2f s)",
+            causes = ", ".join(f"{n} {name}" for n, name in zip(resamples, _CAUSE_NAMES))
+            log.info("%s %s m=%d: r_sum=%.4f cost=%.4f (%d trials, %d resampled: %s, %.2f s)",
                      spec.scenario, spec.scheme, m, points[-1].r_sum_mean,
-                     points[-1].cost_mean, spec.trials, resamples, now - last)
-            resamples, last = 0, now
+                     points[-1].cost_mean, spec.trials, points[-1].resamples, causes,
+                     now - last)
+            resamples[:] = 0
+            last = now
     finally:
         if pool is not None:
             pool.shutdown()

@@ -1,6 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -18,6 +20,28 @@ def cfg_for(M, K, **overrides):
                 rho2=1.0)
     base.update(overrides)
     return SystemConfig.uniform(**base)
+
+
+# Quarter turns keep |H|^2 exactly equal to the drawn gain, so equal gains
+# stay exact ties however the modulus is computed.
+QUARTER_TURNS = np.array([1, 1j, -1, -1j])
+
+
+@st.composite
+def tie_heavy_channels(draw):
+    """K <= M <= 12 channels whose gains are 0, 1 or 2 with random phases."""
+    M = draw(st.integers(1, 12))
+    K = draw(st.integers(1, M))
+    gains = draw(hnp.arrays(float, (M, K), elements=st.sampled_from([0.0, 1.0, 2.0])))
+    turns = draw(hnp.arrays(int, (M, K), elements=st.integers(0, 3)))
+    return np.sqrt(gains) * QUARTER_TURNS[turns]
+
+
+@st.composite
+def greedy_cases(draw):
+    """(M, K, L, seed) of a small greedy search, K = 1 and L = M included."""
+    M = draw(st.integers(1, 6))
+    return M, draw(st.integers(1, 3)), draw(st.integers(1, M)), draw(st.integers(0, 2 ** 32 - 1))
 
 
 class TestProtocol1:
@@ -58,6 +82,13 @@ class TestProtocol1:
         for k, antenna in enumerate(idx):
             better = np.nonzero(gains[:, k] > gains[antenna, k])[0]
             assert set(better) <= set(idx[:k])
+
+    @given(H=tie_heavy_channels())
+    @example(H=np.zeros((4, 4), dtype=complex))
+    @example(H=np.ones((3, 3), dtype=complex))
+    def test_matches_oracle_on_ties(self, H):
+        # Ties go to the smaller antenna index, as in the oracle's stable ranking.
+        assert list(select_antennas_protocol1(H)) == oracles.protocol1_assignment(H)
 
     def test_distinct_indices(self):
         H = complex_normal(derived_rng(803), (5, 5))
@@ -281,3 +312,41 @@ class TestStepwiseTas:
         expected = oracles.greedy_tas(H, 4, power_uniform(3, 1.0),
                                       cfg.betas, cfg.weights, cfg.sigma2)
         assert list(idx) == expected
+
+    @given(case=greedy_cases())
+    @example(case=(5, 1, 5, 0))
+    @example(case=(4, 3, 4, 1))
+    def test_matches_per_step_oracle_property(self, case):
+        M, K, L, seed = case
+        H = complex_normal(derived_rng(865, seed), (M, K))
+        cfg = cfg_for(M, K, L=L)
+        expected = oracles.greedy_tas(H, L, power_uniform(K, 1.0),
+                                      cfg.betas, cfg.weights, cfg.sigma2)
+        assert list(stepwise_tas(H, L, cfg)) == expected
+
+    def test_holds_no_per_candidate_gram(self):
+        # Peak memory stays below one (M, K, K) complex array: the search
+        # never materializes a K x K Gram per candidate antenna.
+        M, K = 512, 32
+        H = complex_normal(derived_rng(866), (M, K))
+        cfg = cfg_for(M, K, L=K)
+        tracemalloc.start()
+        try:
+            stepwise_tas(H, K, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < M * K * K * np.dtype(complex).itemsize
+
+
+class TestComplexNormal:
+    @given(seed=st.integers(0, 2 ** 63),
+           shape=hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=40))
+    def test_bitwise_equal_to_scaled_complex_sum(self, seed, shape):
+        rng = derived_rng(seed)
+        re = rng.standard_normal(shape)
+        im = rng.standard_normal(shape)
+        expected = (re + 1j * im) / np.sqrt(2.0)
+        got = complex_normal(derived_rng(seed), shape)
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()

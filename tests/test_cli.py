@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import logging
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 
 import mimosec.cli as cli
 import mimosec.harness as harness
-from mimosec import SCHEMES, ConfigParseError, SweepSpec, fit_growth, run_sweep
+from mimosec import (SCHEMES, ConfigParseError, DegenerateChannelError, SweepSpec,
+                     fit_growth, run_sweep)
 from mimosec.cli import emit_results, main, parse_config
 from mimosec.config import MAX_SIZE
 from mimosec.harness import COST_ESTIMATORS
@@ -272,7 +274,39 @@ class TestSubcommands:
         assert main(["single", str(cfg), "--m", "64", "--seed", "5"]) == 0
         out = capsys.readouterr().out
         assert "r_sum:" in out and "cost:" in out
+        assert "\nresamples: 0\n" in out
         assert len(out.split("sinr: ")[1].splitlines()[0].split(",")) == 16
+
+    @pytest.mark.parametrize("scheme", ["TAS_A", "HADP_A"])
+    def test_single_reproduces_the_sweep_trial(self, tmp_path, capsys, scheme):
+        # One trial per m: the sweep's r_sum_mean at m=64 is trial 0's r_sum.
+        cfg = write(tmp_path, SPARSE_TAS.replace("TAS_A", scheme)
+                    .replace("trials: 4", "trials: 1"))
+        assert main(["sweep", str(cfg), "--out", str(tmp_path), "--workers", "1"]) == 0
+        with (tmp_path / f"sparse-demo_{scheme}.csv").open(newline="") as fh:
+            row = next(r for r in csv.DictReader(fh) if r["M"] == "64")
+        capsys.readouterr()
+        assert main(["single", str(cfg), "--m", "64"]) == 0
+        out = capsys.readouterr().out
+        assert f"\nr_sum: {row['r_sum_mean']}\n" in out
+        assert f"\nresamples: {row['resamples']}\n" in out
+
+    def test_single_resamples_as_the_sweep_does(self, tmp_path, capsys, monkeypatch):
+        real_run_trial = harness.run_trial
+        calls = []
+
+        def flaky(cfg, scheme, quant_bits, seed, trial_index):
+            calls.append(trial_index)
+            if len(calls) == 1:
+                raise DegenerateChannelError("injected")
+            return real_run_trial(cfg, scheme, quant_bits, seed, trial_index)
+
+        monkeypatch.setattr(harness, "run_trial", flaky)
+        cfg = write(tmp_path, SPARSE_TAS)
+        assert main(["single", str(cfg), "--m", "64", "--trial", "1"]) == 0
+        # The redraw takes trial 1's stream one sweep length on: 1 + 4.
+        assert calls == [1, 5]
+        assert "\nresamples: 1\n" in capsys.readouterr().out
 
     def test_error_exit_code(self, tmp_path, capsys):
         missing = tmp_path / "gone.cfg"

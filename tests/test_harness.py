@@ -7,8 +7,9 @@ import pytest
 import mimosec
 import mimosec.harness as harness
 from mimosec.config import MAX_SIZE
-from mimosec import (ConfigurationError, DegenerateChannelError, SweepSpec,
-                     SystemConfig, build_beamformers, run_sweep, run_trial,
+from mimosec import (ConfigurationError, DegenerateChannelError,
+                     SingularChannelError, SweepSpec, SystemConfig,
+                     build_beamformers, run_sweep, run_trial,
                      sample_realization)
 
 
@@ -122,20 +123,28 @@ class TestRunSweep:
         result = run_sweep(small_spec(m_values=()))
         assert result.points == ()
 
-    def test_degenerate_draws_resampled_and_counted(self, monkeypatch):
+    def test_degenerate_draws_resampled_and_counted(self, monkeypatch, caplog):
         real_run_trial = harness.run_trial
 
         def flaky(cfg, scheme, quant_bits, seed, trial_index):
-            # One worker takes 19 trials in blocks of 4: trial 5 is inside
-            # the second block.  Only its first attempt at the second m fails.
+            # One worker takes 19 trials in blocks of 4: trials 5 and 6 are
+            # inside the second block.  Only their first attempts at the
+            # second m fail, one for each cause.
             if cfg.M == 16 and trial_index == 5:
                 raise DegenerateChannelError("injected")
+            if cfg.M == 16 and trial_index == 6:
+                raise SingularChannelError("injected")
             return real_run_trial(cfg, scheme, quant_bits, seed, trial_index)
 
         monkeypatch.setattr(harness, "run_trial", flaky)
-        result = run_sweep(small_spec(trials=19, m_values=(8, 16, 32)))
-        assert [p.resamples for p in result.points] == [0, 1, 0]
+        with caplog.at_level(logging.INFO, logger="mimosec.harness"):
+            result = run_sweep(small_spec(trials=19, m_values=(8, 16, 32)))
+        assert [p.resamples for p in result.points] == [0, 2, 0]
         assert np.isfinite(result.points[1].r_sum_mean)
+        per_m = caplog.messages[1:]
+        assert "(19 trials, 0 resampled: 0 zero coefficient, 0 ill-conditioned, " in per_m[0]
+        assert "(19 trials, 2 resampled: 1 zero coefficient, 1 ill-conditioned, " in per_m[1]
+        assert "(19 trials, 0 resampled: 0 zero coefficient, 0 ill-conditioned, " in per_m[2]
 
     def test_cost_estimators_agree_in_scale(self):
         from dataclasses import replace
