@@ -22,11 +22,12 @@ del _var
 
 from .asymptotics import (FitResult, GumbelCheck, clt_check, fit_cost_anchor,
                           fit_growth, gumbel_check, phase_aligned_sums)
-from .beamforming import (SCHEMES, BeamformerSet, analog_phase_match,
-                          analog_selection_matrix, build_beamformers,
-                          digital_mrt_selected, mrt_effective, power_uniform,
-                          quantize_phases, select_antennas_protocol1,
-                          stepwise_tas, zf_effective)
+from .beamforming import (SCHEMES, BeamformerSet, SwitchedBeamformerSet,
+                          analog_phase_match, analog_selection_matrix,
+                          build_beamformers, digital_mrt_selected,
+                          mrt_effective, power_uniform, quantize_phases,
+                          select_antennas_protocol1, stepwise_tas,
+                          zf_effective)
 from .channel import (ChannelRealization, complex_normal, derive_seed,
                       derived_rng, empirical_moment, sample_realization)
 from .config import SystemConfig
@@ -40,7 +41,7 @@ __all__ = [
     "BeamformerSet", "ChannelRealization", "ConfigParseError",
     "ConfigurationError", "DegenerateChannelError", "FitError", "FitResult",
     "GumbelCheck", "InfeasibleSelectionError", "MimosecError", "RateReport",
-    "SCHEMES", "SingularChannelError", "SweepPoint",
+    "SCHEMES", "SingularChannelError", "SwitchedBeamformerSet", "SweepPoint",
     "SweepResult", "SweepSpec", "SystemConfig", "analog_phase_match",
     "analog_selection_matrix", "build_beamformers", "clt_check",
     "complex_normal", "derive_seed", "derived_rng", "digital_mrt_selected",

@@ -19,17 +19,85 @@ ZF_CONDITION_LIMIT = 1e10
 
 
 @dataclass(frozen=True)
-class BeamformerSet:
-    """Analog matrix F (M x L), digital matrix W (L x K), per-user powers.
-
-    Every column of F and of W has unit norm (loss-less analog network,
-    normalized digital beamformers) and the powers sum to at most the
-    configured budget.
-    """
+class PhaseShifterNetwork:
+    """Phase-shifter analog stage: RF chain l drives every antenna through
+    column l of the M x L matrix ``F``."""
 
     F: np.ndarray
+
+    @property
+    def M(self) -> int:
+        return self.F.shape[0]
+
+    @property
+    def L(self) -> int:
+        return self.F.shape[1]
+
+    def effective(self, X: np.ndarray) -> np.ndarray:
+        """F^T X: the channels X (M x n) as the L RF chains see them."""
+        return self.F.T @ X
+
+
+@dataclass(frozen=True)
+class SwitchingNetwork:
+    """Switching analog stage: RF chain l is wired to antenna ``idx[l]`` of
+    the ``M`` antennas.  Its matrix F is one-hot, so F^T X is the row gather
+    X[idx]; the dense F is built only when asked for.
+
+    ``idx`` must be a non-empty vector of pairwise distinct antenna indices
+    in [0, M).
+    """
+
+    idx: np.ndarray
+    M: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "idx", _checked_selection(self.idx, self.M))
+
+    @property
+    def L(self) -> int:
+        return self.idx.size
+
+    @property
+    def F(self) -> np.ndarray:
+        """The dense M x L one-hot matrix of the network."""
+        return analog_selection_matrix(self.idx, self.M)
+
+    def effective(self, X: np.ndarray) -> np.ndarray:
+        """F^T X, taken as the rows ``idx`` of X."""
+        return X[self.idx]
+
+
+@dataclass(frozen=True)
+class BeamformerSet(PhaseShifterNetwork):
+    """Phase-shifter network F (M x L), digital matrix W (L x K), per-user
+    powers.
+
+    The analog stage has one stored form per network type: the M x L matrix
+    F for phase shifters (this class), the L antenna indices for a switching
+    network (``SwitchedBeamformerSet``).  Both apply it to channels as F^T X
+    through ``effective`` and give the dense matrix as ``F``.  Every column
+    of F and of W has unit norm (loss-less analog network, normalized
+    digital beamformers) and the powers sum to at most the configured
+    budget.
+    """
+
     W: np.ndarray
     powers: np.ndarray
+
+
+@dataclass(frozen=True)
+class SwitchedBeamformerSet(SwitchingNetwork):
+    """Switching network (``idx`` of ``M`` antennas), digital matrix W
+    (L x K), per-user powers.  ``F`` is the dense view, as in
+    ``BeamformerSet``."""
+
+    W: np.ndarray
+    powers: np.ndarray
+
+
+# What build_beamformers returns and rate_report evaluates.
+Beamformers = BeamformerSet | SwitchedBeamformerSet
 
 
 def select_antennas_protocol1(H: np.ndarray) -> np.ndarray:
@@ -57,13 +125,9 @@ def select_antennas_protocol1(H: np.ndarray) -> np.ndarray:
     return chosen
 
 
-def analog_selection_matrix(idx: np.ndarray, M: int) -> np.ndarray:
-    """Switching-network analog matrix: column l is the basis vector of
-    antenna ``idx[l]``.
-
-    This is where a selection is checked: ``idx`` must be a non-empty
-    vector of pairwise distinct antenna indices in [0, M).
-    """
+def _checked_selection(idx, M: int) -> np.ndarray:
+    """``idx`` as an int vector, checked to be a non-empty vector of pairwise
+    distinct antenna indices in [0, M)."""
     idx = np.asarray(idx, dtype=int)
     if idx.ndim != 1 or idx.size == 0:
         raise InfeasibleSelectionError("selection must be a non-empty index vector")
@@ -71,6 +135,15 @@ def analog_selection_matrix(idx: np.ndarray, M: int) -> np.ndarray:
         raise InfeasibleSelectionError("selected antenna indices must be distinct")
     if np.any(idx < 0) or np.any(idx >= M):
         raise MimosecError(f"antenna index out of range [0, {M})")
+    return idx
+
+
+def analog_selection_matrix(idx: np.ndarray, M: int) -> np.ndarray:
+    """Dense switching-network analog matrix: column l is the basis vector
+    of antenna ``idx[l]``.  ``idx`` is checked as ``SwitchingNetwork``
+    checks it.
+    """
+    idx = _checked_selection(idx, M)
     F = np.zeros((M, idx.size), dtype=complex)
     F[idx, np.arange(idx.size)] = 1.0
     return F
@@ -213,34 +286,31 @@ def stepwise_tas(H: np.ndarray, L: int, cfg: SystemConfig) -> np.ndarray:
 
 
 def build_beamformers(H: np.ndarray, cfg: SystemConfig, scheme: str,
-                      quant_bits: int | None = None) -> BeamformerSet:
+                      quant_bits: int | None = None) -> Beamformers:
     """Construct the analog/digital pair of the given scheme from the user
     channels alone.
 
     TAS_A: per-user strongest-antenna selection with a single-tap matched
     filter per user.  TAS_B: greedy sum-rate antenna selection with MRT over
-    the selected rows.  HADP_A: phase matching in the analog stage, identity
-    digital stage.  HADP_B: quantized phase matching followed by zero
-    forcing over the effective channel.
+    the selected rows.  Both return a ``SwitchedBeamformerSet``.  HADP_A:
+    phase matching in the analog stage, identity digital stage.  HADP_B:
+    quantized phase matching followed by zero forcing over the effective
+    channel.  Both return a ``BeamformerSet``.
     """
     K = cfg.K
     powers = power_uniform(K, cfg.total_power)
     if scheme == "TAS_A":
         idx = select_antennas_protocol1(H)
-        F = analog_selection_matrix(idx, cfg.M)
-        W = digital_mrt_selected(H, idx)
-    elif scheme == "TAS_B":
-        idx = stepwise_tas(H, cfg.L, cfg)
-        F = analog_selection_matrix(idx, cfg.M)
-        W = mrt_effective(H[idx])
-    elif scheme == "HADP_A":
-        F = analog_phase_match(H)
-        W = np.eye(K, dtype=complex)
-    elif scheme == "HADP_B":
+        return SwitchedBeamformerSet(idx, cfg.M, digital_mrt_selected(H, idx), powers)
+    if scheme == "TAS_B":
+        analog = SwitchingNetwork(stepwise_tas(H, cfg.L, cfg), cfg.M)
+        return SwitchedBeamformerSet(analog.idx, cfg.M, mrt_effective(analog.effective(H)),
+                                     powers)
+    if scheme == "HADP_A":
+        return BeamformerSet(analog_phase_match(H), np.eye(K, dtype=complex), powers)
+    if scheme == "HADP_B":
         if quant_bits is None:
             raise ConfigurationError("HADP_B requires quant_bits")
-        F = quantize_phases(analog_phase_match(H), quant_bits)
-        W = zf_effective(F.T @ H)
-    else:
-        raise ConfigurationError(f"unknown scheme '{scheme}'")
-    return BeamformerSet(F=F, W=W, powers=powers)
+        analog = PhaseShifterNetwork(quantize_phases(analog_phase_match(H), quant_bits))
+        return BeamformerSet(analog.F, zf_effective(analog.effective(H)), powers)
+    raise ConfigurationError(f"unknown scheme '{scheme}'")

@@ -22,7 +22,7 @@ from .asymptotics import (COST_MODELS, GROWTH_MODELS, clt_check,
                           fit_cost_anchor, fit_growth, gumbel_check)
 from .channel import derive_seed
 from .errors import ConfigParseError, MimosecError
-from .harness import (PRESETS, SPEC_FIELDS, SweepResult, SweepSpec,
+from .harness import (MAX_WORKERS, PRESETS, SPEC_FIELDS, SweepResult, SweepSpec,
                       _trial_with_resampling, run_sweep)
 
 CSV_HEADER = ("scenario,scheme,M,trials,resamples,r_sum_mean,r_sum_se,"
@@ -188,19 +188,27 @@ def _safe_name(text: str) -> str:
     return re.sub(r"[^A-Za-z0-9._-]+", "-", text)
 
 
-def _workers_from_env() -> int:
-    raw = os.environ.get("SIM_THREADS")
-    if raw is not None:
+def _sweep_workers(args) -> int:
+    """The worker count: ``--workers``, else ``SIM_THREADS``, else the CPU
+    count capped at ``MAX_WORKERS``.  A given count above the cap is an
+    error, raised before any process starts."""
+    name, workers = "--workers", args.workers
+    if workers is None:
+        name, raw = "SIM_THREADS", os.environ.get("SIM_THREADS")
+        if raw is None:
+            return min(os.cpu_count() or 1, MAX_WORKERS)
         try:
-            return max(1, int(raw))
+            workers = int(raw)
         except ValueError:
             raise MimosecError(f"SIM_THREADS must be an integer, got '{raw}'") from None
-    return os.cpu_count() or 1
+    if workers > MAX_WORKERS:
+        raise MimosecError(f"{name} must be at most {MAX_WORKERS}, got {workers}")
+    return workers
 
 
 def _cmd_sweep(args) -> int:
     specs = parse_config(args.config)
-    workers = args.workers if args.workers is not None else _workers_from_env()
+    workers = _sweep_workers(args)
     out_dir = Path(args.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -306,6 +314,9 @@ def _cmd_single(args) -> int:
     spec = parse_config(args.config)[0]
     seed = args.seed if args.seed is not None else spec.master_seed
     cfg = spec.config_for(args.m)
+    if not 0 <= args.trial < spec.trials:
+        raise MimosecError(f"--trial must be a non-negative index below the sweep's "
+                           f"{spec.trials} trials, in [0, {spec.trials}), got {args.trial}")
     report, resamples = _trial_with_resampling(cfg, spec.scheme, spec.quant_bits,
                                                derive_seed(seed, args.m), args.trial,
                                                spec.trials)
@@ -338,7 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None,
                    help="override the master seed of every sweep")
     p.add_argument("--workers", type=int, default=None,
-                   help="worker processes (default: SIM_THREADS or CPU count)")
+                   help=f"worker processes, at most {MAX_WORKERS} "
+                        "(default: SIM_THREADS or CPU count)")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("fit", help="fit a growth or cost model to a results CSV")

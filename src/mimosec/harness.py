@@ -30,6 +30,11 @@ _MAX_RESAMPLES = 16
 RESAMPLE_CAUSES = (DegenerateChannelError, SingularChannelError)
 _CAUSE_NAMES = ("zero coefficient", "ill-conditioned")
 
+# Most worker processes a sweep may start.  Each is a forked copy of the
+# parent holding numpy, so a count in the thousands would exhaust the
+# machine's processes and memory before a trial runs.
+MAX_WORKERS = 64
+
 # Finest phase-shifter resolution: a grid of more points than 2**52 is finer
 # than a double resolves an angle near pi.
 _MAX_QUANT_BITS = 52
@@ -306,18 +311,22 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
     spec : SweepSpec
         Network profile, scheme, m grid, trial count and master seed.
     workers : int
-        Process count for the trial loop; below 1 runs serially.  Each
-        array size goes out in blocks of ``trials // (4 * workers)``
-        trials, about four per worker.
+        Process count for the trial loop, at most ``MAX_WORKERS``; below 1
+        runs serially.  Each array size goes out in blocks of
+        ``trials // (4 * workers)`` trials, about four per worker, and no
+        more processes start than there are blocks.
         Results are placed by trial index before aggregation, so the output
         is bitwise-identical for any worker count.
     """
+    if workers > MAX_WORKERS:
+        raise ConfigurationError(f"workers must be at most {MAX_WORKERS}, got {workers}")
     workers = max(1, workers)
     block = max(1, spec.trials // (4 * workers))
     tasks = [(spec, m, lo, min(lo + block, spec.trials))
              for m in spec.m_values for lo in range(0, spec.trials, block)]
+    processes = min(workers, len(tasks))
     log.info("%s %s: %d workers, %d trials per block, env %s%s", spec.scenario, spec.scheme,
-             workers, block, " ".join(f"{var}={os.environ.get(var, 'unset')}"
+             processes, block, " ".join(f"{var}={os.environ.get(var, 'unset')}"
                                       for var in BLAS_THREAD_VARS),
              " (set after numpy loaded, so BLAS kept its own thread count)"
              if NUMPY_BEFORE_PIN else "")
@@ -325,7 +334,7 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
     values = np.empty((4, spec.trials))
     resamples = np.zeros(len(RESAMPLE_CAUSES), dtype=int)
     last = time.perf_counter()
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    pool = ProcessPoolExecutor(max_workers=processes) if processes > 1 else None
     try:
         # Tasks are m-major and both maps yield in task order, so an m is
         # complete when the block ending at its last trial arrives.

@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .beamforming import BeamformerSet
+from .beamforming import Beamformers
 from .channel import ChannelRealization
 from .config import SystemConfig
 from .errors import ConfigurationError
@@ -33,19 +33,19 @@ class RateReport:
     eve_power: np.ndarray = field(repr=False)
 
 
-def _check_dims(ch: ChannelRealization, bf: BeamformerSet, cfg: SystemConfig):
-    M, K, J, L = cfg.M, cfg.K, cfg.J, cfg.L
+def _check_dims(ch: ChannelRealization, bf: Beamformers, cfg: SystemConfig):
+    M, K, J = cfg.M, cfg.K, cfg.J
     if ch.H.shape != (M, K) or ch.G.shape != (M, J):
         raise ConfigurationError(f"channel shapes {ch.H.shape}/{ch.G.shape} do not match "
                                  f"cfg (M={M}, K={K}, J={J})")
-    if bf.F.shape[0] != M or bf.F.shape[1] != bf.W.shape[0] or bf.W.shape[1] != K:
-        raise ConfigurationError(f"beamformer shapes F{bf.F.shape}, W{bf.W.shape} do not "
-                                 f"compose to M x K")
+    if bf.M != M or bf.W.shape != (bf.L, K):
+        raise ConfigurationError(f"beamformers with M={bf.M}, L={bf.L} and W{bf.W.shape} "
+                                 f"do not compose to M x K")
     if bf.powers.shape != (K,):
         raise ConfigurationError("powers must be a length-K vector")
 
 
-def sinr_k(k: int, ch: ChannelRealization, bf: BeamformerSet,
+def sinr_k(k: int, ch: ChannelRealization, bf: Beamformers,
            cfg: SystemConfig) -> float:
     r"""SINR of user k:
 
@@ -56,7 +56,7 @@ def sinr_k(k: int, ch: ChannelRealization, bf: BeamformerSet,
     return float(rate_report(ch, bf, cfg).sinr[k])
 
 
-def esnr_k(k: int, ch: ChannelRealization, bf: BeamformerSet,
+def esnr_k(k: int, ch: ChannelRealization, bf: Beamformers,
            cfg: SystemConfig) -> float:
     r"""Effective SNR of user k's signal at the cooperating eavesdroppers:
 
@@ -65,7 +65,7 @@ def esnr_k(k: int, ch: ChannelRealization, bf: BeamformerSet,
     return float(rate_report(ch, bf, cfg).esnr[k])
 
 
-def rate_report(ch: ChannelRealization, bf: BeamformerSet,
+def rate_report(ch: ChannelRealization, bf: Beamformers,
                 cfg: SystemConfig) -> RateReport:
     """Evaluate all per-user and network-level rate metrics.
 
@@ -75,8 +75,8 @@ def rate_report(ch: ChannelRealization, bf: BeamformerSet,
     1 - R_sum / R_sum_noeve (defined as 0 when R_sum_noeve is 0).
     """
     _check_dims(ch, bf, cfg)
-    T = bf.F @ bf.W
-    a, b = ch.H.T @ T, ch.G.T @ T  # h_k^T F w_i and g_j^T F w_i
+    a = bf.effective(ch.H).T @ bf.W  # h_k^T F w_i
+    b = bf.effective(ch.G).T @ bf.W  # g_j^T F w_i
     powers = bf.powers
     sig = np.abs(np.diagonal(a)) ** 2
     interference = np.maximum((np.abs(a) ** 2) @ powers - powers * sig, 0.0)

@@ -21,3 +21,24 @@ def fresh_python():
         return subprocess.run([sys.executable, "-c", code], env=clean, check=True,
                               capture_output=True, text=True, timeout=120).stdout
     return run
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Replace the sweep's process pool with an in-process one; returns the
+    list of ``max_workers`` each pool was asked for."""
+    import mimosec.harness as harness
+
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        map = staticmethod(map)
+
+        def shutdown(self):
+            pass
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+    return started

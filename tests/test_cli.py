@@ -390,6 +390,8 @@ class TestSubcommands:
 
     @pytest.mark.parametrize("argv, detail", [
         (["single", "hadp_sparse.cfg", "--m", "64", "--trial", "-1"], "non-negative"),
+        (["single", "hadp_sparse.cfg", "--m", "64", "--trial", "200"], "in [0, 200)"),
+        (["single", "hadp_sparse.cfg", "--m", "64", "--trial", "203"], "in [0, 200)"),
         (["single", "hadp_sparse.cfg", "--m", "64", "--seed", "-3"], "non-negative"),
         (["gumbel", "--m", "8", "--trials", "3", "--seed", "-1"], "non-negative"),
         (["gumbel", "--m", "0", "--trials", "3"], "m between 1 and"),
@@ -398,9 +400,9 @@ class TestSubcommands:
         (["gumbel", "--m", "8", "--trials", "0"], "trials between 1 and"),
         (["clt", "--m", "0", "--trials", "3"], "m between 1 and"),
         (["clt", "--m", "8", "--trials", str(MAX_SIZE + 1)], "trials between 1 and"),
-    ], ids=["single_trial_-1", "single_seed_-3", "gumbel_seed_-1", "gumbel_m_0",
-            "gumbel_m_-4", "gumbel_m_1e21", "gumbel_trials_0", "clt_m_0",
-            "clt_trials_too_many"])
+    ], ids=["single_trial_-1", "single_trial_200", "single_trial_203", "single_seed_-3",
+            "gumbel_seed_-1", "gumbel_m_0", "gumbel_m_-4", "gumbel_m_1e21",
+            "gumbel_trials_0", "clt_m_0", "clt_trials_too_many"])
     def test_bad_argument_is_an_error(self, capsys, argv, detail):
         argv = [str(CONFIGS / arg) if arg.endswith(".cfg") else arg for arg in argv]
         assert main(argv) == 1
@@ -423,6 +425,31 @@ class TestSubcommands:
         err = capsys.readouterr().err
         assert err == "error: SIM_THREADS must be an integer, got 'abc'\n"
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flag, env", [(["--workers", "100000"], None),
+                                           ([], "100000")], ids=["flag", "SIM_THREADS"])
+    def test_worker_count_above_the_ceiling_is_an_error(self, tmp_path, capsys, monkeypatch,
+                                                         pool_sizes, flag, env):
+        if env is not None:
+            monkeypatch.setenv("SIM_THREADS", env)
+        cfg = write(tmp_path, SPARSE_TAS)
+        assert main(["sweep", str(cfg), "--out", str(tmp_path / "out"), *flag]) == 1
+        name = "--workers" if flag else "SIM_THREADS"
+        assert capsys.readouterr().err == (f"error: {name} must be at most "
+                                           f"{harness.MAX_WORKERS}, got 100000\n")
+        assert not (tmp_path / "out").exists()
+        assert pool_sizes == []
+
+    def test_default_worker_count_is_capped(self, tmp_path, caplog, monkeypatch,
+                                            pool_sizes):
+        monkeypatch.delenv("SIM_THREADS", raising=False)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 100000)
+        cfg = write(tmp_path, SPARSE_TAS.replace("pow2:4..8", "16").replace("trials: 4",
+                                                                          "trials: 100"))
+        with caplog.at_level(logging.INFO, logger="mimosec.harness"):
+            assert main(["-v", "sweep", str(cfg), "--out", str(tmp_path)]) == 0
+        assert pool_sizes == [harness.MAX_WORKERS]
+        assert caplog.messages[0].startswith(f"sparse-demo TAS_A: {harness.MAX_WORKERS} workers, ")
 
     def test_sim_threads_zero_runs_one_worker(self, tmp_path, caplog, monkeypatch):
         monkeypatch.setenv("SIM_THREADS", "0")

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import mimosec
+import mimosec.beamforming as beamforming
 import mimosec.harness as harness
 from mimosec.config import MAX_SIZE
 from mimosec import (ConfigurationError, DegenerateChannelError,
@@ -168,6 +169,28 @@ class TestRunSweep:
         for i in range(len(costs) - 1):
             slack = np.hypot(ses[i], ses[i + 1])
             assert costs[i + 1] < costs[i] + slack
+
+    @pytest.mark.parametrize("scheme", ["TAS_A", "TAS_B"])
+    def test_selection_sweep_builds_no_dense_one_hot(self, monkeypatch, scheme):
+        def dense(*args):
+            raise AssertionError("dense one-hot matrix built on the sweep path")
+
+        spec = small_spec(scheme=scheme, trials=3)
+        expected = run_sweep(spec).points
+        monkeypatch.setattr(beamforming, "analog_selection_matrix", dense)
+        assert run_sweep(spec, workers=1).points == expected
+
+    def test_worker_count_above_the_ceiling_starts_no_process(self, pool_sizes):
+        with pytest.raises(ConfigurationError, match=f"at most {harness.MAX_WORKERS}"):
+            run_sweep(small_spec(), workers=harness.MAX_WORKERS + 1)
+        assert pool_sizes == []
+
+    @pytest.mark.parametrize("trials, m_values, processes", [
+        (1, (8,), None), (1, (8, 16), 2), (3, (8, 16), 6)])
+    def test_no_more_processes_than_blocks(self, pool_sizes, trials, m_values, processes):
+        spec = small_spec(trials=trials, m_values=m_values)
+        assert run_sweep(spec, workers=8).points == run_sweep(spec, workers=1).points
+        assert pool_sizes == ([] if processes is None else [processes])
 
     @pytest.mark.parametrize("numpy_first", [False, True])
     def test_verbose_log_reports_dispatch_and_time_per_m(self, caplog, monkeypatch,

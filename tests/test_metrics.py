@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
-from mimosec import (BeamformerSet, ChannelRealization, ConfigurationError,
-                     SystemConfig, build_beamformers, esnr_k, rate_report,
+from mimosec import (SCHEMES, BeamformerSet, ChannelRealization, ConfigurationError,
+                     InfeasibleSelectionError, MimosecError, SwitchedBeamformerSet,
+                     SystemConfig, analog_selection_matrix, build_beamformers,
+                     complex_normal, derived_rng, esnr_k, rate_report,
                      sample_realization, sinr_k, zf_effective)
 
 
@@ -142,3 +146,88 @@ class TestReportProperties:
         scaled = rate_report(ch, bf, scaled_cfg)
         assert scaled.cost == pytest.approx(base.cost, abs=1e-12)
         assert scaled.r_sum == pytest.approx(7.5 * base.r_sum, rel=1e-12)
+
+
+REPORT_KEYS = ("sinr", "esnr", "r_secrecy", "r_noeve", "r_sum", "r_sum_noeve",
+               "leakage", "cost")
+
+
+class TestSwitchedBeamformerSet:
+    def instance(self, M=5, K=2, J=2):
+        cfg = SystemConfig.uniform(M=M, K=K, J=J, L=K, total_power=1.0,
+                                   sigma2=1.0, rho2=1.0, theta=0.2)
+        ch = sample_realization(cfg, 77, 0)
+        return ch, np.eye(K, dtype=complex), np.full(K, 0.5), cfg
+
+    @pytest.mark.parametrize("idx, error, detail", [
+        ([0, -1], MimosecError, "out of range"),
+        ([0, 5], MimosecError, "out of range"),
+        ([3, 3], InfeasibleSelectionError, "distinct"),
+        ([], InfeasibleSelectionError, "non-empty"),
+        ([[0, 1]], InfeasibleSelectionError, "non-empty"),
+    ], ids=["negative", "M", "duplicate", "empty", "2-D"])
+    def test_bad_selection_rejected(self, idx, error, detail):
+        # A gather would wrap -1 to the last antenna; the set refuses it.
+        ch, W, powers, cfg = self.instance()
+        with pytest.raises(error, match=detail):
+            rate_report(ch, SwitchedBeamformerSet(np.array(idx, dtype=int), cfg.M, W,
+                                                  powers), cfg)
+
+    def test_effective_is_the_row_gather(self):
+        ch, W, powers, cfg = self.instance()
+        bf = SwitchedBeamformerSet(np.array([4, 1]), cfg.M, W, powers)
+        assert np.array_equal(bf.effective(ch.H), ch.H[[4, 1]])
+        assert np.array_equal(bf.F, analog_selection_matrix([4, 1], cfg.M))
+
+    def test_dimension_mismatch_rejected(self):
+        ch, W, powers, cfg = self.instance()
+        with pytest.raises(ConfigurationError):
+            rate_report(ch, SwitchedBeamformerSet(np.array([4, 1, 0]), cfg.M, W, powers),
+                        cfg)
+        with pytest.raises(ConfigurationError):
+            rate_report(ch, SwitchedBeamformerSet(np.array([4, 1]), cfg.M + 1, W, powers),
+                        cfg)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_report_matches_dense_one_hot_and_oracle(self, data):
+        M = data.draw(st.integers(1, 10))
+        L = data.draw(st.integers(1, M))
+        K = data.draw(st.integers(1, 4))
+        J = data.draw(st.integers(0, 3))
+        idx = np.array(data.draw(st.permutations(range(M)))[:L])
+        rng = derived_rng(data.draw(st.integers(0, 2 ** 32)))
+        cfg = SystemConfig.uniform(M=M, K=K, J=J, L=L, total_power=1.0,
+                                   sigma2=float(rng.uniform(0.5, 2.0)),
+                                   rho2=float(rng.uniform(0.5, 2.0)),
+                                   beta=float(rng.uniform(0.2, 2.0)),
+                                   theta=float(rng.uniform(0.05, 0.5)))
+        ch = ChannelRealization(H=complex_normal(rng, (M, K)), G=complex_normal(rng, (M, J)))
+        W = complex_normal(rng, (L, K))
+        W /= np.linalg.norm(W, axis=0)
+        powers = rng.uniform(0.0, 1.0 / K, K)
+        bf = SwitchedBeamformerSet(idx, M, W, powers)
+        got = rate_report(ch, bf, cfg)
+        dense = rate_report(ch, BeamformerSet(F=analog_selection_matrix(idx, M), W=W,
+                                              powers=powers), cfg)
+        ref = oracles.report(ch.H, ch.G, bf.F, W, powers, cfg.betas, cfg.thetas,
+                             cfg.weights, cfg.sigma2, cfg.rho2)
+        for key in REPORT_KEYS:
+            # leakage and cost are differences of rates: compared absolutely.
+            tol = dict(rel=1e-12, abs=1e-12 if key in ("leakage", "cost") else 0.0)
+            value = getattr(got, key)
+            assert value == pytest.approx(getattr(dense, key), **tol)
+            assert value == pytest.approx(ref[key], **tol)
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_every_scheme_gives_a_dense_f(self, scheme):
+        # perfbench and the oracle read bf.F as an M x L matrix for every scheme.
+        cfg = SystemConfig.uniform(M=12, K=3, J=2, L=4, total_power=1.0,
+                                   sigma2=1.0, rho2=1.0)
+        ch = sample_realization(cfg, 78, 0)
+        bf = build_beamformers(ch.H, cfg, scheme, 4 if scheme == "HADP_B" else None)
+        assert isinstance(bf.F, np.ndarray) and bf.F.shape == (cfg.M, bf.L)
+        assert np.allclose(bf.F.T @ ch.H, bf.effective(ch.H), rtol=1e-12, atol=1e-14)
+        ref = oracles.report(ch.H, ch.G, bf.F, bf.W, bf.powers, cfg.betas, cfg.thetas,
+                             cfg.weights, cfg.sigma2, cfg.rho2)
+        assert rate_report(ch, bf, cfg).r_sum == pytest.approx(ref["r_sum"], rel=1e-12)
