@@ -34,7 +34,8 @@ from .config import SystemConfig
 from .errors import (ConfigParseError, ConfigurationError,
                      DegenerateChannelError, FitError, InfeasibleSelectionError,
                      MimosecError, SingularChannelError)
-from .harness import SweepPoint, SweepResult, SweepSpec, run_sweep, run_trial
+from .harness import (SweepPoint, SweepResult, SweepSpec, run_sweep, run_sweeps,
+                      run_trial)
 from .metrics import RateReport, esnr_k, rate_report, sinr_k
 
 __all__ = [
@@ -47,7 +48,7 @@ __all__ = [
     "complex_normal", "derive_seed", "derived_rng", "digital_mrt_selected",
     "empirical_moment", "esnr_k", "fit_cost_anchor", "fit_growth",
     "gumbel_check", "mrt_effective", "phase_aligned_sums", "power_uniform",
-    "quantize_phases", "rate_report", "run_sweep", "run_trial",
+    "quantize_phases", "rate_report", "run_sweep", "run_sweeps", "run_trial",
     "sample_realization", "select_antennas_protocol1", "sinr_k",
     "stepwise_tas", "zf_effective",
 ]

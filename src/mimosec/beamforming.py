@@ -17,6 +17,10 @@ SCHEMES = ("TAS_A", "TAS_B", "HADP_A", "HADP_B")
 
 ZF_CONDITION_LIMIT = 1e10
 
+# Finest phase-shifter resolution: a grid of more points than 2**52 is finer
+# than a double resolves an angle near pi.
+MAX_QUANT_BITS = 52
+
 
 @dataclass(frozen=True)
 class PhaseShifterNetwork:
@@ -188,7 +192,9 @@ def analog_phase_match(H: np.ndarray) -> np.ndarray:
     if np.any(H == 0):
         raise DegenerateChannelError("zero channel entry; phase undefined")
     M = H.shape[0]
-    return np.conj(H) / (np.sqrt(M) * np.abs(H))
+    # numpy divides a complex array by a real one as this product with the
+    # reciprocal, so the bits are those of the quotient, at a real divide's cost.
+    return np.conj(H) * (1.0 / (np.sqrt(M) * np.abs(H)))
 
 
 def quantize_phases(F: np.ndarray, bits: int) -> np.ndarray:
@@ -196,14 +202,21 @@ def quantize_phases(F: np.ndarray, bits: int) -> np.ndarray:
     2^bits grid {2*pi*n/2^bits}, keeping the modulus.
 
     Nearest is in wrapped angular distance, which on the unit circle is the
-    least-squares choice.
+    least-squares choice.  ``bits`` is an integer in [1, MAX_QUANT_BITS].
     """
-    if int(bits) != bits or bits <= 0:
-        raise MimosecError(f"quantizer resolution must be a positive integer, got {bits}")
+    if int(bits) != bits or not 1 <= bits <= MAX_QUANT_BITS:
+        raise MimosecError(f"quantizer resolution must be an integer between 1 and "
+                           f"{MAX_QUANT_BITS}, got {bits}")
     F = np.asarray(F)
-    step = 2.0 * np.pi / (1 << int(bits))
-    q = np.round(np.angle(F) / step) * step
-    return np.abs(F) * np.exp(1j * q)
+    half = 1 << (int(bits) - 1)
+    step = np.pi / half
+    n = np.round(np.angle(F) / step)       # integers in [-half, half]
+    if 2 * half + 1 < F.size:
+        # Fewer grid points than entries: evaluate exp once per point and
+        # gather, the same bits as the direct formula below.
+        table = np.exp(1j * (np.arange(-half, half + 1) * step))
+        return np.abs(F) * table[n.astype(np.intp) + half]
+    return np.abs(F) * np.exp(1j * (n * step))
 
 
 def zf_effective(H_eff: np.ndarray) -> np.ndarray:

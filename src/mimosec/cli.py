@@ -23,7 +23,7 @@ from .asymptotics import (COST_MODELS, GROWTH_MODELS, clt_check,
 from .channel import derive_seed
 from .errors import ConfigParseError, MimosecError
 from .harness import (MAX_WORKERS, PRESETS, SPEC_FIELDS, SweepResult, SweepSpec,
-                      _trial_with_resampling, run_sweep)
+                      _trial_with_resampling, run_sweeps)
 
 CSV_HEADER = ("scenario,scheme,M,trials,resamples,r_sum_mean,r_sum_se,"
               "r_sum_noeve_mean,r_sum_noeve_se,leakage_mean,leakage_se,"
@@ -214,11 +214,10 @@ def _cmd_sweep(args) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise MimosecError(f"cannot create output directory {out_dir}: {exc.strerror}") from None
+    if args.seed is not None:
+        specs = [spec.with_seed(args.seed) for spec in specs]
     used = set()
-    for spec in specs:
-        if args.seed is not None:
-            spec = spec.with_seed(args.seed)
-        result = run_sweep(spec, workers=workers)
+    for spec, result in zip(specs, run_sweeps(specs, workers=workers)):
         stem = _safe_name(f"{spec.scenario}_{spec.scheme}")
         if stem in used:
             stem = f"{stem}_{len(used)}"

@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import BLAS_THREAD_VARS, NUMPY_BEFORE_PIN
-from .beamforming import SCHEMES, build_beamformers
+from .beamforming import MAX_QUANT_BITS, SCHEMES, build_beamformers
 from .channel import derive_seed, sample_realization
 from .config import MAX_SIZE, SystemConfig
 from .errors import (ConfigParseError, ConfigurationError,
@@ -34,10 +34,6 @@ _CAUSE_NAMES = ("zero coefficient", "ill-conditioned")
 # parent holding numpy, so a count in the thousands would exhaust the
 # machine's processes and memory before a trial runs.
 MAX_WORKERS = 64
-
-# Finest phase-shifter resolution: a grid of more points than 2**52 is finer
-# than a double resolves an angle near pi.
-_MAX_QUANT_BITS = 52
 
 # One row of the sweep-spec schema: the SweepSpec attribute, the key it goes
 # by in config files and in manifests, its kind (a key of FIELD_KINDS) and its
@@ -141,8 +137,8 @@ class SweepSpec:
         if (self.scheme == "HADP_B") != (self.quant_bits is not None):
             raise ConfigurationError("quant_bits is required for scheme HADP_B "
                                      "and must be absent otherwise", field="quant_bits")
-        if self.quant_bits is not None and not 1 <= self.quant_bits <= _MAX_QUANT_BITS:
-            raise ConfigurationError(f"quant_bits must be between 1 and {_MAX_QUANT_BITS}, "
+        if self.quant_bits is not None and not 1 <= self.quant_bits <= MAX_QUANT_BITS:
+            raise ConfigurationError(f"quant_bits must be between 1 and {MAX_QUANT_BITS}, "
                                      f"got {self.quant_bits}", field="quant_bits")
         if not 1 <= self.trials <= MAX_SIZE:
             raise ConfigurationError(f"trials must be between 1 and {MAX_SIZE}, "
@@ -220,15 +216,35 @@ class SweepResult:
     points: tuple
 
 
+# The draws of the trial index a block task is on, keyed by
+# (M, K, J, seed, trial index), so that the sweeps of the block evaluate one
+# shared draw; None outside a block task, where every trial draws its own.
+_block_draws = None
+
+
+def _draw(cfg: SystemConfig, seed: int, trial_index: int):
+    """``sample_realization``, drawn once per key while a block task runs.
+    A shared draw is read-only, so no scheme can alter another's channel."""
+    if _block_draws is None:
+        return sample_realization(cfg, seed, trial_index)
+    key = (cfg.M, cfg.K, cfg.J, seed, trial_index)
+    ch = _block_draws.get(key)
+    if ch is None:
+        ch = _block_draws[key] = sample_realization(cfg, seed, trial_index)
+        ch.H.flags.writeable = ch.G.flags.writeable = False
+    return ch
+
+
 def run_trial(cfg: SystemConfig, scheme: str, quant_bits: int | None,
               master_seed: int, trial_index: int) -> RateReport:
     """Sample one realization, build the scheme's beamformers from H only,
     and evaluate the rate metrics.
 
     Degenerate draws (exact-zero coefficients, ill-conditioned zero
-    forcing) raise; the sweep driver resamples and counts them.
+    forcing) raise; the sweep driver resamples and counts them.  Inside a
+    sweep's block task, trials of the same key share one read-only draw.
     """
-    ch = sample_realization(cfg, master_seed, trial_index)
+    ch = _draw(cfg, master_seed, trial_index)
     bf = build_beamformers(ch.H, cfg, scheme, quant_bits)
     return rate_report(ch, bf, cfg)
 
@@ -251,19 +267,36 @@ def _trial_with_resampling(cfg, scheme, quant_bits, seed, trial_index, trials):
 
 
 def _block_task(args):
-    """Run trials lo..hi-1 of array size m; returns (m, lo, a (4, hi-lo)
-    array of r_sum, r_sum_noeve, leakage and cost, resamples per cause)."""
-    spec, m, lo, hi = args
-    cfg = spec.config_for(m)
-    seed = derive_seed(spec.master_seed, m)
-    rows = np.empty((4, hi - lo))
-    resamples = np.zeros(len(RESAMPLE_CAUSES), dtype=int)
-    for i, t in enumerate(range(lo, hi)):
-        report, extra = _trial_with_resampling(cfg, spec.scheme, spec.quant_bits,
-                                               seed, t, spec.trials)
-        rows[:, i] = report.r_sum, report.r_sum_noeve, report.leakage, report.cost
-        resamples += extra
-    return m, lo, rows, resamples
+    """Run trials lo..hi-1 of array size m for each sweep of ``members``, a
+    tuple of (position, spec) sharing master seed, K and J, trial index by
+    trial index: each trial's channel is drawn once and evaluated by every
+    sweep with more trials than its index.  Returns (m, lo, and per member
+    (position, a (4, n) array of r_sum, r_sum_noeve, leakage and cost over
+    its n trials in the block, resamples per cause, seconds in its trials)).
+    """
+    global _block_draws
+    m, lo, hi, members = args
+    seed = derive_seed(members[0][1].master_seed, m)
+    runs = [(spec, spec.config_for(m), np.empty((4, min(hi, spec.trials) - lo)),
+             np.zeros(len(RESAMPLE_CAUSES), dtype=int)) for _, spec in members]
+    seconds = [0.0] * len(runs)
+    draws = _block_draws = {}
+    try:
+        for t in range(lo, hi):
+            draws.clear()
+            for j, (spec, cfg, rows, resamples) in enumerate(runs):
+                if t >= spec.trials:
+                    continue
+                start = time.perf_counter()
+                report, extra = _trial_with_resampling(cfg, spec.scheme, spec.quant_bits,
+                                                       seed, t, spec.trials)
+                seconds[j] += time.perf_counter() - start
+                rows[:, t - lo] = report.r_sum, report.r_sum_noeve, report.leakage, report.cost
+                resamples += extra
+    finally:
+        _block_draws = None
+    return m, lo, [(i, rows, resamples, sec)
+                   for (i, _), (_, _, rows, resamples), sec in zip(members, runs, seconds)]
 
 
 def _standard_error(x: np.ndarray) -> float:
@@ -303,57 +336,96 @@ def _aggregate(spec: SweepSpec, m: int, r_sum, r_noeve, leakage, cost,
     )
 
 
-def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
-    """Run the full sweep and aggregate per-m statistics.
+def _tasks(specs, workers: int):
+    """The blocks of a run of ``specs`` as ``_block_task`` arguments, and the
+    block size and draw-sharing group of each spec.  Specs with equal master
+    seed, K and J draw the same channels, so they form one group; its blocks
+    go array size by array size, over ``max(1, trials // (4 * workers))``
+    consecutive trial indices of its largest trial count."""
+    groups = {}
+    for i, spec in enumerate(specs):
+        groups.setdefault((spec.master_seed, spec.K, spec.J), []).append(i)
+    tasks, blocks, group_of = [], {}, {}
+    for members in groups.values():
+        block = max(1, max(specs[i].trials for i in members) // (4 * workers))
+        for i in members:
+            blocks[i], group_of[i] = block, members
+        for m in sorted({m for i in members for m in specs[i].m_values}):
+            at_m = [i for i in members if m in specs[i].m_values]
+            top = max(specs[i].trials for i in at_m)
+            for lo in range(0, top, block):
+                tasks.append((m, lo, min(lo + block, top),
+                              tuple((i, specs[i]) for i in at_m if specs[i].trials > lo)))
+    return tasks, blocks, group_of
+
+
+def run_sweeps(specs, workers: int = 1) -> list:
+    """Run several sweeps through one pool map and aggregate each one's
+    per-m statistics; returns their ``SweepResult`` in the order given.
+
+    Sweeps with equal master seed, K and J draw bitwise-identical channels
+    for a given m and trial index, so their blocks evaluate each such draw
+    once for all of them (redraws of a degenerate trial stay per sweep).
+    Each result is that of the sweep run on its own.
 
     Parameters
     ----------
-    spec : SweepSpec
-        Network profile, scheme, m grid, trial count and master seed.
+    specs : sequence of SweepSpec
     workers : int
         Process count for the trial loop, at most ``MAX_WORKERS``; below 1
-        runs serially.  Each array size goes out in blocks of
-        ``trials // (4 * workers)`` trials, about four per worker, and no
-        more processes start than there are blocks.
-        Results are placed by trial index before aggregation, so the output
-        is bitwise-identical for any worker count.
+        runs serially.  A group of sweeps sharing draws goes out array size
+        by array size in blocks of ``trials // (4 * workers)`` trials of its
+        largest trial count, about four per worker, and no more processes
+        start than there are blocks.  Results are placed by trial index
+        before aggregation, so the output is bitwise-identical for any
+        worker count.
     """
     if workers > MAX_WORKERS:
         raise ConfigurationError(f"workers must be at most {MAX_WORKERS}, got {workers}")
+    specs = list(specs)
     workers = max(1, workers)
-    block = max(1, spec.trials // (4 * workers))
-    tasks = [(spec, m, lo, min(lo + block, spec.trials))
-             for m in spec.m_values for lo in range(0, spec.trials, block)]
+    tasks, blocks, group_of = _tasks(specs, workers)
     processes = min(workers, len(tasks))
-    log.info("%s %s: %d workers, %d trials per block, env %s%s", spec.scenario, spec.scheme,
-             processes, block, " ".join(f"{var}={os.environ.get(var, 'unset')}"
-                                      for var in BLAS_THREAD_VARS),
-             " (set after numpy loaded, so BLAS kept its own thread count)"
-             if NUMPY_BEFORE_PIN else "")
-    points = []
-    values = np.empty((4, spec.trials))
-    resamples = np.zeros(len(RESAMPLE_CAUSES), dtype=int)
-    last = time.perf_counter()
+    env = " ".join(f"{var}={os.environ.get(var, 'unset')}" for var in BLAS_THREAD_VARS)
+    for i, spec in enumerate(specs):
+        shared = ", ".join(f"{specs[j].scenario} {specs[j].scheme}"
+                           for j in group_of[i] if j != i)
+        log.info("%s %s: %d workers, %d trials per block, env %s%s%s", spec.scenario,
+                 spec.scheme, processes, blocks[i], env,
+                 " (set after numpy loaded, so BLAS kept its own thread count)"
+                 if NUMPY_BEFORE_PIN else "",
+                 f"; shares channel draws with {shared}" if shared else "")
+    points = [[] for _ in specs]
+    values = [np.empty((4, spec.trials)) for spec in specs]
+    resamples = np.zeros((len(specs), len(RESAMPLE_CAUSES)), dtype=int)
+    seconds = [0.0] * len(specs)
     pool = ProcessPoolExecutor(max_workers=processes) if processes > 1 else None
     try:
-        # Tasks are m-major and both maps yield in task order, so an m is
-        # complete when the block ending at its last trial arrives.
+        # A group's tasks are m-major and both maps yield in task order, so a
+        # sweep's m is complete when the block ending at its last trial arrives.
         results = map(_block_task, tasks) if pool is None else pool.map(_block_task, tasks)
-        for m, lo, rows, extra in results:
-            values[:, lo:lo + rows.shape[1]] = rows
-            resamples += extra
-            if lo + rows.shape[1] < spec.trials:
-                continue
-            points.append(_aggregate(spec, m, *values, int(resamples.sum())))
-            now = time.perf_counter()
-            causes = ", ".join(f"{n} {name}" for n, name in zip(resamples, _CAUSE_NAMES))
-            log.info("%s %s m=%d: r_sum=%.4f cost=%.4f (%d trials, %d resampled: %s, %.2f s)",
-                     spec.scenario, spec.scheme, m, points[-1].r_sum_mean,
-                     points[-1].cost_mean, spec.trials, points[-1].resamples, causes,
-                     now - last)
-            resamples[:] = 0
-            last = now
+        for m, lo, parts in results:
+            for i, rows, extra, sec in parts:
+                spec = specs[i]
+                values[i][:, lo:lo + rows.shape[1]] = rows
+                resamples[i] += extra
+                seconds[i] += sec
+                if lo + rows.shape[1] < spec.trials:
+                    continue
+                point = _aggregate(spec, m, *values[i], int(resamples[i].sum()))
+                points[i].append(point)
+                causes = ", ".join(f"{n} {name}" for n, name in zip(resamples[i], _CAUSE_NAMES))
+                log.info("%s %s m=%d: r_sum=%.4f cost=%.4f (%d trials, %d resampled: %s, %.2f s)",
+                         spec.scenario, spec.scheme, m, point.r_sum_mean, point.cost_mean,
+                         spec.trials, point.resamples, causes, seconds[i])
+                resamples[i], seconds[i] = 0, 0.0
     finally:
         if pool is not None:
             pool.shutdown()
-    return SweepResult(spec=spec, points=tuple(points))
+    return [SweepResult(spec=spec, points=tuple(p)) for spec, p in zip(specs, points)]
+
+
+def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
+    """Run one sweep and aggregate its per-m statistics: ``run_sweeps`` of
+    the one spec."""
+    return run_sweeps([spec], workers)[0]

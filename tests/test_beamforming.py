@@ -13,6 +13,7 @@ from mimosec import (DegenerateChannelError, InfeasibleSelectionError,
                      complex_normal, derived_rng, digital_mrt_selected,
                      mrt_effective, power_uniform, quantize_phases,
                      select_antennas_protocol1, stepwise_tas, zf_effective)
+from mimosec.beamforming import MAX_QUANT_BITS
 
 
 def cfg_for(M, K, **overrides):
@@ -214,6 +215,21 @@ class TestAnalogPhaseMatch:
         with pytest.raises(DegenerateChannelError):
             analog_phase_match(H)
 
+    @given(seed=st.integers(0, 2 ** 63), M=st.integers(1, 300), K=st.integers(1, 6))
+    def test_bitwise_equal_to_the_quotient(self, seed, M, K):
+        H = complex_normal(derived_rng(seed), (M, K))
+        expected = np.conj(H) / (np.sqrt(M) * np.abs(H))
+        assert analog_phase_match(H).tobytes() == expected.tobytes()
+
+
+def direct_quantizer(F, bits):
+    """The quantizer as one exp per entry."""
+    step = 2.0 * np.pi / (1 << bits)
+    return np.abs(F) * np.exp(1j * (np.round(np.angle(F) / step) * step))
+
+
+finite_complex = st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False)
+
 
 class TestQuantizePhases:
     def test_grid_point_fixed(self):
@@ -237,6 +253,36 @@ class TestQuantizePhases:
     def test_bad_resolution_rejected(self):
         with pytest.raises(MimosecError):
             quantize_phases(np.ones((1, 1), dtype=complex), 0)
+
+    @pytest.mark.parametrize("bits", [MAX_QUANT_BITS + 1, 1100])
+    def test_resolution_above_the_cap_rejected(self, bits):
+        with pytest.raises(MimosecError, match=f"between 1 and {MAX_QUANT_BITS}"):
+            quantize_phases(np.ones((4, 2), dtype=complex), bits)
+
+    def test_finest_resolution_accepted(self):
+        F = analog_phase_match(complex_normal(derived_rng(841), (8, 2)))
+        assert quantize_phases(F, MAX_QUANT_BITS).tobytes() == \
+            direct_quantizer(F, MAX_QUANT_BITS).tobytes()
+
+    # 64 entries: the 2^bits + 1 grid points are fewer than the entries for
+    # bits <= 5 (a table lookup) and not for bits >= 6 (one exp per entry).
+    @pytest.mark.parametrize("bits", [1, 2, 4, 5, 6, 8, 16])
+    def test_both_paths_match_the_direct_formula(self, bits):
+        F = analog_phase_match(complex_normal(derived_rng(842, bits), (32, 2)))
+        assert quantize_phases(F, bits).tobytes() == direct_quantizer(F, bits).tobytes()
+
+    def test_grid_edges_on_the_table_path(self):
+        # Phases at +-pi and exactly between grid points, 2 bits, 8 entries.
+        F = np.exp(1j * np.array([np.pi, -np.pi, np.pi / 4, -np.pi / 4, 3 * np.pi / 4,
+                                  0.0, np.pi / 2, -3 * np.pi / 4]))
+        F = np.append(F, [-1.0 - 0j, complex(-0.0, -0.0)]).reshape(5, 2)
+        assert quantize_phases(F, 2).tobytes() == direct_quantizer(F, 2).tobytes()
+
+    @given(F=hnp.arrays(complex, hnp.array_shapes(min_dims=1, max_dims=2, max_side=80),
+                        elements=finite_complex),
+           bits=st.integers(1, 12))
+    def test_bitwise_equal_to_the_direct_formula(self, F, bits):
+        assert quantize_phases(F, bits).tobytes() == direct_quantizer(F, bits).tobytes()
 
 
 class TestZeroForcing:

@@ -1,5 +1,7 @@
 import logging
 import os
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ import mimosec.harness as harness
 from mimosec.config import MAX_SIZE
 from mimosec import (ConfigurationError, DegenerateChannelError,
                      SingularChannelError, SweepSpec, SystemConfig,
-                     build_beamformers, run_sweep, run_trial,
+                     build_beamformers, run_sweep, run_sweeps, run_trial,
                      sample_realization)
 
 
@@ -205,6 +207,104 @@ class TestRunSweep:
         assert ("set after numpy loaded" in head) == numpy_first
         assert [line.split(":")[0] for line in per_m] == ["unit TAS_A m=8", "unit TAS_A m=16"]
         assert all(line.endswith(" s)") for line in per_m)
+
+
+def shared_specs():
+    """Sweeps of one config: the first three share seed, K and J with
+    different trial counts, m grids and schemes; the fourth differs in seed
+    and the fifth in J."""
+    wide, narrow = tuple(2 ** e for e in range(6, 13)), tuple(2 ** e for e in range(6, 11))
+    return [small_spec("TAS_A", trials=44, m_values=wide),
+            small_spec("TAS_B", trials=22, m_values=narrow),
+            small_spec("HADP_B", quant_bits=4, trials=22, m_values=wide),
+            small_spec("HADP_A", trials=22, m_values=narrow, seed=6),
+            small_spec("HADP_A", J=3, trials=22, m_values=narrow)]
+
+
+def shared_draws(specs):
+    """Distinct channel draws of a run of ``specs``: one per (seed, K, J, m,
+    trial index) of any of them."""
+    return {(s.master_seed, s.K, s.J, m, t) for s in specs for m in s.m_values
+            for t in range(s.trials)}
+
+
+class TestRunSweeps:
+    def test_equal_to_each_sweep_run_alone(self):
+        specs = shared_specs()
+        alone = [run_sweep(spec).points for spec in specs]
+        for workers in (0, 1, 2, 3):
+            results = run_sweeps(specs, workers=workers)
+            assert [r.spec for r in results] == specs
+            assert [r.points for r in results] == alone
+
+    def test_each_shared_channel_is_drawn_once(self, monkeypatch):
+        specs = shared_specs()
+        drawn = Counter()
+        real = harness.sample_realization
+
+        def counting(cfg, seed, trial_index):
+            drawn[cfg.M, cfg.K, cfg.J, seed, trial_index] += 1
+            return real(cfg, seed, trial_index)
+
+        monkeypatch.setattr(harness, "sample_realization", counting)
+        run_sweeps(specs, workers=1)
+        assert set(drawn.values()) == {1}
+        assert len(drawn) == len(shared_draws(specs))
+        assert len(drawn) < sum(s.trials * len(s.m_values) for s in specs)
+
+    def test_trials_outside_a_sweep_draw_every_time(self, monkeypatch):
+        drawn = []
+        real = harness.sample_realization
+        monkeypatch.setattr(harness, "sample_realization",
+                            lambda *args: drawn.append(args) or real(*args))
+        for _ in range(3):
+            run_trial(preset_cfg(), "HADP_A", None, 17, 2)
+        assert len(drawn) == 3
+
+    def test_a_shared_channel_is_read_only(self, monkeypatch):
+        real = harness.build_beamformers
+
+        def overwriting(H, *args):
+            H[0, 0] = 0.0
+            return real(H, *args)
+
+        monkeypatch.setattr(harness, "build_beamformers", overwriting)
+        with pytest.raises(ValueError, match="read-only"):
+            run_sweeps(shared_specs()[:2], workers=1)
+
+    def test_resample_in_one_sweep_leaves_the_others_unchanged(self, monkeypatch):
+        specs = shared_specs()[:3]
+        alone = [run_sweep(spec).points for spec in specs]
+        real_run_trial = harness.run_trial
+
+        def flaky(cfg, scheme, quant_bits, seed, trial_index):
+            # The first attempt of HADP_B's trial 3 fails at every m and is
+            # redrawn from trial index 3 + 22; the other sweeps still use
+            # the shared draw of trial 3.
+            if scheme == "HADP_B" and trial_index == 3:
+                raise SingularChannelError("injected")
+            return real_run_trial(cfg, scheme, quant_bits, seed, trial_index)
+
+        monkeypatch.setattr(harness, "run_trial", flaky)
+        results = run_sweeps(specs, workers=1)
+        assert [r.points for r in results[:2]] == alone[:2]
+        assert [p.resamples for p in results[2].points] == [1] * 7
+        assert results[2].points != alone[2]
+        assert results[2].points == run_sweep(specs[2]).points
+
+    def test_verbose_head_names_the_sweeps_sharing_draws(self, caplog):
+        specs = [replace(s, scenario=f"s{i}", m_values=(8,), trials=2)
+                 for i, s in enumerate(shared_specs())]
+        with caplog.at_level(logging.INFO, logger="mimosec.harness"):
+            run_sweeps(specs, workers=1)
+        heads = caplog.messages[:len(specs)]
+        assert heads[0].endswith("; shares channel draws with s1 TAS_B, s2 HADP_B")
+        assert heads[1].endswith("; shares channel draws with s0 TAS_A, s2 HADP_B")
+        assert heads[2].endswith("; shares channel draws with s0 TAS_A, s1 TAS_B")
+        assert all("shares" not in head for head in heads[3:])
+        per_m = caplog.messages[len(specs):]
+        assert sorted(line.split(":")[0] for line in per_m) == [
+            f"s{i} {s.scheme} m=8" for i, s in enumerate(specs)]
 
 
 class TestBlasThreads:
