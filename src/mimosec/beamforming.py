@@ -23,11 +23,21 @@ MAX_QUANT_BITS = 52
 
 
 @dataclass(frozen=True)
-class PhaseShifterNetwork:
-    """Phase-shifter analog stage: RF chain l drives every antenna through
-    column l of the M x L matrix ``F``."""
+class BeamformerSet:
+    """Phase-shifter network F (M x L), digital matrix W (L x K), per-user
+    powers: RF chain l drives every antenna through column l of F.
+
+    The analog stage has one stored form per network type: F for phase
+    shifters (this class), the L antenna indices for a switching network
+    (``SwitchedBeamformerSet``).  Both apply it to channels as F^T X through
+    ``effective`` and give the dense matrix as ``F``.  Every column of F and
+    of W has unit norm (loss-less analog network, normalized digital
+    beamformers) and the powers sum to at most the configured budget.
+    """
 
     F: np.ndarray
+    W: np.ndarray
+    powers: np.ndarray
 
     @property
     def M(self) -> int:
@@ -43,17 +53,16 @@ class PhaseShifterNetwork:
 
 
 @dataclass(frozen=True)
-class SwitchingNetwork:
-    """Switching analog stage: RF chain l is wired to antenna ``idx[l]`` of
-    the ``M`` antennas.  Its matrix F is one-hot, so F^T X is the row gather
-    X[idx]; the dense F is built only when asked for.
-
-    ``idx`` must be a non-empty vector of pairwise distinct antenna indices
-    in [0, M).
-    """
+class SwitchedBeamformerSet:
+    """Switching network, digital matrix W (L x K), per-user powers: RF
+    chain l is wired to antenna ``idx[l]``, a non-empty vector of pairwise
+    distinct indices of the ``M`` antennas.  F is one-hot, so F^T X is the
+    row gather X[idx]; the dense ``F`` is built only when asked for."""
 
     idx: np.ndarray
     M: int
+    W: np.ndarray
+    powers: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "idx", _checked_selection(self.idx, self.M))
@@ -70,34 +79,6 @@ class SwitchingNetwork:
     def effective(self, X: np.ndarray) -> np.ndarray:
         """F^T X, taken as the rows ``idx`` of X."""
         return X[self.idx]
-
-
-@dataclass(frozen=True)
-class BeamformerSet(PhaseShifterNetwork):
-    """Phase-shifter network F (M x L), digital matrix W (L x K), per-user
-    powers.
-
-    The analog stage has one stored form per network type: the M x L matrix
-    F for phase shifters (this class), the L antenna indices for a switching
-    network (``SwitchedBeamformerSet``).  Both apply it to channels as F^T X
-    through ``effective`` and give the dense matrix as ``F``.  Every column
-    of F and of W has unit norm (loss-less analog network, normalized
-    digital beamformers) and the powers sum to at most the configured
-    budget.
-    """
-
-    W: np.ndarray
-    powers: np.ndarray
-
-
-@dataclass(frozen=True)
-class SwitchedBeamformerSet(SwitchingNetwork):
-    """Switching network (``idx`` of ``M`` antennas), digital matrix W
-    (L x K), per-user powers.  ``F`` is the dense view, as in
-    ``BeamformerSet``."""
-
-    W: np.ndarray
-    powers: np.ndarray
 
 
 # What build_beamformers returns and rate_report evaluates.
@@ -144,7 +125,7 @@ def _checked_selection(idx, M: int) -> np.ndarray:
 
 def analog_selection_matrix(idx: np.ndarray, M: int) -> np.ndarray:
     """Dense switching-network analog matrix: column l is the basis vector
-    of antenna ``idx[l]``.  ``idx`` is checked as ``SwitchingNetwork``
+    of antenna ``idx[l]``.  ``idx`` is checked as ``SwitchedBeamformerSet``
     checks it.
     """
     idx = _checked_selection(idx, M)
@@ -316,14 +297,13 @@ def build_beamformers(H: np.ndarray, cfg: SystemConfig, scheme: str,
         idx = select_antennas_protocol1(H)
         return SwitchedBeamformerSet(idx, cfg.M, digital_mrt_selected(H, idx), powers)
     if scheme == "TAS_B":
-        analog = SwitchingNetwork(stepwise_tas(H, cfg.L, cfg), cfg.M)
-        return SwitchedBeamformerSet(analog.idx, cfg.M, mrt_effective(analog.effective(H)),
-                                     powers)
+        idx = stepwise_tas(H, cfg.L, cfg)
+        return SwitchedBeamformerSet(idx, cfg.M, mrt_effective(H[idx]), powers)
     if scheme == "HADP_A":
         return BeamformerSet(analog_phase_match(H), np.eye(K, dtype=complex), powers)
     if scheme == "HADP_B":
         if quant_bits is None:
             raise ConfigurationError("HADP_B requires quant_bits")
-        analog = PhaseShifterNetwork(quantize_phases(analog_phase_match(H), quant_bits))
-        return BeamformerSet(analog.F, zf_effective(analog.effective(H)), powers)
+        F = quantize_phases(analog_phase_match(H), quant_bits)
+        return BeamformerSet(F, zf_effective(F.T @ H), powers)
     raise ConfigurationError(f"unknown scheme '{scheme}'")

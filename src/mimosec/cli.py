@@ -14,6 +14,7 @@ import logging
 import os
 import re
 import sys
+from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -21,6 +22,7 @@ from . import __version__
 from .asymptotics import (COST_MODELS, GROWTH_MODELS, clt_check,
                           fit_cost_anchor, fit_growth, gumbel_check)
 from .channel import derive_seed
+from .config import MAX_SIZE
 from .errors import ConfigParseError, MimosecError
 from .harness import (MAX_WORKERS, PRESETS, SPEC_FIELDS, SweepResult, SweepSpec,
                       _trial_with_resampling, run_sweeps)
@@ -30,13 +32,17 @@ CSV_HEADER = ("scenario,scheme,M,trials,resamples,r_sum_mean,r_sum_se,"
               "cost_mean,cost_se")
 
 
+# Largest b of a 'pow2:a..b' grid, checked before the grid is built.
+_MAX_POW2 = MAX_SIZE.bit_length() - 1
+
+
 def _read_m_grid(raw):
     m = re.fullmatch(r"pow2:(\d+)\.\.(\d+)", raw)
     if m is None:
         return [int(tok) for tok in raw.split(",")]
     lo, hi = int(m.group(1)), int(m.group(2))
-    if hi < lo:
-        raise ValueError("empty pow2 range")
+    if not lo <= hi <= _MAX_POW2:
+        raise ValueError("pow2 range out of bounds")
     return [2 ** e for e in range(lo, hi + 1)]
 
 
@@ -47,7 +53,8 @@ _READERS = {
     "string": (str, "string"),
     "vector": (lambda raw: [float(tok) for tok in raw.split(",")],
                "a number or comma-separated numbers"),
-    "m_grid": (_read_m_grid, "comma-separated integers or 'pow2:a..b' with a <= b"),
+    "m_grid": (_read_m_grid, "comma-separated integers or 'pow2:a..b' with "
+                             f"a <= b <= {_MAX_POW2}"),
 }
 _FIELD_BY_KEY = {f.key: f for f in SPEC_FIELDS}
 _CONFIG_KEY = {f.manifest: f.key for f in SPEC_FIELDS}
@@ -215,7 +222,7 @@ def _cmd_sweep(args) -> int:
     except OSError as exc:
         raise MimosecError(f"cannot create output directory {out_dir}: {exc.strerror}") from None
     if args.seed is not None:
-        specs = [spec.with_seed(args.seed) for spec in specs]
+        specs = [replace(spec, master_seed=args.seed) for spec in specs]
     used = set()
     for spec, result in zip(specs, run_sweeps(specs, workers=workers)):
         stem = _safe_name(f"{spec.scenario}_{spec.scheme}")
@@ -241,17 +248,23 @@ def _read_results_csv(path: Path):
 
 def _column(rows, name: str, kind, path: Path) -> list:
     """One column of a results CSV read as ``kind``; a missing column or a
-    cell that is not a number of that kind raises MimosecError naming it."""
+    cell that is not a finite number of that kind raises MimosecError
+    naming it."""
     if name not in rows[0]:
         raise MimosecError(f"{path}: no column '{name}'")
     values = []
     for lineno, row in enumerate(rows, start=2):
+        where = f"{path} line {lineno} column '{name}'"
         try:
-            values.append(kind(row[name]))
+            value = kind(row[name])
         except (TypeError, ValueError):
-            raise MimosecError(f"{path} line {lineno} column '{name}': expected "
-                               f"{'an integer' if kind is int else 'a number'}, "
+            raise MimosecError(f"{where}: expected {'an integer' if kind is int else 'a number'}, "
                                f"got {row[name]!r}") from None
+        # NaN fails every comparison; an integer past a double's range counts
+        # as infinite, since the fit works in doubles.
+        if not abs(value) <= sys.float_info.max:
+            raise MimosecError(f"{where}: expected a finite number, got {row[name]!r}")
+        values.append(value)
     return values
 
 
@@ -265,6 +278,8 @@ def _lookup_k(csv_path: Path) -> int:
 
 
 def _cmd_fit(args) -> int:
+    if args.k is not None and args.k < 1:
+        raise MimosecError(f"--k must be at least 1, got {args.k}")
     path = Path(args.csv)
     rows = _read_results_csv(path)
     m = _column(rows, "M", int, path)

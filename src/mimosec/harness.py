@@ -6,7 +6,7 @@ import os
 import time
 from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,10 +25,10 @@ COST_ESTIMATORS = ("mean_of_ratios", "ratio_of_means")
 # Retry budget for resampling measure-zero degenerate draws.
 _MAX_RESAMPLES = 16
 
-# What a trial is redrawn for: an exactly zero coefficient, and an effective
-# channel too ill-conditioned for zero forcing.  Named in the -v log line.
-RESAMPLE_CAUSES = (DegenerateChannelError, SingularChannelError)
-_CAUSE_NAMES = ("zero coefficient", "ill-conditioned")
+# What a trial is redrawn for, and its name in the -v log line: an exactly zero
+# coefficient, and an effective channel too ill-conditioned for zero forcing.
+RESAMPLE_CAUSES = {DegenerateChannelError: "zero coefficient",
+                   SingularChannelError: "ill-conditioned"}
 
 # Most worker processes a sweep may start.  Each is a forked copy of the
 # parent holding numpy, so a count in the thousands would exhaust the
@@ -122,8 +122,7 @@ class SweepSpec:
         # The network at its smallest feasible size checks the counts and
         # vectors, and normalizes the vectors so the sweep round-trips
         # through manifests.
-        floor = max(self.L, self.K)
-        probe = self.config_for(floor)
+        probe = self.config_for(max(self.L, self.K))
         for name in ("betas", "thetas", "weights"):
             object.__setattr__(self, name, getattr(probe, name))
         m = tuple(int(v) for v in self.m_values)
@@ -131,9 +130,10 @@ class SweepSpec:
         # An empty m_values is allowed; it emits a header-only CSV.
         if any(b <= a for a, b in zip(m, m[1:])):
             raise ConfigurationError("m_values must be strictly increasing", field="m_values")
-        if any(not floor <= v <= MAX_SIZE for v in m):
-            raise ConfigurationError(f"every m must be between max(L, K) = {floor} "
-                                     f"and {MAX_SIZE}", field="m_values")
+        if m and m[-1] > MAX_SIZE:
+            raise ConfigurationError(f"every m must be at most {MAX_SIZE}", field="m_values")
+        if m:
+            self.config_for(m[0])  # the smallest m, checked against the floor
         if (self.scheme == "HADP_B") != (self.quant_bits is not None):
             raise ConfigurationError("quant_bits is required for scheme HADP_B "
                                      "and must be absent otherwise", field="quant_bits")
@@ -181,14 +181,16 @@ class SweepSpec:
                 else getattr(self, f.name) for f in SPEC_FIELDS}
 
     def config_for(self, m: int) -> SystemConfig:
-        """System config of this network at array size m."""
+        """System config of this network at array size m, which must be at
+        least max(L, K): below it some scheme is infeasible."""
+        floor = max(self.L, self.K)
+        if m < floor:
+            raise ConfigurationError(f"m must be at least max(L, K) = {floor}, got {m}",
+                                     field="m_values")
         return SystemConfig(M=int(m), K=self.K, J=self.J, L=self.L,
                             total_power=self.total_power, sigma2=self.sigma2,
                             rho2=self.rho2, betas=self.betas,
                             thetas=self.thetas, weights=self.weights)
-
-    def with_seed(self, master_seed: int) -> "SweepSpec":
-        return replace(self, master_seed=master_seed)
 
 
 @dataclass(frozen=True)
@@ -254,16 +256,15 @@ def _trial_with_resampling(cfg, scheme, quant_bits, seed, trial_index, trials):
     derived stream.  Returns the report and the number of redrawn attempts
     per cause, an array indexed like ``RESAMPLE_CAUSES``."""
     resamples = np.zeros(len(RESAMPLE_CAUSES), dtype=int)
-    for attempt in range(_MAX_RESAMPLES + 1):
+    for attempt in range(_MAX_RESAMPLES):
         try:
             return run_trial(cfg, scheme, quant_bits, seed,
                              attempt * trials + trial_index), resamples
-        except RESAMPLE_CAUSES as exc:
-            if attempt == _MAX_RESAMPLES:
-                raise
+        except tuple(RESAMPLE_CAUSES) as exc:
             resamples[next(i for i, cause in enumerate(RESAMPLE_CAUSES)
                            if isinstance(exc, cause))] += 1
-    raise AssertionError("unreachable")
+    return run_trial(cfg, scheme, quant_bits, seed,
+                     _MAX_RESAMPLES * trials + trial_index), resamples
 
 
 def _block_task(args):
@@ -414,7 +415,8 @@ def run_sweeps(specs, workers: int = 1) -> list:
                     continue
                 point = _aggregate(spec, m, *values[i], int(resamples[i].sum()))
                 points[i].append(point)
-                causes = ", ".join(f"{n} {name}" for n, name in zip(resamples[i], _CAUSE_NAMES))
+                causes = ", ".join(f"{n} {name}"
+                                   for n, name in zip(resamples[i], RESAMPLE_CAUSES.values()))
                 log.info("%s %s m=%d: r_sum=%.4f cost=%.4f (%d trials, %d resampled: %s, %.2f s)",
                          spec.scenario, spec.scheme, m, point.r_sum_mean, point.cost_mean,
                          spec.trials, point.resamples, causes, seconds[i])

@@ -1,6 +1,7 @@
 """Per-realization rate metrics: SINR, eavesdropper SNR, secrecy rates,
 leakage, and relative secrecy cost."""
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -8,7 +9,7 @@ import numpy as np
 from .beamforming import Beamformers
 from .channel import ChannelRealization
 from .config import SystemConfig
-from .errors import ConfigurationError
+from .errors import ConfigurationError, MimosecError
 
 
 @dataclass(frozen=True)
@@ -72,7 +73,8 @@ def rate_report(ch: ChannelRealization, bf: Beamformers,
     Per user: secrecy rate [log2((1+SINR)/(1+ESNR))]^+ and the
     no-eavesdropper rate log2(1+SINR).  Network level: weighted sums, their
     gap (the information leakage), and the relative secrecy cost
-    1 - R_sum / R_sum_noeve (defined as 0 when R_sum_noeve is 0).
+    1 - R_sum / R_sum_noeve (defined as 0 when R_sum_noeve is 0).  Rates
+    that overflow to a non-finite value raise MimosecError.
     """
     _check_dims(ch, bf, cfg)
     a = bf.effective(ch.H).T @ bf.W  # h_k^T F w_i
@@ -88,6 +90,9 @@ def rate_report(ch: ChannelRealization, bf: Beamformers,
     r_secrecy = np.maximum(r_noeve - np.log2(1.0 + esnr), 0.0)
     r_sum = float(cfg.weights @ r_secrecy)
     r_sum_noeve = float(cfg.weights @ r_noeve)
+    if not (math.isfinite(r_sum) and math.isfinite(r_sum_noeve)):
+        raise MimosecError(f"rates are not finite (r_sum={r_sum}, r_sum_noeve={r_sum_noeve}): "
+                           "the powers, gains and noise levels overflow double precision")
     leakage = r_sum_noeve - r_sum
     cost = 1.0 - r_sum / r_sum_noeve if r_sum_noeve != 0.0 else 0.0
     return RateReport(sinr=sinr, esnr=esnr, r_secrecy=r_secrecy,

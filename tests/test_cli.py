@@ -354,7 +354,10 @@ class TestSubcommands:
     @pytest.mark.parametrize("text, detail", [
         ("a,b\n1,2\n", "no column 'M'"),
         ("M,r_sum_noeve_mean\n64,x\n", "line 2 column 'r_sum_noeve_mean': expected a number"),
-    ], ids=["no_results_columns", "non_numeric_cell"])
+        ("M,r_sum_noeve_mean\n64,nan\n", "line 2 column 'r_sum_noeve_mean': expected a finite"),
+        ("M,r_sum_noeve_mean\n64,1\n128,-inf\n", "line 3 column 'r_sum_noeve_mean': expected a finite"),
+        (f"M,r_sum_noeve_mean\n64,1\n1{'0' * 400},2\n", "line 3 column 'M': expected a finite"),
+    ], ids=["no_results_columns", "non_numeric_cell", "nan_cell", "inf_cell", "huge_int_cell"])
     def test_fit_of_malformed_csv_is_an_error(self, tmp_path, capsys, text, detail):
         path = write(tmp_path, text, name="bad.csv")
         assert main(["fit", str(path), "--model", "LOG_GROWTH", "--k", "1"]) == 1
@@ -369,6 +372,8 @@ class TestSubcommands:
         ("L: 1000000000", "L"),
         ("m_values: 1000000000000000000000", "m_values"),
         ("trials: 1000000000000000000000", "trials"),
+        ("m_values: 8, 16", "m_values"),
+        ("m_values: pow2:6..30000", "m_values"),
     ])
     def test_size_out_of_bounds_is_an_error(self, tmp_path, capsys, line, key):
         # Rejected while the spec is built, before anything is allocated.
@@ -381,6 +386,31 @@ class TestSubcommands:
         assert err.startswith("error: ") and f"key '{key}'" in err
         assert len(err.splitlines()) == 1
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    def test_non_finite_rates_are_an_error(self, tmp_path, capsys):
+        # Finite inputs whose powers overflow: the rates are NaN, and neither
+        # sweep nor single may report them.
+        cfg = write(tmp_path, "preset: sparse\nscheme: HADP_A\nbeta: 1e300\n"
+                              "total_power: 1e300\nsigma2: 1e-300\nm_values: 16, 32\n"
+                              "trials: 2\nseed: 1\n")
+        out = tmp_path / "out"
+        assert main(["sweep", str(cfg), "--out", str(out), "--workers", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: rates are not finite") and len(err.splitlines()) == 1
+        assert not list(out.glob("*"))
+        assert main(["single", str(cfg), "--m", "16"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: rates are not finite")
+        assert captured.out == ""
+
+    def test_pow2_grid_is_bounded_before_it_is_built(self, tmp_path, capsys):
+        # The reader rejects the exponent; building 2**e up to a large b
+        # first costs time and memory quadratic in b.
+        cfg = write(tmp_path, SPARSE_TAS.replace("pow2:4..8", "pow2:6..21"))
+        assert main(["sweep", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert "line 5 key 'm_values': expected" in capsys.readouterr().err
 
     @pytest.mark.parametrize("m", ["1099511627776", "1000000000000000000000"])
     def test_single_oversized_m_is_an_error(self, tmp_path, capsys, m):
@@ -400,9 +430,14 @@ class TestSubcommands:
         (["gumbel", "--m", "8", "--trials", "0"], "trials between 1 and"),
         (["clt", "--m", "0", "--trials", "3"], "m between 1 and"),
         (["clt", "--m", "8", "--trials", str(MAX_SIZE + 1)], "trials between 1 and"),
+        (["single", "hadp_sparse.cfg", "--m", "8"], "at least max(L, K) = 16, got 8"),
+        (["single", "hadp_sparse.cfg", "--m", "0"], "at least max(L, K) = 16, got 0"),
+        (["fit", "results.csv", "--model", "LOG_GROWTH", "--k", "-3"], "--k must be at least 1"),
+        (["fit", "results.csv", "--model", "LOG_GROWTH", "--k", "0"], "--k must be at least 1"),
     ], ids=["single_trial_-1", "single_trial_200", "single_trial_203", "single_seed_-3",
             "gumbel_seed_-1", "gumbel_m_0", "gumbel_m_-4", "gumbel_m_1e21",
-            "gumbel_trials_0", "clt_m_0", "clt_trials_too_many"])
+            "gumbel_trials_0", "clt_m_0", "clt_trials_too_many", "single_m_8", "single_m_0",
+            "fit_k_-3", "fit_k_0"])
     def test_bad_argument_is_an_error(self, capsys, argv, detail):
         argv = [str(CONFIGS / arg) if arg.endswith(".cfg") else arg for arg in argv]
         assert main(argv) == 1

@@ -149,6 +149,20 @@ class TestRunSweep:
         assert "(19 trials, 2 resampled: 1 zero coefficient, 1 ill-conditioned, " in per_m[1]
         assert "(19 trials, 0 resampled: 0 zero coefficient, 0 ill-conditioned, " in per_m[2]
 
+    @pytest.mark.parametrize("cause", [DegenerateChannelError, SingularChannelError])
+    def test_resampling_gives_up_after_the_budget(self, monkeypatch, cause):
+        calls = []
+
+        def always_degenerate(cfg, scheme, quant_bits, seed, trial_index):
+            calls.append(trial_index)
+            raise cause("injected")
+
+        monkeypatch.setattr(harness, "run_trial", always_degenerate)
+        with pytest.raises(cause):
+            harness._trial_with_resampling(preset_cfg(), "TAS_A", None, 7, 1, 4)
+        # The first draw and _MAX_RESAMPLES redraws, each a sweep length on.
+        assert calls == [1 + 4 * a for a in range(harness._MAX_RESAMPLES + 1)]
+
     def test_cost_estimators_agree_in_scale(self):
         from dataclasses import replace
         ratios = run_sweep(small_spec(trials=50))
