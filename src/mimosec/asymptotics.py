@@ -57,12 +57,14 @@ def _check_sizes(check: str, m: int, trials: int) -> None:
 
 
 def _regressor(m_values: np.ndarray, model: str) -> np.ndarray:
+    """The model's regressor of each m, which must be positive: the cost
+    models divide by it."""
     if model.startswith("LOGLOG"):
         if np.any(m_values < 3):
             raise MimosecError("log2(ln m) regressor needs m >= 3")
         return np.log2(np.log(m_values))
-    if np.any(m_values < 1):
-        raise MimosecError("log2 m regressor needs m >= 1")
+    if np.any(m_values < 2):
+        raise MimosecError("log2 m regressor needs m >= 2")
     return np.log2(m_values)
 
 

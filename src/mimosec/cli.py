@@ -8,13 +8,15 @@ byte for byte.
 """
 
 import argparse
+import contextlib
 import csv
+import io
 import json
 import logging
 import os
 import re
 import sys
-from dataclasses import replace
+from dataclasses import astuple, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -24,13 +26,8 @@ from .asymptotics import (COST_MODELS, GROWTH_MODELS, clt_check,
 from .channel import derive_seed
 from .config import MAX_SIZE
 from .errors import ConfigParseError, MimosecError
-from .harness import (MAX_WORKERS, PRESETS, SPEC_FIELDS, SweepResult, SweepSpec,
-                      _trial_with_resampling, run_sweeps)
-
-CSV_HEADER = ("scenario,scheme,M,trials,resamples,r_sum_mean,r_sum_se,"
-              "r_sum_noeve_mean,r_sum_noeve_se,leakage_mean,leakage_se,"
-              "cost_mean,cost_se")
-
+from .harness import (MAX_WORKERS, PRESETS, SPEC_FIELDS, SweepPoint, SweepResult,
+                      SweepSpec, _trial_with_resampling, run_sweeps)
 
 # Largest b of a 'pow2:a..b' grid, checked before the grid is built.
 _MAX_POW2 = MAX_SIZE.bit_length() - 1
@@ -157,19 +154,20 @@ def _write_all(files) -> None:
 def emit_results(result: SweepResult, path) -> None:
     """Write one CSV row per swept m plus a JSON manifest alongside.
 
-    Floating-point fields carry 9 significant digits with a dot decimal
-    separator; rerunning the manifest reproduces the CSV byte for byte.
-    Both files appear together or, if writing fails, not at all.
+    The columns are scenario, scheme and the fields of ``SweepPoint``, with
+    ``m`` headed ``M``.  Floating-point fields carry 9 significant digits
+    with a dot decimal separator; rerunning the manifest reproduces the CSV
+    byte for byte.  Both files appear together or, if writing fails, not at
+    all.
     """
     path = Path(path)
-    lines = [CSV_HEADER]
+    names = [f.name for f in fields(SweepPoint)]
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(["scenario", "scheme", *("M" if n == "m" else n for n in names)])
     for p in result.points:
-        lines.append(",".join([
-            result.spec.scenario, result.spec.scheme, str(p.m), str(p.trials),
-            str(p.resamples), _fmt(p.r_sum_mean), _fmt(p.r_sum_se),
-            _fmt(p.r_sum_noeve_mean), _fmt(p.r_sum_noeve_se),
-            _fmt(p.leakage_mean), _fmt(p.leakage_se),
-            _fmt(p.cost_mean), _fmt(p.cost_se)]))
+        writer.writerow([result.spec.scenario, result.spec.scheme,
+                         *(_fmt(v) if isinstance(v, float) else v for v in astuple(p))])
     cfg0 = result.spec.config_for(max(result.spec.m_values)) \
         if result.spec.m_values else None
     manifest = {
@@ -185,7 +183,7 @@ def emit_results(result: SweepResult, path) -> None:
         },
     }
     try:
-        _write_all([(path, "\n".join(lines) + "\n"),
+        _write_all([(path, text.getvalue()),
                     (path.with_suffix(".manifest.json"), json.dumps(manifest, indent=2) + "\n")])
     except OSError as exc:
         raise MimosecError(f"cannot write results to {path}: {exc}") from exc
@@ -216,22 +214,31 @@ def _sweep_workers(args) -> int:
 def _cmd_sweep(args) -> int:
     specs = parse_config(args.config)
     workers = _sweep_workers(args)
+    if args.seed is not None:
+        specs = [replace(spec, master_seed=args.seed) for spec in specs]
     out_dir = Path(args.out)
+    # The directories this call makes, deepest first; a failed run removes
+    # those it leaves empty.
+    created = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise MimosecError(f"cannot create output directory {out_dir}: {exc.strerror}") from None
-    if args.seed is not None:
-        specs = [replace(spec, master_seed=args.seed) for spec in specs]
     used = set()
-    for spec, result in zip(specs, run_sweeps(specs, workers=workers)):
-        stem = _safe_name(f"{spec.scenario}_{spec.scheme}")
-        if stem in used:
-            stem = f"{stem}_{len(used)}"
-        used.add(stem)
-        target = out_dir / f"{stem}.csv"
-        emit_results(result, target)
-        print(f"wrote {target}")
+    try:
+        for spec, result in zip(specs, run_sweeps(specs, workers=workers)):
+            stem = _safe_name(f"{spec.scenario}_{spec.scheme}")
+            if stem in used:
+                stem = f"{stem}_{len(used)}"
+            used.add(stem)
+            target = out_dir / f"{stem}.csv"
+            emit_results(result, target)
+            print(f"wrote {target}")
+    except BaseException:
+        with contextlib.suppress(OSError):  # ends at the first directory not empty
+            for directory in created:
+                directory.rmdir()
+        raise
     return 0
 
 
@@ -278,8 +285,9 @@ def _lookup_k(csv_path: Path) -> int:
 
 
 def _cmd_fit(args) -> int:
-    if args.k is not None and args.k < 1:
-        raise MimosecError(f"--k must be at least 1, got {args.k}")
+    for flag, value in (("--k", args.k), ("--anchor", args.anchor)):
+        if value is not None and not 1 <= value <= MAX_SIZE:
+            raise MimosecError(f"{flag} must be at least 1 and at most {MAX_SIZE}, got {value}")
     path = Path(args.csv)
     rows = _read_results_csv(path)
     m = _column(rows, "M", int, path)

@@ -13,15 +13,16 @@ MAX_SIZE = 1 << 20
 
 
 def _as_vector(x, n: int, name: str) -> np.ndarray:
+    """``x`` as n finite non-negative floats; one value stands for all n."""
     v = np.atleast_1d(np.asarray(x, dtype=float))
-    if v.ndim != 1 or v.size != n:
-        raise ConfigurationError(f"{name} must be a length-{n} vector, got shape {v.shape}",
-                                 field=name)
+    if v.ndim != 1 or v.size not in (1, n):
+        raise ConfigurationError(f"{name} must be one value or a length-{n} vector, "
+                                 f"got shape {v.shape}", field=name)
     if not np.all(np.isfinite(v)):
         raise ConfigurationError(f"{name} must be finite", field=name)
     if np.any(v < 0):
         raise ConfigurationError(f"{name} must be non-negative", field=name)
-    return v
+    return v if v.size == n else np.full(n, v[0])
 
 
 @dataclass(frozen=True)
@@ -32,7 +33,8 @@ class SystemConfig:
     while J passive single-antenna eavesdroppers overhear.  ``betas`` and
     ``thetas`` are the large-scale (path-loss and shadowing) power gains of
     the user and eavesdropper channels; ``weights`` are the per-user QoS
-    weights used in all weighted sum-rates.
+    weights used in all weighted sum-rates.  Each of the three may be given
+    as one value for all users or eavesdroppers; it is stored as a vector.
     """
 
     M: int
@@ -69,11 +71,8 @@ class SystemConfig:
                 sigma2: float, rho2: float, beta: float = 1.0,
                 theta: float = 0.1, weight: float = 1.0) -> "SystemConfig":
         """Build a config with identical large-scale gains and weights."""
-        return cls(M=M, K=K, J=J, L=L, total_power=total_power,
-                   sigma2=sigma2, rho2=rho2,
-                   betas=np.full(K, float(beta)),
-                   thetas=np.full(J, float(theta)),
-                   weights=np.full(K, float(weight)))
+        return cls(M=M, K=K, J=J, L=L, total_power=total_power, sigma2=sigma2,
+                   rho2=rho2, betas=beta, thetas=theta, weights=weight)
 
     def snr_user_db(self) -> np.ndarray:
         """Per-user receive SNR beta_k * P / sigma^2 in dB."""

@@ -37,11 +37,9 @@ MAX_WORKERS = 64
 
 # One row of the sweep-spec schema: the SweepSpec attribute, the key it goes
 # by in config files and in manifests, its kind (a key of FIELD_KINDS) and its
-# default, NO_DEFAULT when the key is required.  A vector names in ``size`` the
-# count field, listed before it, that gives its length.
+# default, NO_DEFAULT when the key is required.
 NO_DEFAULT = object()
-SpecField = namedtuple("SpecField", "name key manifest kind default size",
-                       defaults=(NO_DEFAULT, None))
+SpecField = namedtuple("SpecField", "name key manifest kind default", defaults=(NO_DEFAULT,))
 
 # The schema, in manifest order.
 SPEC_FIELDS = (
@@ -53,9 +51,9 @@ SPEC_FIELDS = (
     SpecField("total_power", "total_power", "total_power", "float"),
     SpecField("sigma2", "sigma2", "sigma2", "float"),
     SpecField("rho2", "rho2", "rho2", "float"),
-    SpecField("betas", "beta", "betas", "vector", size="K"),
-    SpecField("thetas", "theta", "thetas", "vector", size="J"),
-    SpecField("weights", "weights", "weights", "vector", (1.0,), size="K"),
+    SpecField("betas", "beta", "betas", "vector"),
+    SpecField("thetas", "theta", "thetas", "vector"),
+    SpecField("weights", "weights", "weights", "vector", (1.0,)),
     SpecField("m_values", "m_values", "m_values", "m_grid"),
     SpecField("trials", "trials", "trials", "int"),
     SpecField("master_seed", "seed", "seed", "int"),
@@ -91,8 +89,9 @@ class SweepSpec:
 
     ``m_values`` must be strictly increasing and each at least
     max(L, K) so every scheme stays feasible, and at most ``MAX_SIZE``.
-    ``quant_bits`` is the phase-shifter resolution and is required exactly
-    for scheme HADP_B.
+    ``L`` is the RF-chain count of scheme TAS_B; the other schemes have one
+    chain per user and need ``L == K``.  ``quant_bits`` is the phase-shifter
+    resolution and is required exactly for scheme HADP_B.
     """
 
     scenario: str
@@ -137,6 +136,9 @@ class SweepSpec:
         if (self.scheme == "HADP_B") != (self.quant_bits is not None):
             raise ConfigurationError("quant_bits is required for scheme HADP_B "
                                      "and must be absent otherwise", field="quant_bits")
+        if self.scheme != "TAS_B" and self.L != self.K:
+            raise ConfigurationError(f"scheme {self.scheme} has one RF chain per user, so L "
+                                     f"must equal K = {self.K}, got {self.L}", field="L")
         if self.quant_bits is not None and not 1 <= self.quant_bits <= MAX_QUANT_BITS:
             raise ConfigurationError(f"quant_bits must be between 1 and {MAX_QUANT_BITS}, "
                                      f"got {self.quant_bits}", field="quant_bits")
@@ -149,9 +151,9 @@ class SweepSpec:
     @classmethod
     def from_dict(cls, entries, *, path: str | None = None) -> "SweepSpec":
         """Inverse of ``to_dict``: build a spec from a dict keyed like a
-        manifest's ``sweep`` object.  Absent optional keys take their default
-        and a one-element vector repeats to its length.  A bad key or value
-        raises ConfigParseError naming the manifest key and ``path``."""
+        manifest's ``sweep`` object.  Absent optional keys take their default.
+        A bad key or value raises ConfigParseError naming the manifest key and
+        ``path``."""
         if not isinstance(entries, dict):
             raise ConfigParseError("expected an object of sweep settings", path=path)
         unknown = [key for key in entries if key not in {f.manifest for f in SPEC_FIELDS}]
@@ -165,10 +167,6 @@ class SweepSpec:
             if not (_is_kind(value, f.kind) or (value is None and f.default is None)):
                 raise ConfigParseError(f"expected {FIELD_KINDS[f.kind]}, got {value!r}",
                                        path=path, key=f.manifest)
-            # A count above MAX_SIZE is left for SystemConfig to reject, so
-            # the repeat never builds a list that large.
-            if f.size is not None and len(value) == 1 and values[f.size] <= MAX_SIZE:
-                values[f.name] = list(value) * values[f.size]
         try:
             return cls(**values)
         except ConfigurationError as exc:

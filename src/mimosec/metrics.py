@@ -80,16 +80,18 @@ def rate_report(ch: ChannelRealization, bf: Beamformers,
     a = bf.effective(ch.H).T @ bf.W  # h_k^T F w_i
     b = bf.effective(ch.G).T @ bf.W  # g_j^T F w_i
     powers = bf.powers
-    sig = np.abs(np.diagonal(a)) ** 2
-    interference = np.maximum((np.abs(a) ** 2) @ powers - powers * sig, 0.0)
-    sinr = powers * cfg.betas * sig / (cfg.sigma2 + cfg.betas * interference)
-    eve_power = cfg.thetas @ (np.abs(b) ** 2)
-    esnr = powers * eve_power / cfg.rho2
+    # Overflow is caught by the finite check below, not warned about.
+    with np.errstate(over="ignore", invalid="ignore"):
+        sig = np.abs(np.diagonal(a)) ** 2
+        interference = np.maximum((np.abs(a) ** 2) @ powers - powers * sig, 0.0)
+        sinr = powers * cfg.betas * sig / (cfg.sigma2 + cfg.betas * interference)
+        eve_power = cfg.thetas @ (np.abs(b) ** 2)
+        esnr = powers * eve_power / cfg.rho2
 
-    r_noeve = np.log2(1.0 + sinr)
-    r_secrecy = np.maximum(r_noeve - np.log2(1.0 + esnr), 0.0)
-    r_sum = float(cfg.weights @ r_secrecy)
-    r_sum_noeve = float(cfg.weights @ r_noeve)
+        r_noeve = np.log2(1.0 + sinr)
+        r_secrecy = np.maximum(r_noeve - np.log2(1.0 + esnr), 0.0)
+        r_sum = float(cfg.weights @ r_secrecy)
+        r_sum_noeve = float(cfg.weights @ r_noeve)
     if not (math.isfinite(r_sum) and math.isfinite(r_sum_noeve)):
         raise MimosecError(f"rates are not finite (r_sum={r_sum}, r_sum_noeve={r_sum_noeve}): "
                            "the powers, gains and noise levels overflow double precision")

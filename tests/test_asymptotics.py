@@ -57,6 +57,11 @@ class TestFitCostAnchor:
         assert fit.intercept == pytest.approx(eps, rel=1e-12)
         assert fit.residual_rms == pytest.approx(0.0, abs=1e-12)
 
+    def test_log_cost_needs_m_at_least_two(self):
+        # c = A / log2 m divides by zero at m = 1.
+        with pytest.raises(MimosecError):
+            fit_cost_anchor([1, 64], [0.5, 0.1], "LOG_COST", 64)
+
     def test_missing_anchor_rejected(self):
         with pytest.raises(MimosecError):
             fit_cost_anchor([16, 64], [0.1, 0.2], "LOG_COST", 128)

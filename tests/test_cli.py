@@ -45,6 +45,10 @@ trials: 2
 seed: 2
 """
 
+# Finite inputs whose powers overflow double precision: the rates are NaN.
+NON_FINITE = ("preset: sparse\nscheme: HADP_A\nbeta: 1e300\ntotal_power: 1e300\n"
+              "sigma2: 1e-300\nm_values: 16, 32\ntrials: 2\nseed: 1\n")
+
 
 def write(tmp_path, text, name="sweep.cfg"):
     path = tmp_path / name
@@ -357,7 +361,9 @@ class TestSubcommands:
         ("M,r_sum_noeve_mean\n64,nan\n", "line 2 column 'r_sum_noeve_mean': expected a finite"),
         ("M,r_sum_noeve_mean\n64,1\n128,-inf\n", "line 3 column 'r_sum_noeve_mean': expected a finite"),
         (f"M,r_sum_noeve_mean\n64,1\n1{'0' * 400},2\n", "line 3 column 'M': expected a finite"),
-    ], ids=["no_results_columns", "non_numeric_cell", "nan_cell", "inf_cell", "huge_int_cell"])
+        ("M,r_sum_noeve_mean\n1,1\n64,2\n128,3\n", "log2 m regressor needs m >= 2"),
+    ], ids=["no_results_columns", "non_numeric_cell", "nan_cell", "inf_cell", "huge_int_cell",
+            "m_1_cell"])
     def test_fit_of_malformed_csv_is_an_error(self, tmp_path, capsys, text, detail):
         path = write(tmp_path, text, name="bad.csv")
         assert main(["fit", str(path), "--model", "LOG_GROWTH", "--k", "1"]) == 1
@@ -405,6 +411,61 @@ class TestSubcommands:
         assert captured.err.startswith("error: rates are not finite")
         assert captured.out == ""
 
+    def test_failed_sweep_removes_the_directories_it_made(self, tmp_path, capsys):
+        cfg = write(tmp_path, NON_FINITE)
+        assert main(["sweep", str(cfg), "--out", str(tmp_path / "a" / "b"),
+                     "--workers", "1"]) == 1
+        assert not (tmp_path / "a").exists()
+        kept = tmp_path / "kept"
+        kept.mkdir()
+        assert main(["sweep", str(cfg), "--out", str(kept / "c"), "--workers", "1"]) == 1
+        assert kept.is_dir() and not list(kept.iterdir())
+        # A bad --seed is found before the directory is made.
+        assert main(["sweep", str(cfg), "--seed", "-3", "--out", str(tmp_path / "d")]) == 1
+        assert not (tmp_path / "d").exists()
+        assert len(capsys.readouterr().err.splitlines()) == 3
+
+    def test_non_finite_rates_print_one_line(self, tmp_path, fresh_python):
+        # pytest captures warnings, so a new interpreter runs the commands,
+        # with file descriptor 2 (its own and its workers') sent to stdout.
+        cfg, out = str(write(tmp_path, NON_FINITE)), str(tmp_path / "out")
+        code = ("import os; os.dup2(1, 2)\nfrom mimosec.cli import main\n"
+                f"assert main(['sweep', {cfg!r}, '--out', {out!r}, '--workers', '2']) == 1\n"
+                f"assert main(['single', {cfg!r}, '--m', '16']) == 1\n")
+        lines = fresh_python(code).splitlines()
+        assert len(lines) == 2
+        assert all(line.startswith("error: rates are not finite") for line in lines)
+
+    @pytest.mark.parametrize("scheme", ["TAS_A", "HADP_A", "HADP_B"])
+    def test_l_other_than_k_is_an_error_but_for_tas_b(self, tmp_path, capsys, scheme):
+        text = SPARSE_TAS.replace("TAS_A", scheme) + "L: 4\n"
+        if scheme == "HADP_B":
+            text += "quant_bits: 4\n"
+        cfg = write(tmp_path, text)
+        assert main(["sweep", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "line 8 key 'L'" in err
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_tas_b_takes_its_own_l(self, tmp_path):
+        cfg = write(tmp_path, SPARSE_TAS.replace("TAS_A", "TAS_B")
+                    .replace("pow2:4..8", "16, 32") + "L: 4\n")
+        assert main(["sweep", str(cfg), "--out", str(tmp_path), "--workers", "1"]) == 0
+        manifest = json.loads((tmp_path / "sparse-demo_TAS_B.manifest.json").read_text())
+        assert manifest["sweep"]["L"] == 4 and manifest["sweep"]["K"] == 16
+
+    def test_scenario_with_a_comma_is_quoted_and_fit_reads_it(self, tmp_path, capsys):
+        cfg = write(tmp_path, SPARSE_TAS.replace("sparse-demo", "a,b")
+                    .replace("pow2:4..8", "16, 32, 64"))
+        assert main(["sweep", str(cfg), "--out", str(tmp_path), "--workers", "1"]) == 0
+        path = tmp_path / "a-b_TAS_A.csv"
+        assert path.read_text().splitlines()[1].startswith('"a,b",TAS_A,16,')
+        with path.open(newline="") as fh:
+            assert [row["scenario"] for row in csv.DictReader(fh)] == ["a,b"] * 3
+        assert main(["fit", str(path), "--model", "LOG_GROWTH"]) == 0
+        assert "slope: " in capsys.readouterr().out
+
     def test_pow2_grid_is_bounded_before_it_is_built(self, tmp_path, capsys):
         # The reader rejects the exponent; building 2**e up to a large b
         # first costs time and memory quadratic in b.
@@ -434,10 +495,16 @@ class TestSubcommands:
         (["single", "hadp_sparse.cfg", "--m", "0"], "at least max(L, K) = 16, got 0"),
         (["fit", "results.csv", "--model", "LOG_GROWTH", "--k", "-3"], "--k must be at least 1"),
         (["fit", "results.csv", "--model", "LOG_GROWTH", "--k", "0"], "--k must be at least 1"),
+        (["fit", "results.csv", "--model", "LOG_GROWTH", "--k", "2000000"],
+         f"--k must be at least 1 and at most {MAX_SIZE}"),
+        (["fit", "results.csv", "--model", "LOG_GROWTH", "--k", "1" * 401],
+         f"--k must be at least 1 and at most {MAX_SIZE}"),
+        (["fit", "results.csv", "--model", "LOG_COST", "--anchor", "1" * 401],
+         f"--anchor must be at least 1 and at most {MAX_SIZE}"),
     ], ids=["single_trial_-1", "single_trial_200", "single_trial_203", "single_seed_-3",
             "gumbel_seed_-1", "gumbel_m_0", "gumbel_m_-4", "gumbel_m_1e21",
             "gumbel_trials_0", "clt_m_0", "clt_trials_too_many", "single_m_8", "single_m_0",
-            "fit_k_-3", "fit_k_0"])
+            "fit_k_-3", "fit_k_0", "fit_k_2e6", "fit_k_401_digits", "fit_anchor_401_digits"])
     def test_bad_argument_is_an_error(self, capsys, argv, detail):
         argv = [str(CONFIGS / arg) if arg.endswith(".cfg") else arg for arg in argv]
         assert main(argv) == 1
@@ -526,8 +593,9 @@ class TestSubcommands:
 
 @st.composite
 def sweep_specs(draw):
-    K, J, L = draw(st.integers(1, 4)), draw(st.integers(0, 3)), draw(st.integers(1, 4))
+    K, J = draw(st.integers(1, 4)), draw(st.integers(0, 3))
     scheme = draw(st.sampled_from(SCHEMES))
+    L = draw(st.integers(1, 4)) if scheme == "TAS_B" else K
     gains = st.floats(0.0, 1e6)
     noise = st.floats(1e-6, 1e6)
     m_values = draw(st.lists(st.integers(max(K, L), 4096), unique=True, max_size=4))
