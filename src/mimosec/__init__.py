@@ -29,7 +29,7 @@ from .beamforming import (SCHEMES, BeamformerSet, SwitchedBeamformerSet,
                           select_antennas_protocol1, stepwise_tas,
                           zf_effective)
 from .channel import (ChannelRealization, complex_normal, derive_seed,
-                      derived_rng, empirical_moment, sample_realization)
+                      derived_rng, sample_realization)
 from .config import SystemConfig
 from .errors import (ConfigParseError, ConfigurationError,
                      DegenerateChannelError, FitError, InfeasibleSelectionError,
@@ -46,9 +46,9 @@ __all__ = [
     "SweepResult", "SweepSpec", "SystemConfig", "analog_phase_match",
     "analog_selection_matrix", "build_beamformers", "clt_check",
     "complex_normal", "derive_seed", "derived_rng", "digital_mrt_selected",
-    "empirical_moment", "esnr_k", "fit_cost_anchor", "fit_growth",
-    "gumbel_check", "mrt_effective", "phase_aligned_sums", "power_uniform",
-    "quantize_phases", "rate_report", "run_sweep", "run_sweeps", "run_trial",
+    "esnr_k", "fit_cost_anchor", "fit_growth", "gumbel_check",
+    "mrt_effective", "phase_aligned_sums", "power_uniform", "quantize_phases",
+    "rate_report", "run_sweep", "run_sweeps", "run_trial",
     "sample_realization", "select_antennas_protocol1", "sinr_k",
     "stepwise_tas", "zf_effective",
 ]

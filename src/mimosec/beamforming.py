@@ -280,7 +280,8 @@ def stepwise_tas(H: np.ndarray, L: int, cfg: SystemConfig) -> np.ndarray:
 
 
 def build_beamformers(H: np.ndarray, cfg: SystemConfig, scheme: str,
-                      quant_bits: int | None = None) -> Beamformers:
+                      quant_bits: int | None = None,
+                      phase_match: np.ndarray | None = None) -> Beamformers:
     """Construct the analog/digital pair of the given scheme from the user
     channels alone.
 
@@ -289,7 +290,9 @@ def build_beamformers(H: np.ndarray, cfg: SystemConfig, scheme: str,
     the selected rows.  Both return a ``SwitchedBeamformerSet``.  HADP_A:
     phase matching in the analog stage, identity digital stage.  HADP_B:
     quantized phase matching followed by zero forcing over the effective
-    channel.  Both return a ``BeamformerSet``.
+    channel.  Both return a ``BeamformerSet``; ``phase_match``, when given,
+    is ``analog_phase_match(H)`` formed before, and the two use it rather
+    than form it again.
     """
     K = cfg.K
     powers = power_uniform(K, cfg.total_power)
@@ -299,11 +302,12 @@ def build_beamformers(H: np.ndarray, cfg: SystemConfig, scheme: str,
     if scheme == "TAS_B":
         idx = stepwise_tas(H, cfg.L, cfg)
         return SwitchedBeamformerSet(idx, cfg.M, mrt_effective(H[idx]), powers)
+    if scheme not in ("HADP_A", "HADP_B"):
+        raise ConfigurationError(f"unknown scheme '{scheme}'")
+    if scheme == "HADP_B" and quant_bits is None:
+        raise ConfigurationError("HADP_B requires quant_bits")
+    F = analog_phase_match(H) if phase_match is None else phase_match
     if scheme == "HADP_A":
-        return BeamformerSet(analog_phase_match(H), np.eye(K, dtype=complex), powers)
-    if scheme == "HADP_B":
-        if quant_bits is None:
-            raise ConfigurationError("HADP_B requires quant_bits")
-        F = quantize_phases(analog_phase_match(H), quant_bits)
-        return BeamformerSet(F, zf_effective(F.T @ H), powers)
-    raise ConfigurationError(f"unknown scheme '{scheme}'")
+        return BeamformerSet(F, np.eye(K, dtype=complex), powers)
+    F = quantize_phases(F, quant_bits)
+    return BeamformerSet(F, zf_effective(F.T @ H), powers)

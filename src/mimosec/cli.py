@@ -211,11 +211,19 @@ def _sweep_workers(args) -> int:
     return workers
 
 
+def _seed_flag(args) -> int | None:
+    """``--seed``, checked to be non-negative before any work starts."""
+    if args.seed is not None and args.seed < 0:
+        raise MimosecError(f"--seed must be non-negative, got {args.seed}")
+    return args.seed
+
+
 def _cmd_sweep(args) -> int:
+    seed = _seed_flag(args)
     specs = parse_config(args.config)
     workers = _sweep_workers(args)
-    if args.seed is not None:
-        specs = [replace(spec, master_seed=args.seed) for spec in specs]
+    if seed is not None:
+        specs = [replace(spec, master_seed=seed) for spec in specs]
     out_dir = Path(args.out)
     # The directories this call makes, deepest first; a failed run removes
     # those it leaves empty.
@@ -333,8 +341,10 @@ def _vector_line(name, values) -> str:
 def _cmd_single(args) -> int:
     """Trial ``--trial`` at ``--m`` of the config's first sweep, drawn and
     resampled exactly as ``sweep`` draws it."""
+    seed = _seed_flag(args)
     spec = parse_config(args.config)[0]
-    seed = args.seed if args.seed is not None else spec.master_seed
+    if seed is None:
+        seed = spec.master_seed
     cfg = spec.config_for(args.m)
     if not 0 <= args.trial < spec.trials:
         raise MimosecError(f"--trial must be a non-negative index below the sweep's "

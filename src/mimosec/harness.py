@@ -3,16 +3,18 @@ and aggregates the rate metrics with standard errors."""
 
 import logging
 import os
+import re
 import time
-from collections import namedtuple
+from collections import Counter, namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import BLAS_THREAD_VARS, NUMPY_BEFORE_PIN
-from .beamforming import MAX_QUANT_BITS, SCHEMES, build_beamformers
-from .channel import derive_seed, sample_realization
+from .beamforming import (MAX_QUANT_BITS, SCHEMES, analog_phase_match,
+                          build_beamformers)
+from .channel import carve, derive_seed, sample_realization, trial_normals
 from .config import MAX_SIZE, SystemConfig
 from .errors import (ConfigParseError, ConfigurationError,
                      DegenerateChannelError, SingularChannelError)
@@ -112,6 +114,12 @@ class SweepSpec:
     cost_estimator: str = "mean_of_ratios"
 
     def __post_init__(self):
+        # The scenario names the output files and leads every CSV row, where
+        # a control character such as a carriage return is written unquoted
+        # and splits the row when it is read back.
+        if re.search(r"[\x00-\x1f\x7f-\x9f]", self.scenario):
+            raise ConfigurationError(f"scenario must not contain control characters, "
+                                     f"got {self.scenario!r}", field="scenario")
         if self.scheme not in SCHEMES:
             raise ConfigurationError(f"unknown scheme '{self.scheme}', expected one of "
                                      f"{SCHEMES}", field="scheme")
@@ -216,23 +224,68 @@ class SweepResult:
     points: tuple
 
 
-# The draws of the trial index a block task is on, keyed by
-# (M, K, J, seed, trial index), so that the sweeps of the block evaluate one
-# shared draw; None outside a block task, where every trial draws its own.
-_block_draws = None
+# The schemes whose analog stage starts from the phase match of H.
+_HYBRID = ("HADP_A", "HADP_B")
 
 
-def _draw(cfg: SystemConfig, seed: int, trial_index: int):
-    """``sample_realization``, drawn once per key while a block task runs.
-    A shared draw is read-only, so no scheme can alter another's channel."""
-    if _block_draws is None:
-        return sample_realization(cfg, seed, trial_index)
-    key = (cfg.M, cfg.K, cfg.J, seed, trial_index)
-    ch = _block_draws.get(key)
-    if ch is None:
-        ch = _block_draws[key] = sample_realization(cfg, seed, trial_index)
-        ch.H.flags.writeable = ch.G.flags.writeable = False
-    return ch
+def _build_key(s, scheme: str, quant_bits: int | None) -> tuple:
+    """What a scheme's beamformers depend on besides H: the scheme and the
+    transmit-side settings of ``s``, a SystemConfig or a SweepSpec.  The
+    transmitter has no eavesdropper CSI, so J, thetas and rho2 are not
+    among them."""
+    return (scheme, quant_bits, s.K, s.L, s.total_power, s.sigma2,
+            tuple(s.betas), tuple(s.weights))
+
+
+class _SharedTrial:
+    """What the sweeps of a block task share at one trial index t: one draw
+    of the trial's stream, carved into a read-only realization per (K, J)
+    with one H per K, and each build from H that more than one of the sweeps
+    makes, made once.  ``specs`` are the sweeps with more than t trials."""
+
+    def __init__(self, m: int, seed: int, t: int, specs):
+        self.stream = (seed, t)
+        normals = trial_normals(seed, t, 2 * m * max(spec.K + spec.J for spec in specs))
+        self.draws, H = {}, {}
+        for spec in specs:
+            if (spec.K, spec.J) not in self.draws:
+                ch = carve(normals, m, spec.K, spec.J, H.get(spec.K))
+                ch.H.flags.writeable = ch.G.flags.writeable = False
+                self.draws[spec.K, spec.J] = ch
+                H[spec.K] = ch.H
+        # Each trial builds its beamformers, and a hybrid one first phase-matches H.
+        uses = Counter(_build_key(spec, spec.scheme, spec.quant_bits) for spec in specs)
+        uses.update(("phase match", spec.K) for spec in specs if spec.scheme in _HYBRID)
+        self.reused = {key for key, n in uses.items() if n > 1}
+        self.built = {}
+
+    def stage(self, key, make):
+        """``make()``, kept for the other sweeps if more than one makes ``key``.
+        A build that raises is not kept, so each sweep redraws its own."""
+        if key not in self.reused:
+            return make()
+        if key not in self.built:
+            self.built[key] = make()
+        return self.built[key]
+
+    def prepare(self, cfg: SystemConfig, scheme: str, quant_bits: int | None):
+        """The shared realization of ``cfg``'s K and J, and the scheme's
+        beamformers on it."""
+        ch = self.draws[cfg.K, cfg.J]
+
+        def build():
+            phase_match = None
+            if scheme in _HYBRID:
+                phase_match = self.stage(("phase match", cfg.K),
+                                         lambda: analog_phase_match(ch.H))
+            return build_beamformers(ch.H, cfg, scheme, quant_bits, phase_match)
+
+        return ch, self.stage(_build_key(cfg, scheme, quant_bits), build)
+
+
+# The trial index a block task is on, shared by the sweeps of the block;
+# None outside a block task, where every trial draws and builds its own.
+_shared = None
 
 
 def run_trial(cfg: SystemConfig, scheme: str, quant_bits: int | None,
@@ -242,10 +295,14 @@ def run_trial(cfg: SystemConfig, scheme: str, quant_bits: int | None,
 
     Degenerate draws (exact-zero coefficients, ill-conditioned zero
     forcing) raise; the sweep driver resamples and counts them.  Inside a
-    sweep's block task, trials of the same key share one read-only draw.
+    sweep's block task, the trials of its sweeps at the block's trial index
+    share one read-only draw and every build more than one of them makes.
     """
-    ch = _draw(cfg, master_seed, trial_index)
-    bf = build_beamformers(ch.H, cfg, scheme, quant_bits)
+    if _shared is not None and _shared.stream == (master_seed, trial_index):
+        ch, bf = _shared.prepare(cfg, scheme, quant_bits)
+    else:
+        ch = sample_realization(cfg, master_seed, trial_index)
+        bf = build_beamformers(ch.H, cfg, scheme, quant_bits)
     return rate_report(ch, bf, cfg)
 
 
@@ -267,25 +324,29 @@ def _trial_with_resampling(cfg, scheme, quant_bits, seed, trial_index, trials):
 
 def _block_task(args):
     """Run trials lo..hi-1 of array size m for each sweep of ``members``, a
-    tuple of (position, spec) sharing master seed, K and J, trial index by
-    trial index: each trial's channel is drawn once and evaluated by every
-    sweep with more trials than its index.  Returns (m, lo, and per member
+    tuple of (position, spec) sharing the master seed, trial index by trial
+    index: each trial's channels are drawn once and each build from H that
+    several of the sweeps make is made once (see ``_SharedTrial``), for
+    every sweep with more trials than its index.  The draw's seconds count
+    in the first of those sweeps.  Returns (m, lo, and per member
     (position, a (4, n) array of r_sum, r_sum_noeve, leakage and cost over
     its n trials in the block, resamples per cause, seconds in its trials)).
     """
-    global _block_draws
+    global _shared
     m, lo, hi, members = args
     seed = derive_seed(members[0][1].master_seed, m)
     runs = [(spec, spec.config_for(m), np.empty((4, min(hi, spec.trials) - lo)),
              np.zeros(len(RESAMPLE_CAUSES), dtype=int)) for _, spec in members]
     seconds = [0.0] * len(runs)
-    draws = _block_draws = {}
     try:
         for t in range(lo, hi):
-            draws.clear()
-            for j, (spec, cfg, rows, resamples) in enumerate(runs):
-                if t >= spec.trials:
-                    continue
+            active = [j for j, run in enumerate(runs) if t < run[0].trials]
+            _shared = None  # the last trial's draws go before the next is drawn
+            start = time.perf_counter()
+            _shared = _SharedTrial(m, seed, t, [runs[j][0] for j in active])
+            seconds[active[0]] += time.perf_counter() - start
+            for j in active:
+                spec, cfg, rows, resamples = runs[j]
                 start = time.perf_counter()
                 report, extra = _trial_with_resampling(cfg, spec.scheme, spec.quant_bits,
                                                        seed, t, spec.trials)
@@ -293,7 +354,7 @@ def _block_task(args):
                 rows[:, t - lo] = report.r_sum, report.r_sum_noeve, report.leakage, report.cost
                 resamples += extra
     finally:
-        _block_draws = None
+        _shared = None
     return m, lo, [(i, rows, resamples, sec)
                    for (i, _), (_, _, rows, resamples), sec in zip(members, runs, seconds)]
 
@@ -338,12 +399,13 @@ def _aggregate(spec: SweepSpec, m: int, r_sum, r_noeve, leakage, cost,
 def _tasks(specs, workers: int):
     """The blocks of a run of ``specs`` as ``_block_task`` arguments, and the
     block size and draw-sharing group of each spec.  Specs with equal master
-    seed, K and J draw the same channels, so they form one group; its blocks
-    go array size by array size, over ``max(1, trials // (4 * workers))``
-    consecutive trial indices of its largest trial count."""
+    seed draw from the same trial streams, whatever their K and J, so they
+    form one group; its blocks go array size by array size, over
+    ``max(1, trials // (4 * workers))`` consecutive trial indices of its
+    largest trial count."""
     groups = {}
     for i, spec in enumerate(specs):
-        groups.setdefault((spec.master_seed, spec.K, spec.J), []).append(i)
+        groups.setdefault(spec.master_seed, []).append(i)
     tasks, blocks, group_of = [], {}, {}
     for members in groups.values():
         block = max(1, max(specs[i].trials for i in members) // (4 * workers))
@@ -358,14 +420,21 @@ def _tasks(specs, workers: int):
     return tasks, blocks, group_of
 
 
+def _names(specs, positions) -> str:
+    return ", ".join(f"{specs[j].scenario} {specs[j].scheme}" for j in positions)
+
+
 def run_sweeps(specs, workers: int = 1) -> list:
     """Run several sweeps through one pool map and aggregate each one's
     per-m statistics; returns their ``SweepResult`` in the order given.
 
-    Sweeps with equal master seed, K and J draw bitwise-identical channels
-    for a given m and trial index, so their blocks evaluate each such draw
-    once for all of them (redraws of a degenerate trial stay per sweep).
-    Each result is that of the sweep run on its own.
+    The channels of any K and J at a given m and trial index are a prefix
+    of one stream of normals, which depends on the master seed alone, and
+    beamformers depend on H and the transmit-side settings alone.  So the
+    blocks of sweeps with equal master seed draw each trial once for all of
+    them, and make each build from H once for the sweeps whose
+    transmit-side settings are equal (redraws of a degenerate trial stay
+    per sweep).  Each result is that of the sweep run on its own.
 
     Parameters
     ----------
@@ -387,13 +456,15 @@ def run_sweeps(specs, workers: int = 1) -> list:
     processes = min(workers, len(tasks))
     env = " ".join(f"{var}={os.environ.get(var, 'unset')}" for var in BLAS_THREAD_VARS)
     for i, spec in enumerate(specs):
-        shared = ", ".join(f"{specs[j].scenario} {specs[j].scheme}"
-                           for j in group_of[i] if j != i)
-        log.info("%s %s: %d workers, %d trials per block, env %s%s%s", spec.scenario,
+        draws = [j for j in group_of[i] if j != i]
+        builds = [j for j in draws if _build_key(specs[j], specs[j].scheme, specs[j].quant_bits)
+                  == _build_key(spec, spec.scheme, spec.quant_bits)]
+        log.info("%s %s: %d workers, %d trials per block, env %s%s%s%s", spec.scenario,
                  spec.scheme, processes, blocks[i], env,
                  " (set after numpy loaded, so BLAS kept its own thread count)"
                  if NUMPY_BEFORE_PIN else "",
-                 f"; shares channel draws with {shared}" if shared else "")
+                 f"; shares channel draws with {_names(specs, draws)}" if draws else "",
+                 f"; shares beamformer builds with {_names(specs, builds)}" if builds else "")
     points = [[] for _ in specs]
     values = [np.empty((4, spec.trials)) for spec in specs]
     resamples = np.zeros((len(specs), len(RESAMPLE_CAUSES)), dtype=int)

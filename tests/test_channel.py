@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mimosec import (ConfigurationError, MimosecError, SystemConfig,
                      complex_normal, derive_seed, derived_rng,
-                     empirical_moment, sample_realization)
+                     sample_realization)
+from mimosec.channel import carve, trial_normals
 from mimosec.config import MAX_SIZE
 
 
@@ -37,6 +40,24 @@ class TestSampleRealization:
     def test_rejects_non_config(self):
         with pytest.raises(ConfigurationError):
             sample_realization("not a config", 1, 0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(M=st.integers(1, 40), K=st.integers(1, 8), J=st.integers(0, 8),
+           wider=st.integers(0, 8), seed=st.integers(0, 2 ** 64),
+           trial=st.integers(0, 2 ** 20))
+    def test_any_realization_is_carved_from_a_wider_draw(self, M, K, J, wider, seed, trial):
+        # The stream holds the x and then the y of H, then those of G, as
+        # four consecutive draws; a draw of any greater width starts with them.
+        rng = derived_rng(seed, trial)
+        x, y, u, v = (rng.standard_normal((M, n)) for n in (K, K, J, J))
+        normals = trial_normals(seed, trial, 2 * M * (K + J + wider))
+        got = carve(normals, M, K, J)
+        cfg = make_cfg(M=M, K=K, J=J, L=min(K, M))
+        for ch in (got, sample_realization(cfg, seed, trial)):
+            assert ch.H.tobytes() == ((x + 1j * y) / np.sqrt(2.0)).tobytes()
+            assert ch.G.tobytes() == ((u + 1j * v) / np.sqrt(2.0)).tobytes()
+        # An H carved before for this K is shared, not carved again.
+        assert carve(normals, M, K, J, got.H).H is got.H
 
     @pytest.mark.parametrize("derive", [derived_rng, derive_seed])
     def test_negative_key_rejected(self, derive):
@@ -72,25 +93,6 @@ class TestChannelStatistics:
         # real-part correlation as a second, real-valued proxy
         r = np.corrcoef(a.real, b.real)[0, 1]
         assert abs(r) < 0.02
-
-
-class TestEmpiricalMoment:
-    def test_constant_vector_first_moment(self):
-        assert empirical_moment([0.1] * 16, 1) == pytest.approx(0.1)
-
-    def test_constant_vector_second_moment(self):
-        assert empirical_moment([0.1] * 16, 2) == pytest.approx(0.01)
-
-    def test_mean(self):
-        assert empirical_moment([1.0, 2.0, 3.0], 1) == pytest.approx(2.0)
-
-    def test_empty_rejected(self):
-        with pytest.raises(MimosecError):
-            empirical_moment([], 1)
-
-    def test_bad_order_rejected(self):
-        with pytest.raises(MimosecError):
-            empirical_moment([1.0], 0)
 
 
 class TestConfigValidation:

@@ -338,8 +338,9 @@ class TestSubcommands:
         (manifest_with(K="16"), "K"),
         (manifest_with(sigma2=float("nan")), "sigma2"),
         (manifest_with(bogus=1), "bogus"),
+        (manifest_with(scenario="a\rb"), "scenario"),
     ], ids=["malformed", "empty", "array", "sweep_array", "string_K", "nan_sigma2",
-            "unknown_key"])
+            "unknown_key", "control_character_scenario"])
     def test_bad_manifest_rejected(self, tmp_path, capsys, body, key):
         manifest = write(tmp_path, body, name="bad.manifest.json")
         with pytest.raises(ConfigParseError):
@@ -512,6 +513,17 @@ class TestSubcommands:
         assert err.startswith("error: ") and detail in err
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("argv", [["sweep", "tas_sparse.cfg", "--out", "{out}"],
+                                      ["single", "tas_sparse.cfg", "--m", "64"]])
+    def test_negative_seed_names_the_flag(self, tmp_path, capsys, argv):
+        argv = [str(CONFIGS / arg) if arg.endswith(".cfg") else arg for arg in argv]
+        argv = [arg.format(out=tmp_path / "out") for arg in argv]
+        assert main(argv + ["--seed", "-3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: --seed must be non-negative, got -3\n"
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
     def test_sweep_out_on_a_file_is_an_error(self, tmp_path, capsys):
         cfg = write(tmp_path, SPARSE_TAS)
         taken = write(tmp_path, "", name="taken")
@@ -600,7 +612,8 @@ def sweep_specs(draw):
     noise = st.floats(1e-6, 1e6)
     m_values = draw(st.lists(st.integers(max(K, L), 4096), unique=True, max_size=4))
     return SweepSpec(
-        scenario=draw(st.text(max_size=8)), scheme=scheme, K=K, J=J, L=L,
+        scenario=draw(st.text(st.characters(exclude_categories=("Cc",)), max_size=8)),
+        scheme=scheme, K=K, J=J, L=L,
         total_power=draw(gains), sigma2=draw(noise), rho2=draw(noise),
         betas=np.array(draw(st.lists(gains, min_size=K, max_size=K))),
         thetas=np.array(draw(st.lists(gains, min_size=J, max_size=J))),

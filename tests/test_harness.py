@@ -12,8 +12,8 @@ import mimosec.harness as harness
 from mimosec.config import MAX_SIZE
 from mimosec import (ConfigurationError, DegenerateChannelError,
                      SingularChannelError, SweepSpec, SystemConfig,
-                     build_beamformers, run_sweep, run_sweeps, run_trial,
-                     sample_realization)
+                     build_beamformers, derive_seed, run_sweep, run_sweeps,
+                     run_trial, sample_realization)
 
 
 def small_spec(scheme="TAS_A", quant_bits=None, J=2, trials=20,
@@ -81,6 +81,16 @@ class TestRunTrial:
         fa = build_beamformers(ch.H, cfg, "HADP_A").F
         fb = build_beamformers(ch.H, cfg, "HADP_B", 16).F
         assert np.max(np.abs(np.angle(fb * np.conj(fa)))) <= 2 * np.pi / 2 ** 16
+
+    @pytest.mark.parametrize("scheme, quant_bits", [("HADP_A", None), ("HADP_B", 3)])
+    def test_a_given_phase_match_builds_the_same_bits(self, scheme, quant_bits):
+        cfg = preset_cfg()
+        H = sample_realization(cfg, 13, 0).H
+        own = build_beamformers(H, cfg, scheme, quant_bits)
+        F = beamforming.analog_phase_match(H)
+        given = build_beamformers(H, cfg, scheme, quant_bits, F)
+        assert own.F.tobytes() == given.F.tobytes() and own.W.tobytes() == given.W.tobytes()
+        assert (given.F is F) == (scheme == "HADP_A")
 
     def test_construction_ignores_eavesdropper_channels(self):
         cfg = preset_cfg()
@@ -235,10 +245,10 @@ def shared_specs():
             small_spec("HADP_A", J=3, trials=22, m_values=narrow)]
 
 
-def shared_draws(specs):
-    """Distinct channel draws of a run of ``specs``: one per (seed, K, J, m,
-    trial index) of any of them."""
-    return {(s.master_seed, s.K, s.J, m, t) for s in specs for m in s.m_values
+def trial_streams(specs):
+    """Distinct trial streams of a run of ``specs``: one per (seed, m, trial
+    index) of any of them."""
+    return {(derive_seed(s.master_seed, m), t) for s in specs for m in s.m_values
             for t in range(s.trials)}
 
 
@@ -254,17 +264,45 @@ class TestRunSweeps:
     def test_each_shared_channel_is_drawn_once(self, monkeypatch):
         specs = shared_specs()
         drawn = Counter()
-        real = harness.sample_realization
+        real = harness.trial_normals
 
-        def counting(cfg, seed, trial_index):
-            drawn[cfg.M, cfg.K, cfg.J, seed, trial_index] += 1
-            return real(cfg, seed, trial_index)
+        def counting(seed, trial_index, count):
+            drawn[seed, trial_index] += 1
+            return real(seed, trial_index, count)
 
-        monkeypatch.setattr(harness, "sample_realization", counting)
+        monkeypatch.setattr(harness, "trial_normals", counting)
         run_sweeps(specs, workers=1)
         assert set(drawn.values()) == {1}
-        assert len(drawn) == len(shared_draws(specs))
-        assert len(drawn) < sum(s.trials * len(s.m_values) for s in specs)
+        assert set(drawn) == trial_streams(specs)
+        # Fewer draws than one per (seed, K, J, m, trial index), the sweeps
+        # with J = 2 and J = 3 sharing theirs.
+        assert len(drawn) < len({(s.master_seed, s.K, s.J, m, t) for s in specs
+                                 for m in s.m_values for t in range(s.trials)})
+
+    def test_each_draw_is_phase_matched_once_and_built_once_per_setting(self, monkeypatch):
+        # Two HADP_A sweeps that differ in J alone share their builds; the
+        # HADP_B sweep quantizes the same phase match.
+        specs = [small_spec("HADP_A", trials=6), small_spec("HADP_A", J=3, trials=6),
+                 small_spec("HADP_B", quant_bits=4, trials=4)]
+        alone = [run_sweep(spec).points for spec in specs]
+        matched, built = Counter(), Counter()
+        real_match, real_build = beamforming.analog_phase_match, harness.build_beamformers
+
+        def matching(H):
+            matched[H.tobytes()] += 1
+            return real_match(H)
+
+        def building(H, cfg, scheme, *args):
+            built[scheme] += 1
+            return real_build(H, cfg, scheme, *args)
+
+        monkeypatch.setattr(harness, "analog_phase_match", matching)
+        monkeypatch.setattr(beamforming, "analog_phase_match", matching)
+        monkeypatch.setattr(harness, "build_beamformers", building)
+        assert [r.points for r in run_sweeps(specs, workers=1)] == alone
+        assert set(matched.values()) == {1}
+        assert len(matched) == 6 * 2
+        assert built == {"HADP_A": 6 * 2, "HADP_B": 4 * 2}
 
     def test_trials_outside_a_sweep_draw_every_time(self, monkeypatch):
         drawn = []
@@ -308,14 +346,23 @@ class TestRunSweeps:
 
     def test_verbose_head_names_the_sweeps_sharing_draws(self, caplog):
         specs = [replace(s, scenario=f"s{i}", m_values=(8,), trials=2)
-                 for i, s in enumerate(shared_specs())]
+                 for i, s in enumerate(shared_specs() + [small_spec("HADP_A")])]
         with caplog.at_level(logging.INFO, logger="mimosec.harness"):
             run_sweeps(specs, workers=1)
         heads = caplog.messages[:len(specs)]
-        assert heads[0].endswith("; shares channel draws with s1 TAS_B, s2 HADP_B")
-        assert heads[1].endswith("; shares channel draws with s0 TAS_A, s2 HADP_B")
-        assert heads[2].endswith("; shares channel draws with s0 TAS_A, s1 TAS_B")
-        assert all("shares" not in head for head in heads[3:])
+        # Draws are shared by master seed alone, builds by equal schemes and
+        # transmit-side settings: s4 and s5 differ in J only.
+        assert heads[0].endswith(
+            "; shares channel draws with s1 TAS_B, s2 HADP_B, s4 HADP_A, s5 HADP_A")
+        assert heads[1].endswith(
+            "; shares channel draws with s0 TAS_A, s2 HADP_B, s4 HADP_A, s5 HADP_A")
+        assert heads[2].endswith(
+            "; shares channel draws with s0 TAS_A, s1 TAS_B, s4 HADP_A, s5 HADP_A")
+        assert "shares" not in heads[3]
+        assert heads[4].endswith("; shares channel draws with s0 TAS_A, s1 TAS_B, s2 HADP_B, "
+                                 "s5 HADP_A; shares beamformer builds with s5 HADP_A")
+        assert heads[5].endswith("; shares channel draws with s0 TAS_A, s1 TAS_B, s2 HADP_B, "
+                                 "s4 HADP_A; shares beamformer builds with s4 HADP_A")
         per_m = caplog.messages[len(specs):]
         assert sorted(line.split(":")[0] for line in per_m) == [
             f"s{i} {s.scheme} m=8" for i, s in enumerate(specs)]
