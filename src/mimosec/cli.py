@@ -317,7 +317,7 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_gumbel(args) -> int:
-    check = gumbel_check(args.m, args.trials, args.seed)
+    check = gumbel_check(args.m, args.trials, _seed_flag(args))
     print(f"m: {check.m}")
     print(f"trials: {check.trials}")
     print(f"ks_statistic: {_fmt(check.ks_statistic)}")
@@ -327,7 +327,7 @@ def _cmd_gumbel(args) -> int:
 
 
 def _cmd_clt(args) -> int:
-    ks = clt_check(args.m, args.trials, args.seed)
+    ks = clt_check(args.m, args.trials, _seed_flag(args))
     print(f"m: {args.m}")
     print(f"trials: {args.trials}")
     print(f"ks_statistic: {_fmt(ks)}")

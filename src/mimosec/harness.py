@@ -14,7 +14,8 @@ import numpy as np
 from . import BLAS_THREAD_VARS, NUMPY_BEFORE_PIN
 from .beamforming import (MAX_QUANT_BITS, SCHEMES, analog_phase_match,
                           build_beamformers)
-from .channel import carve, derive_seed, sample_realization, trial_normals
+from .channel import carve, derive_seed, trial_normals
+from .channel import sample_realization  # unused here: perfbench/inproc.py patches it by name
 from .config import MAX_SIZE, SystemConfig
 from .errors import (ConfigParseError, ConfigurationError,
                      DegenerateChannelError, SingularChannelError)
@@ -237,87 +238,81 @@ def _build_key(s, scheme: str, quant_bits: int | None) -> tuple:
             tuple(s.betas), tuple(s.weights))
 
 
-class _SharedTrial:
-    """What the sweeps of a block task share at one trial index t: one draw
-    of the trial's stream, carved into a read-only realization per (K, J)
-    with one H per K, and each build from H that more than one of the sweeps
-    makes, made once.  ``specs`` are the sweeps with more than t trials."""
+class _Trial:
+    """One trial index t of array size m, drawn once for ``uses``, the
+    (cfg, scheme, quant_bits) that evaluate it: the trial's stream is drawn
+    at the widest K + J of the uses and carved into a read-only realization
+    per (K, J) with one H per K, and each build from H that more than one
+    use makes is made once."""
 
-    def __init__(self, m: int, seed: int, t: int, specs):
-        self.stream = (seed, t)
-        normals = trial_normals(seed, t, 2 * m * max(spec.K + spec.J for spec in specs))
+    def __init__(self, m: int, seed: int, t: int, uses):
+        normals = trial_normals(seed, t, 2 * m * max(cfg.K + cfg.J for cfg, _, _ in uses))
         self.draws, H = {}, {}
-        for spec in specs:
-            if (spec.K, spec.J) not in self.draws:
-                ch = carve(normals, m, spec.K, spec.J, H.get(spec.K))
+        for cfg, _, _ in uses:
+            if (cfg.K, cfg.J) not in self.draws:
+                ch = carve(normals, m, cfg.K, cfg.J, H.get(cfg.K))
                 ch.H.flags.writeable = ch.G.flags.writeable = False
-                self.draws[spec.K, spec.J] = ch
-                H[spec.K] = ch.H
-        # Each trial builds its beamformers, and a hybrid one first phase-matches H.
-        uses = Counter(_build_key(spec, spec.scheme, spec.quant_bits) for spec in specs)
-        uses.update(("phase match", spec.K) for spec in specs if spec.scheme in _HYBRID)
-        self.reused = {key for key, n in uses.items() if n > 1}
+                self.draws[cfg.K, cfg.J] = ch
+                H[cfg.K] = ch.H
+        # Each use builds its beamformers, and a hybrid one first phase-matches H.
+        made = Counter(_build_key(*use) for use in uses)
+        made.update(("phase match", cfg.K) for cfg, scheme, _ in uses if scheme in _HYBRID)
+        self.reused = {key for key, n in made.items() if n > 1}
         self.built = {}
 
-    def stage(self, key, make):
-        """``make()``, kept for the other sweeps if more than one makes ``key``.
-        A build that raises is not kept, so each sweep redraws its own."""
+    def _stage(self, key, make):
+        """``make()``, kept for the other uses if more than one makes ``key``.
+        A build that raises is not kept, so each use redraws its own."""
         if key not in self.reused:
             return make()
         if key not in self.built:
             self.built[key] = make()
         return self.built[key]
 
-    def prepare(self, cfg: SystemConfig, scheme: str, quant_bits: int | None):
-        """The shared realization of ``cfg``'s K and J, and the scheme's
-        beamformers on it."""
+    def report(self, cfg: SystemConfig, scheme: str, quant_bits: int | None) -> RateReport:
+        """The rate metrics of one use: its scheme's beamformers, built from
+        the H of the realization of its K and J, on that realization."""
         ch = self.draws[cfg.K, cfg.J]
+        key = ("phase match", cfg.K)
 
         def build():
-            phase_match = None
-            if scheme in _HYBRID:
-                phase_match = self.stage(("phase match", cfg.K),
-                                         lambda: analog_phase_match(ch.H))
+            phase_match = (self._stage(key, lambda: analog_phase_match(ch.H))
+                           if scheme in _HYBRID and key in self.reused else None)
             return build_beamformers(ch.H, cfg, scheme, quant_bits, phase_match)
 
-        return ch, self.stage(_build_key(cfg, scheme, quant_bits), build)
-
-
-# The trial index a block task is on, shared by the sweeps of the block;
-# None outside a block task, where every trial draws and builds its own.
-_shared = None
+        return rate_report(ch, self._stage(_build_key(cfg, scheme, quant_bits), build), cfg)
 
 
 def run_trial(cfg: SystemConfig, scheme: str, quant_bits: int | None,
-              master_seed: int, trial_index: int) -> RateReport:
+              master_seed: int, trial_index: int, *, trial: _Trial | None = None) -> RateReport:
     """Sample one realization, build the scheme's beamformers from H only,
     and evaluate the rate metrics.
 
     Degenerate draws (exact-zero coefficients, ill-conditioned zero
-    forcing) raise; the sweep driver resamples and counts them.  Inside a
-    sweep's block task, the trials of its sweeps at the block's trial index
-    share one read-only draw and every build more than one of them makes.
+    forcing) raise; a sweep resamples and counts them.  ``trial``,
+    when given, is the ``_Trial`` of this array size, ``master_seed`` and
+    ``trial_index`` drawn for this use among others, whose draw and shared
+    builds are used; by default the trial is drawn for this use alone.
     """
-    if _shared is not None and _shared.stream == (master_seed, trial_index):
-        ch, bf = _shared.prepare(cfg, scheme, quant_bits)
-    else:
-        ch = sample_realization(cfg, master_seed, trial_index)
-        bf = build_beamformers(ch.H, cfg, scheme, quant_bits)
-    return rate_report(ch, bf, cfg)
+    if trial is None:
+        trial = _Trial(cfg.M, master_seed, trial_index, [(cfg, scheme, quant_bits)])
+    return trial.report(cfg, scheme, quant_bits)
 
 
-def _trial_with_resampling(cfg, scheme, quant_bits, seed, trial_index, trials):
-    """Run one trial, retrying on measure-zero degeneracies with a fresh
-    derived stream.  Returns the report and the number of redrawn attempts
-    per cause, an array indexed like ``RESAMPLE_CAUSES``."""
+def _trial_with_resampling(cfg, scheme, quant_bits, seed, trial_index, trials, trial=None):
+    """Run one trial, on ``trial`` if given, retrying on measure-zero
+    degeneracies with a fresh derived stream drawn for this use alone.
+    Returns the report and the number of redrawn attempts per cause, an
+    array indexed like ``RESAMPLE_CAUSES``."""
     resamples = np.zeros(len(RESAMPLE_CAUSES), dtype=int)
     for attempt in range(_MAX_RESAMPLES):
         try:
-            return run_trial(cfg, scheme, quant_bits, seed,
-                             attempt * trials + trial_index), resamples
+            return run_trial(cfg, scheme, quant_bits, seed, attempt * trials + trial_index,
+                             trial=trial), resamples
         except tuple(RESAMPLE_CAUSES) as exc:
             resamples[next(i for i, cause in enumerate(RESAMPLE_CAUSES)
                            if isinstance(exc, cause))] += 1
+            trial = None
     return run_trial(cfg, scheme, quant_bits, seed,
                      _MAX_RESAMPLES * trials + trial_index), resamples
 
@@ -325,36 +320,32 @@ def _trial_with_resampling(cfg, scheme, quant_bits, seed, trial_index, trials):
 def _block_task(args):
     """Run trials lo..hi-1 of array size m for each sweep of ``members``, a
     tuple of (position, spec) sharing the master seed, trial index by trial
-    index: each trial's channels are drawn once and each build from H that
-    several of the sweeps make is made once (see ``_SharedTrial``), for
-    every sweep with more trials than its index.  The draw's seconds count
+    index: each trial is one ``_Trial`` for every sweep with more trials
+    than its index, so its channels are drawn once and each build from H
+    that several of the sweeps make is made once.  The draw's seconds count
     in the first of those sweeps.  Returns (m, lo, and per member
     (position, a (4, n) array of r_sum, r_sum_noeve, leakage and cost over
     its n trials in the block, resamples per cause, seconds in its trials)).
     """
-    global _shared
     m, lo, hi, members = args
     seed = derive_seed(members[0][1].master_seed, m)
-    runs = [(spec, spec.config_for(m), np.empty((4, min(hi, spec.trials) - lo)),
+    runs = [(spec, (spec.config_for(m), spec.scheme, spec.quant_bits),
+             np.empty((4, min(hi, spec.trials) - lo)),
              np.zeros(len(RESAMPLE_CAUSES), dtype=int)) for _, spec in members]
     seconds = [0.0] * len(runs)
-    try:
-        for t in range(lo, hi):
-            active = [j for j, run in enumerate(runs) if t < run[0].trials]
-            _shared = None  # the last trial's draws go before the next is drawn
+    for t in range(lo, hi):
+        active = [j for j, run in enumerate(runs) if t < run[0].trials]
+        trial = None  # the last trial's draws go before the next is drawn
+        start = time.perf_counter()
+        trial = _Trial(m, seed, t, [runs[j][1] for j in active])
+        seconds[active[0]] += time.perf_counter() - start
+        for j in active:
+            spec, use, rows, resamples = runs[j]
             start = time.perf_counter()
-            _shared = _SharedTrial(m, seed, t, [runs[j][0] for j in active])
-            seconds[active[0]] += time.perf_counter() - start
-            for j in active:
-                spec, cfg, rows, resamples = runs[j]
-                start = time.perf_counter()
-                report, extra = _trial_with_resampling(cfg, spec.scheme, spec.quant_bits,
-                                                       seed, t, spec.trials)
-                seconds[j] += time.perf_counter() - start
-                rows[:, t - lo] = report.r_sum, report.r_sum_noeve, report.leakage, report.cost
-                resamples += extra
-    finally:
-        _shared = None
+            report, extra = _trial_with_resampling(*use, seed, t, spec.trials, trial)
+            seconds[j] += time.perf_counter() - start
+            rows[:, t - lo] = report.r_sum, report.r_sum_noeve, report.leakage, report.cost
+            resamples += extra
     return m, lo, [(i, rows, resamples, sec)
                    for (i, _), (_, _, rows, resamples), sec in zip(members, runs, seconds)]
 

@@ -299,11 +299,11 @@ class TestSubcommands:
         real_run_trial = harness.run_trial
         calls = []
 
-        def flaky(cfg, scheme, quant_bits, seed, trial_index):
+        def flaky(cfg, scheme, quant_bits, seed, trial_index, trial=None):
             calls.append(trial_index)
             if len(calls) == 1:
                 raise DegenerateChannelError("injected")
-            return real_run_trial(cfg, scheme, quant_bits, seed, trial_index)
+            return real_run_trial(cfg, scheme, quant_bits, seed, trial_index, trial=trial)
 
         monkeypatch.setattr(harness, "run_trial", flaky)
         cfg = write(tmp_path, SPARSE_TAS)
@@ -514,7 +514,9 @@ class TestSubcommands:
         assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("argv", [["sweep", "tas_sparse.cfg", "--out", "{out}"],
-                                      ["single", "tas_sparse.cfg", "--m", "64"]])
+                                      ["single", "tas_sparse.cfg", "--m", "64"],
+                                      ["gumbel", "--m", "8", "--trials", "3"],
+                                      ["clt", "--m", "8", "--trials", "3"]])
     def test_negative_seed_names_the_flag(self, tmp_path, capsys, argv):
         argv = [str(CONFIGS / arg) if arg.endswith(".cfg") else arg for arg in argv]
         argv = [arg.format(out=tmp_path / "out") for arg in argv]
@@ -573,7 +575,7 @@ class TestSubcommands:
         assert caplog.messages[0].startswith("sparse-demo TAS_A: 1 workers, ")
 
     def test_out_of_memory_is_an_error(self, tmp_path, capsys, monkeypatch):
-        def exhausted(*args):
+        def exhausted(*args, trial=None):
             raise MemoryError("injected")
 
         monkeypatch.setattr(harness, "run_trial", exhausted)

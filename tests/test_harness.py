@@ -1,10 +1,14 @@
+import ast
 import logging
 import os
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mimosec
 import mimosec.beamforming as beamforming
@@ -14,6 +18,9 @@ from mimosec import (ConfigurationError, DegenerateChannelError,
                      SingularChannelError, SweepSpec, SystemConfig,
                      build_beamformers, derive_seed, run_sweep, run_sweeps,
                      run_trial, sample_realization)
+
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def small_spec(scheme="TAS_A", quant_bits=None, J=2, trials=20,
@@ -139,7 +146,7 @@ class TestRunSweep:
     def test_degenerate_draws_resampled_and_counted(self, monkeypatch, caplog):
         real_run_trial = harness.run_trial
 
-        def flaky(cfg, scheme, quant_bits, seed, trial_index):
+        def flaky(cfg, scheme, quant_bits, seed, trial_index, trial=None):
             # One worker takes 19 trials in blocks of 4: trials 5 and 6 are
             # inside the second block.  Only their first attempts at the
             # second m fail, one for each cause.
@@ -147,7 +154,7 @@ class TestRunSweep:
                 raise DegenerateChannelError("injected")
             if cfg.M == 16 and trial_index == 6:
                 raise SingularChannelError("injected")
-            return real_run_trial(cfg, scheme, quant_bits, seed, trial_index)
+            return real_run_trial(cfg, scheme, quant_bits, seed, trial_index, trial=trial)
 
         monkeypatch.setattr(harness, "run_trial", flaky)
         with caplog.at_level(logging.INFO, logger="mimosec.harness"):
@@ -163,7 +170,7 @@ class TestRunSweep:
     def test_resampling_gives_up_after_the_budget(self, monkeypatch, cause):
         calls = []
 
-        def always_degenerate(cfg, scheme, quant_bits, seed, trial_index):
+        def always_degenerate(cfg, scheme, quant_bits, seed, trial_index, trial=None):
             calls.append(trial_index)
             raise cause("injected")
 
@@ -306,8 +313,8 @@ class TestRunSweeps:
 
     def test_trials_outside_a_sweep_draw_every_time(self, monkeypatch):
         drawn = []
-        real = harness.sample_realization
-        monkeypatch.setattr(harness, "sample_realization",
+        real = harness.trial_normals
+        monkeypatch.setattr(harness, "trial_normals",
                             lambda *args: drawn.append(args) or real(*args))
         for _ in range(3):
             run_trial(preset_cfg(), "HADP_A", None, 17, 2)
@@ -329,13 +336,13 @@ class TestRunSweeps:
         alone = [run_sweep(spec).points for spec in specs]
         real_run_trial = harness.run_trial
 
-        def flaky(cfg, scheme, quant_bits, seed, trial_index):
+        def flaky(cfg, scheme, quant_bits, seed, trial_index, trial=None):
             # The first attempt of HADP_B's trial 3 fails at every m and is
             # redrawn from trial index 3 + 22; the other sweeps still use
             # the shared draw of trial 3.
             if scheme == "HADP_B" and trial_index == 3:
                 raise SingularChannelError("injected")
-            return real_run_trial(cfg, scheme, quant_bits, seed, trial_index)
+            return real_run_trial(cfg, scheme, quant_bits, seed, trial_index, trial=trial)
 
         monkeypatch.setattr(harness, "run_trial", flaky)
         results = run_sweeps(specs, workers=1)
@@ -366,6 +373,69 @@ class TestRunSweeps:
         per_m = caplog.messages[len(specs):]
         assert sorted(line.split(":")[0] for line in per_m) == [
             f"s{i} {s.scheme} m=8" for i, s in enumerate(specs)]
+
+    def test_a_sweep_leaves_the_module_state_alone(self, monkeypatch):
+        # What a trial shares with the other sweeps is handed to it, not
+        # left in a module global that changes what run_trial does.
+        real, calls = harness.rate_report, []
+
+        def checking(*args):
+            calls.append(args)
+            now = vars(harness)
+            assert now.keys() == before.keys()
+            assert [name for name in now if now[name] is not before[name]] == []
+            return real(*args)
+
+        monkeypatch.setattr(harness, "rate_report", checking)
+        before = dict(vars(harness))
+        run_sweeps(shared_specs()[:3], workers=1)
+        assert calls
+
+
+def outcome(cfg, scheme, quant_bits, seed, t, trial=None):
+    """The bytes of every field of ``run_trial``'s report, or the type of
+    the degeneracy it raises."""
+    try:
+        report = run_trial(cfg, scheme, quant_bits, seed, t, trial=trial)
+    except tuple(harness.RESAMPLE_CAUSES) as exc:
+        return type(exc)
+    return [np.asarray(getattr(report, f.name)).tobytes() for f in fields(report)]
+
+
+class TestTrial:
+    @pytest.mark.parametrize("scheme", mimosec.SCHEMES)
+    @settings(max_examples=25, deadline=None)
+    @given(K=st.integers(1, 5), J=st.integers(0, 4), wider_K=st.integers(0, 3),
+           wider_J=st.integers(1, 3), t=st.integers(0, 1000))
+    def test_a_shared_trial_reports_as_one_drawn_alone(self, scheme, K, J, wider_K,
+                                                       wider_J, t):
+        quant_bits = 4 if scheme == "HADP_B" else None
+        cfg = preset_cfg(M=24, K=K, J=J)
+        sibling = preset_cfg(M=24, K=K, J=J + wider_J)
+        # The draw is made for a wider (K, J) than cfg's, and cfg's build,
+        # and a hybrid's phase match, is shared with a sibling that differs
+        # in J alone and is evaluated first.
+        uses = [(preset_cfg(M=24, K=K + wider_K, J=J + wider_J), "HADP_A", None),
+                (sibling, scheme, quant_bits), (cfg, scheme, quant_bits)]
+        trial = harness._Trial(24, 41, t, uses)
+        assert harness._build_key(*uses[-1]) in trial.reused
+        outcome(sibling, scheme, quant_bits, 41, t, trial)
+        alone = outcome(cfg, scheme, quant_bits, 41, t)
+        assert outcome(cfg, scheme, quant_bits, 41, t, trial) == alone
+
+
+def test_every_name_the_benchmark_traces_is_bound_in_the_harness():
+    """perfbench/inproc.py traces a sweep by patching, by name, the harness
+    globals listed in its ``TRACED`` dict, so a name the harness stops
+    binding breaks ``perfbench/run.py --trace 1``.  The dict is read without
+    importing the benchmark.  This test goes when the benchmark stops
+    patching the harness (ROADMAP item 1)."""
+    tree = ast.parse((ROOT / "perfbench" / "inproc.py").read_text())
+    traced = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                  and [getattr(t, "id", None) for t in node.targets] == ["TRACED"])
+    names = ast.literal_eval(traced)
+    assert names
+    assert [name for name in names if not callable(getattr(harness, name, None))] == []
 
 
 class TestBlasThreads:
