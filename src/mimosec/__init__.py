@@ -4,6 +4,7 @@ analog-digital precoding)."""
 
 __version__ = "0.1.0"
 
+import ctypes
 import os
 import sys
 
@@ -19,6 +20,46 @@ NUMPY_BEFORE_PIN = "numpy" in sys.modules
 for _var in BLAS_THREAD_VARS:
     os.environ.setdefault(_var, "1")
 del _var
+
+# glibc's own malloc settings.  Any of them, or a glibc.malloc. entry in
+# GLIBC_TUNABLES, means the user has tuned malloc, and that tuning wins.
+MALLOC_VARS = ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_", "MALLOC_TOP_PAD_")
+
+
+def malloc_set_by_user(environ):
+    """Whether ``environ`` holds one of glibc's own malloc settings."""
+    return (any(var in environ for var in MALLOC_VARS)
+            or "glibc.malloc." in environ.get("GLIBC_TUNABLES", ""))
+
+
+def keep_heap(libc, environ):
+    """Keep freed trial arrays in the heap; returns whether that was set.
+
+    At large M a trial allocates and frees several MiB of arrays.  glibc's
+    dynamic trim threshold (twice the largest mmapped chunk freed so far)
+    is smaller than that, so it hands the top of the heap back to the
+    kernel after every trial and the next trial faults it in again.  This
+    sets the mmap threshold to 32 MiB, the ceiling of glibc's dynamic one
+    on 64-bit, and the trim threshold to twice that, glibc's own rule.
+    Nothing is set when the user tuned malloc (``malloc_set_by_user``) or
+    ``libc`` has no working ``mallopt`` (macOS and Windows have none;
+    musl's returns 0).  The arithmetic, and so every result, is unchanged.
+    """
+    if malloc_set_by_user(environ):
+        return False
+    mallopt = getattr(libc, "mallopt", None)
+    if mallopt is None:
+        return False
+    M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+    return bool(mallopt(M_MMAP_THRESHOLD, 32 << 20)) and bool(mallopt(M_TRIM_THRESHOLD, 64 << 20))
+
+
+# Set once per process at import, so forked pool workers inherit it; unlike
+# the BLAS pin it takes effect even when numpy was imported first.
+try:
+    HEAP_KEPT = keep_heap(ctypes.CDLL(None), os.environ)
+except (OSError, TypeError):  # no C library handle to open (Windows)
+    HEAP_KEPT = False
 
 from .asymptotics import (FitResult, GumbelCheck, clt_check, fit_cost_anchor,
                           fit_growth, gumbel_check, phase_aligned_sums)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import BLAS_THREAD_VARS, NUMPY_BEFORE_PIN
+from . import BLAS_THREAD_VARS, HEAP_KEPT, NUMPY_BEFORE_PIN, malloc_set_by_user
 from .beamforming import (MAX_QUANT_BITS, SCHEMES, analog_phase_match,
                           build_beamformers)
 from .channel import carve, derive_seed, trial_normals
@@ -446,14 +446,16 @@ def run_sweeps(specs, workers: int = 1) -> list:
     tasks, blocks, group_of = _tasks(specs, workers)
     processes = min(workers, len(tasks))
     env = " ".join(f"{var}={os.environ.get(var, 'unset')}" for var in BLAS_THREAD_VARS)
+    heap = ("heap kept between trials" if HEAP_KEPT else "heap left to the C library ("
+            + ("malloc set by the user" if malloc_set_by_user(os.environ) else "no mallopt") + ")")
     for i, spec in enumerate(specs):
         draws = [j for j in group_of[i] if j != i]
         builds = [j for j in draws if _build_key(specs[j], specs[j].scheme, specs[j].quant_bits)
                   == _build_key(spec, spec.scheme, spec.quant_bits)]
-        log.info("%s %s: %d workers, %d trials per block, env %s%s%s%s", spec.scenario,
+        log.info("%s %s: %d workers, %d trials per block, env %s%s, %s%s%s", spec.scenario,
                  spec.scheme, processes, blocks[i], env,
                  " (set after numpy loaded, so BLAS kept its own thread count)"
-                 if NUMPY_BEFORE_PIN else "",
+                 if NUMPY_BEFORE_PIN else "", heap,
                  f"; shares channel draws with {_names(specs, draws)}" if draws else "",
                  f"; shares beamformer builds with {_names(specs, builds)}" if builds else "")
     points = [[] for _ in specs]

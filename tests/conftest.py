@@ -14,9 +14,12 @@ import pytest
 @pytest.fixture
 def fresh_python():
     """Run code in a new interpreter that finds this package and sees none
-    of the BLAS thread variables except those passed; returns its stdout."""
+    of the BLAS thread or glibc malloc variables except those passed;
+    returns its stdout."""
+    unset = (*mimosec.BLAS_THREAD_VARS, *mimosec.MALLOC_VARS, "GLIBC_TUNABLES")
+
     def run(code, **env):
-        clean = {k: v for k, v in os.environ.items() if k not in mimosec.BLAS_THREAD_VARS}
+        clean = {k: v for k, v in os.environ.items() if k not in unset}
         clean.update(env, PYTHONPATH=str(Path(mimosec.__file__).resolve().parents[1]))
         return subprocess.run([sys.executable, "-c", code], env=clean, check=True,
                               capture_output=True, text=True, timeout=120).stdout

@@ -239,6 +239,20 @@ class TestRunSweep:
         assert [line.split(":")[0] for line in per_m] == ["unit TAS_A m=8", "unit TAS_A m=16"]
         assert all(line.endswith(" s)") for line in per_m)
 
+    @pytest.mark.parametrize("heap_kept, tunables, heap", [
+        (True, "", "heap kept between trials"),
+        (False, "", "heap left to the C library (no mallopt)"),
+        (False, "glibc.malloc.top_pad=0", "heap left to the C library (malloc set by the user)")])
+    def test_verbose_log_reports_the_heap_setting(self, caplog, monkeypatch, heap_kept,
+                                                  tunables, heap):
+        monkeypatch.setattr(harness, "HEAP_KEPT", heap_kept)
+        for var in mimosec.MALLOC_VARS:
+            monkeypatch.delenv(var, raising=False)
+        monkeypatch.setenv("GLIBC_TUNABLES", tunables)
+        with caplog.at_level(logging.INFO, logger="mimosec.harness"):
+            run_sweep(small_spec(trials=1, m_values=(8,)), workers=1)
+        assert caplog.messages[0].endswith(f", {heap}")
+
 
 def shared_specs():
     """Sweeps of one config: the first three share seed, K and J with
@@ -454,3 +468,54 @@ class TestBlasThreads:
     def test_records_numpy_loaded_first(self, fresh_python, imports, late):
         code = f"import {imports}; print(mimosec.NUMPY_BEFORE_PIN)"
         assert fresh_python(code).strip() == late
+
+
+class TestHeap:
+    def test_trials_past_the_first_fault_in_no_pages(self, fresh_python):
+        pytest.importorskip("resource")
+        code = """if True:
+            import resource
+            import mimosec
+            from mimosec import SystemConfig, run_trial
+            cfg = SystemConfig.uniform(M=4096, K=16, J=16, L=16, total_power=1.0,
+                                       sigma2=1.0, rho2=1.0)
+            run_trial(cfg, "HADP_B", 4, 7, 0)
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            for t in range(1, 6):
+                run_trial(cfg, "HADP_B", 4, 7, t)
+            print(mimosec.HEAP_KEPT, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        """
+        kept, faults = fresh_python(code).split()
+        if kept != "True":
+            pytest.skip("no working mallopt in this C library")
+        assert int(faults) < 100
+
+    @pytest.mark.parametrize("env", [{"MALLOC_TRIM_THRESHOLD_": "131072"},
+                                     {"GLIBC_TUNABLES": "glibc.malloc.trim_threshold=131072"}])
+    def test_malloc_set_by_the_user_wins(self, fresh_python, env):
+        assert fresh_python("import mimosec; print(mimosec.HEAP_KEPT)", **env).strip() == "False"
+
+    class FakeLibc:
+        """A C library whose ``mallopt`` records its calls and returns ``ok``."""
+
+        def __init__(self, ok):
+            self.ok, self.calls = ok, []
+
+        def mallopt(self, param, value):
+            self.calls.append((param, value))
+            return self.ok
+
+    @pytest.mark.parametrize("libc", [object(), FakeLibc(0)], ids=["no mallopt", "musl"])
+    def test_without_a_working_mallopt_nothing_is_set(self, libc):
+        assert mimosec.keep_heap(libc, {}) is False
+
+    def test_sets_the_mmap_then_the_trim_threshold(self):
+        libc = self.FakeLibc(1)
+        other = {"GLIBC_TUNABLES": "glibc.rtld.optional_static_tls=512"}
+        assert mimosec.keep_heap(libc, other) is True
+        assert libc.calls == [(-3, 32 << 20), (-1, 64 << 20)]
+
+    def test_user_setting_is_left_alone(self):
+        libc = self.FakeLibc(1)
+        assert mimosec.keep_heap(libc, {"MALLOC_TOP_PAD_": "0"}) is False
+        assert libc.calls == []
