@@ -57,9 +57,11 @@ def keep_heap(libc, environ):
 # Set once per process at import, so forked pool workers inherit it; unlike
 # the BLAS pin it takes effect even when numpy was imported first.
 try:
-    HEAP_KEPT = keep_heap(ctypes.CDLL(None), os.environ)
-except (OSError, TypeError):  # no C library handle to open (Windows)
-    HEAP_KEPT = False
+    _libc = ctypes.CDLL(None)
+except (OSError, TypeError):  # Windows has no handle on the process's symbols
+    _libc = None
+HEAP_KEPT = keep_heap(_libc, os.environ)
+del _libc
 
 from .asymptotics import (FitResult, GumbelCheck, clt_check, fit_cost_anchor,
                           fit_growth, gumbel_check, phase_aligned_sums)
