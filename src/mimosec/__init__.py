@@ -14,7 +14,7 @@ import sys
 # loads it, so they are set here, before any submodule imports numpy, and
 # forked pool workers inherit them.  A value already set in the environment
 # wins.  When numpy was imported first the setting comes too late, and
-# NUMPY_BEFORE_PIN records that for the sweep log.
+# NUMPY_BEFORE_PIN records that.
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 NUMPY_BEFORE_PIN = "numpy" in sys.modules
 for _var in BLAS_THREAD_VARS:
@@ -26,14 +26,8 @@ del _var
 MALLOC_VARS = ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_", "MALLOC_TOP_PAD_")
 
 
-def malloc_set_by_user(environ):
-    """Whether ``environ`` holds one of glibc's own malloc settings."""
-    return (any(var in environ for var in MALLOC_VARS)
-            or "glibc.malloc." in environ.get("GLIBC_TUNABLES", ""))
-
-
 def keep_heap(libc, environ):
-    """Keep freed trial arrays in the heap; returns whether that was set.
+    """Keep freed trial arrays in the heap: returns None, or why it was not.
 
     At large M a trial allocates and frees several MiB of arrays.  glibc's
     dynamic trim threshold (twice the largest mmapped chunk freed so far)
@@ -41,17 +35,20 @@ def keep_heap(libc, environ):
     kernel after every trial and the next trial faults it in again.  This
     sets the mmap threshold to 32 MiB, the ceiling of glibc's dynamic one
     on 64-bit, and the trim threshold to twice that, glibc's own rule.
-    Nothing is set when the user tuned malloc (``malloc_set_by_user``) or
-    ``libc`` has no working ``mallopt`` (macOS and Windows have none;
-    musl's returns 0).  The arithmetic, and so every result, is unchanged.
+    Nothing is set when ``environ`` holds one of glibc's own malloc
+    settings ("malloc set by the user") or ``libc`` has no working
+    ``mallopt`` ("no mallopt": macOS and Windows have none; musl's returns
+    0).  The arithmetic, and so every result, is unchanged.
     """
-    if malloc_set_by_user(environ):
-        return False
+    if (any(var in environ for var in MALLOC_VARS)
+            or "glibc.malloc." in environ.get("GLIBC_TUNABLES", "")):
+        return "malloc set by the user"
     mallopt = getattr(libc, "mallopt", None)
-    if mallopt is None:
-        return False
     M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
-    return bool(mallopt(M_MMAP_THRESHOLD, 32 << 20)) and bool(mallopt(M_TRIM_THRESHOLD, 64 << 20))
+    if (mallopt is None or not mallopt(M_MMAP_THRESHOLD, 32 << 20)
+            or not mallopt(M_TRIM_THRESHOLD, 64 << 20)):
+        return "no mallopt"
+    return None
 
 
 # Set once per process at import, so forked pool workers inherit it; unlike
@@ -60,7 +57,12 @@ try:
     _libc = ctypes.CDLL(None)
 except (OSError, TypeError):  # Windows has no handle on the process's symbols
     _libc = None
-HEAP_KEPT = keep_heap(_libc, os.environ)
+# What the import set, recorded once for the sweep log, which a later change to
+# os.environ must not alter: the BLAS variables as the import left them, whether
+# numpy was loaded first, and why the heap is left to the C library (or None).
+SETTINGS = {"blas_threads": {var: os.environ[var] for var in BLAS_THREAD_VARS},
+            "numpy_before_pin": NUMPY_BEFORE_PIN, "heap_left": keep_heap(_libc, os.environ)}
+HEAP_KEPT = SETTINGS["heap_left"] is None
 del _libc
 
 from .asymptotics import (FitResult, GumbelCheck, clt_check, fit_cost_anchor,

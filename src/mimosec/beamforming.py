@@ -15,6 +15,9 @@ from .errors import (ConfigurationError, DegenerateChannelError,
 
 SCHEMES = ("TAS_A", "TAS_B", "HADP_A", "HADP_B")
 
+# The schemes whose analog stage starts from the phase match of H.
+HYBRID_SCHEMES = ("HADP_A", "HADP_B")
+
 ZF_CONDITION_LIMIT = 1e10
 
 # Finest phase-shifter resolution: a grid of more points than 2**52 is finer
@@ -279,6 +282,14 @@ def stepwise_tas(H: np.ndarray, L: int, cfg: SystemConfig) -> np.ndarray:
     return np.sort(selected)
 
 
+def build_key(s, scheme: str, quant_bits: int | None) -> tuple:
+    """What ``build_beamformers`` reads besides H: the scheme and the transmit
+    side of ``s``, a SystemConfig or a SweepSpec.  The transmitter has no
+    eavesdropper CSI, so J, thetas and rho2 are not in it."""
+    return (scheme, quant_bits, s.K, s.L, s.total_power, s.sigma2,
+            tuple(s.betas), tuple(s.weights))
+
+
 def build_beamformers(H: np.ndarray, cfg: SystemConfig, scheme: str,
                       quant_bits: int | None = None,
                       phase_match: np.ndarray | None = None) -> Beamformers:
@@ -302,7 +313,7 @@ def build_beamformers(H: np.ndarray, cfg: SystemConfig, scheme: str,
     if scheme == "TAS_B":
         idx = stepwise_tas(H, cfg.L, cfg)
         return SwitchedBeamformerSet(idx, cfg.M, mrt_effective(H[idx]), powers)
-    if scheme not in ("HADP_A", "HADP_B"):
+    if scheme not in HYBRID_SCHEMES:
         raise ConfigurationError(f"unknown scheme '{scheme}'")
     if scheme == "HADP_B" and quant_bits is None:
         raise ConfigurationError("HADP_B requires quant_bits")

@@ -2,7 +2,6 @@
 and aggregates the rate metrics with standard errors."""
 
 import logging
-import os
 import re
 import time
 from collections import Counter, namedtuple
@@ -11,9 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import BLAS_THREAD_VARS, HEAP_KEPT, NUMPY_BEFORE_PIN, malloc_set_by_user
-from .beamforming import (MAX_QUANT_BITS, SCHEMES, analog_phase_match,
-                          build_beamformers)
+from . import SETTINGS
+from .beamforming import (HYBRID_SCHEMES, MAX_QUANT_BITS, SCHEMES, analog_phase_match,
+                          build_beamformers, build_key)
 from .channel import carve, derive_seed, trial_normals
 from .channel import sample_realization  # unused here: perfbench/inproc.py patches it by name
 from .config import MAX_SIZE, SystemConfig
@@ -225,19 +224,6 @@ class SweepResult:
     points: tuple
 
 
-# The schemes whose analog stage starts from the phase match of H.
-_HYBRID = ("HADP_A", "HADP_B")
-
-
-def _build_key(s, scheme: str, quant_bits: int | None) -> tuple:
-    """What a scheme's beamformers depend on besides H: the scheme and the
-    transmit-side settings of ``s``, a SystemConfig or a SweepSpec.  The
-    transmitter has no eavesdropper CSI, so J, thetas and rho2 are not
-    among them."""
-    return (scheme, quant_bits, s.K, s.L, s.total_power, s.sigma2,
-            tuple(s.betas), tuple(s.weights))
-
-
 class _Trial:
     """One trial index t of array size m, drawn once for ``uses``, the
     (cfg, scheme, quant_bits) that evaluate it: the trial's stream is drawn
@@ -255,8 +241,8 @@ class _Trial:
                 self.draws[cfg.K, cfg.J] = ch
                 H[cfg.K] = ch.H
         # Each use builds its beamformers, and a hybrid one first phase-matches H.
-        made = Counter(_build_key(*use) for use in uses)
-        made.update(("phase match", cfg.K) for cfg, scheme, _ in uses if scheme in _HYBRID)
+        made = Counter(build_key(*use) for use in uses)
+        made.update(("phase match", cfg.K) for cfg, scheme, _ in uses if scheme in HYBRID_SCHEMES)
         self.reused = {key for key, n in made.items() if n > 1}
         self.built = {}
 
@@ -273,14 +259,13 @@ class _Trial:
         """The rate metrics of one use: its scheme's beamformers, built from
         the H of the realization of its K and J, on that realization."""
         ch = self.draws[cfg.K, cfg.J]
-        key = ("phase match", cfg.K)
 
         def build():
-            phase_match = (self._stage(key, lambda: analog_phase_match(ch.H))
-                           if scheme in _HYBRID and key in self.reused else None)
+            phase_match = (self._stage(("phase match", cfg.K), lambda: analog_phase_match(ch.H))
+                           if scheme in HYBRID_SCHEMES else None)
             return build_beamformers(ch.H, cfg, scheme, quant_bits, phase_match)
 
-        return rate_report(ch, self._stage(_build_key(cfg, scheme, quant_bits), build), cfg)
+        return rate_report(ch, self._stage(build_key(cfg, scheme, quant_bits), build), cfg)
 
 
 def run_trial(cfg: SystemConfig, scheme: str, quant_bits: int | None,
@@ -305,16 +290,16 @@ def _trial_with_resampling(cfg, scheme, quant_bits, seed, trial_index, trials, t
     Returns the report and the number of redrawn attempts per cause, an
     array indexed like ``RESAMPLE_CAUSES``."""
     resamples = np.zeros(len(RESAMPLE_CAUSES), dtype=int)
-    for attempt in range(_MAX_RESAMPLES):
+    for attempt in range(_MAX_RESAMPLES + 1):
         try:
             return run_trial(cfg, scheme, quant_bits, seed, attempt * trials + trial_index,
                              trial=trial), resamples
         except tuple(RESAMPLE_CAUSES) as exc:
+            if attempt == _MAX_RESAMPLES:
+                raise
             resamples[next(i for i, cause in enumerate(RESAMPLE_CAUSES)
                            if isinstance(exc, cause))] += 1
             trial = None
-    return run_trial(cfg, scheme, quant_bits, seed,
-                     _MAX_RESAMPLES * trials + trial_index), resamples
 
 
 def _block_task(args):
@@ -445,17 +430,17 @@ def run_sweeps(specs, workers: int = 1) -> list:
     workers = max(1, workers)
     tasks, blocks, group_of = _tasks(specs, workers)
     processes = min(workers, len(tasks))
-    env = " ".join(f"{var}={os.environ.get(var, 'unset')}" for var in BLAS_THREAD_VARS)
-    heap = ("heap kept between trials" if HEAP_KEPT else "heap left to the C library ("
-            + ("malloc set by the user" if malloc_set_by_user(os.environ) else "no mallopt") + ")")
+    env = " ".join(f"{var}={value}" for var, value in SETTINGS["blas_threads"].items())
+    heap = (f"heap left to the C library ({SETTINGS['heap_left']})" if SETTINGS["heap_left"]
+            else "heap kept between trials")
     for i, spec in enumerate(specs):
         draws = [j for j in group_of[i] if j != i]
-        builds = [j for j in draws if _build_key(specs[j], specs[j].scheme, specs[j].quant_bits)
-                  == _build_key(spec, spec.scheme, spec.quant_bits)]
+        builds = [j for j in draws if build_key(specs[j], specs[j].scheme, specs[j].quant_bits)
+                  == build_key(spec, spec.scheme, spec.quant_bits)]
         log.info("%s %s: %d workers, %d trials per block, env %s%s, %s%s%s", spec.scenario,
                  spec.scheme, processes, blocks[i], env,
                  " (set after numpy loaded, so BLAS kept its own thread count)"
-                 if NUMPY_BEFORE_PIN else "", heap,
+                 if SETTINGS["numpy_before_pin"] else "", heap,
                  f"; shares channel draws with {_names(specs, draws)}" if draws else "",
                  f"; shares beamformer builds with {_names(specs, builds)}" if builds else "")
     points = [[] for _ in specs]

@@ -43,6 +43,12 @@ class TestFitGrowth:
         with pytest.raises(MimosecError):
             fit_growth([8, 16, 32], [1, 2, 3], 1, "CUBIC")
 
+    def test_constant_data_is_fit_exactly(self):
+        fit = fit_growth([8, 16, 32], [2.5, 2.5, 2.5], 1, "LOG_GROWTH")
+        assert fit.slope == pytest.approx(0.0, abs=1e-12)
+        assert fit.intercept == pytest.approx(2.5, rel=1e-12)
+        assert fit.r_squared == 1.0
+
 
 class TestFitCostAnchor:
     def test_zero_anchor_gives_zero_model(self):
@@ -65,6 +71,14 @@ class TestFitCostAnchor:
     def test_missing_anchor_rejected(self):
         with pytest.raises(MimosecError):
             fit_cost_anchor([16, 64], [0.1, 0.2], "LOG_COST", 128)
+
+    def test_unknown_model_rejected(self):
+        with pytest.raises(MimosecError, match="unknown cost model 'LOG_GROWTH'"):
+            fit_cost_anchor([16, 64], [0.1, 0.2], "LOG_GROWTH", 64)
+
+    def test_empty_vectors_rejected(self):
+        with pytest.raises(FitError, match="non-empty"):
+            fit_cost_anchor([], [], "LOG_COST", 64)
 
 
 class TestGumbelCheck:

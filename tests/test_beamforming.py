@@ -162,6 +162,12 @@ class TestDigitalMrtSelected:
         with pytest.raises(DegenerateChannelError):
             digital_mrt_selected(H, np.array([0]))
 
+    @pytest.mark.parametrize("idx", [[0], [0, 1, 2]])
+    def test_selection_of_the_wrong_size_rejected(self, idx):
+        H = complex_normal(derived_rng(810, 0), (6, 2))
+        with pytest.raises(MimosecError, match=f"selection size {len(idx)} != number of users 2"):
+            digital_mrt_selected(H, np.array(idx))
+
 
 class TestMrtEffective:
     def test_unit_column_passthrough(self):

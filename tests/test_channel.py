@@ -118,6 +118,11 @@ class TestConfigValidation:
                          betas=np.ones(1), thetas=np.ones(1), weights=np.ones(1))
         assert exc.value.field == field
 
+    def test_negative_gain_names_its_field(self):
+        with pytest.raises(ConfigurationError, match="betas must be non-negative") as exc:
+            make_cfg(beta=-1.0)
+        assert exc.value.field == "betas"
+
     def test_weights_not_all_zero(self):
         with pytest.raises(ConfigurationError):
             make_cfg(weight=0.0)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import mimosec.cli as cli
 import mimosec.harness as harness
 from mimosec import (SCHEMES, ConfigParseError, DegenerateChannelError, SweepSpec,
-                     fit_growth, run_sweep)
+                     fit_cost_anchor, fit_growth, run_sweep)
 from mimosec.cli import emit_results, main, parse_config
 from mimosec.config import MAX_SIZE
 from mimosec.harness import COST_ESTIMATORS
@@ -261,6 +261,31 @@ class TestSubcommands:
         assert f"slope: {fit.slope:.9g}" in out
         assert f"intercept: {fit.intercept:.9g}" in out
 
+    @pytest.mark.parametrize("model", ["LOG_COST", "LOGLOG_COST"])
+    def test_cost_fit_anchors_at_the_largest_m_by_default(self, tmp_path, capsys, model):
+        m, cost = [16, 64, 256, 1024], [0.5, 0.3, 0.25, 0.1]
+        rows = ["M,cost_mean"] + [f"{v},{c}" for v, c in zip(m, cost)]
+        path = write(tmp_path, "\n".join(rows) + "\n", name="cost.csv")
+        outputs = {}
+        for anchor in (None, "1024", "16"):
+            flags = [] if anchor is None else ["--anchor", anchor]
+            assert main(["fit", str(path), "--model", model, *flags]) == 0
+            outputs[anchor] = capsys.readouterr().out
+        fit = fit_cost_anchor(m, cost, model, 1024)
+        assert f"intercept: {fit.intercept:.9g}" in outputs[None]
+        assert outputs[None] == outputs["1024"] != outputs["16"]
+
+    def test_sweeps_of_equal_name_get_numbered_files(self, tmp_path, capsys):
+        doc = "preset: sparse\nscheme: TAS_A\nm_values: 16\ntrials: 1\nseed: {}\n"
+        cfg = write(tmp_path, doc.format(1) + "---\n" + doc.format(2))
+        assert main(["sweep", str(cfg), "--out", str(tmp_path / "both")]) == 0
+        assert sorted(p.name for p in (tmp_path / "both").glob("*.csv")) == [
+            "sparse_TAS_A.csv", "sparse_TAS_A_1.csv"]
+        second = write(tmp_path, doc.format(2), name="second.cfg")
+        assert main(["sweep", str(second), "--out", str(tmp_path / "second")]) == 0
+        assert ((tmp_path / "both" / "sparse_TAS_A_1.csv").read_bytes()
+                == (tmp_path / "second" / "sparse_TAS_A.csv").read_bytes())
+
     def test_gumbel_command_prints_harmonic_mean_max(self, capsys):
         assert main(["gumbel", "--m", "4096", "--trials", "10000"]) == 0
         out = dict(line.split(": ") for line in
@@ -319,7 +344,8 @@ class TestSubcommands:
         base = "preset: sparse\nscheme: TAS_A\nm_values: 16\ntrials: 1\nseed: 1\n"
         for extra, key in [("sigma2: nan", "sigma2"), ("rho2: -inf", "rho2"),
                            ("total_power: inf", "total_power"), ("beta: nan", "beta"),
-                           ("theta: 0.1, nan", "theta"), ("weights: inf", "weights")]:
+                           ("theta: 0.1, nan", "theta"), ("weights: inf", "weights"),
+                           ("cost_estimator: median", "cost_estimator")]:
             cfg = write(tmp_path, base + extra + "\n")
             out = tmp_path / key
             assert main(["sweep", str(cfg), "--out", str(out)]) == 1
@@ -339,8 +365,9 @@ class TestSubcommands:
         (manifest_with(sigma2=float("nan")), "sigma2"),
         (manifest_with(bogus=1), "bogus"),
         (manifest_with(scenario="a\rb"), "scenario"),
+        (manifest_with(seed=-1), "seed"),
     ], ids=["malformed", "empty", "array", "sweep_array", "string_K", "nan_sigma2",
-            "unknown_key", "control_character_scenario"])
+            "unknown_key", "control_character_scenario", "negative_seed"])
     def test_bad_manifest_rejected(self, tmp_path, capsys, body, key):
         manifest = write(tmp_path, body, name="bad.manifest.json")
         with pytest.raises(ConfigParseError):

@@ -1,9 +1,14 @@
-"""CSV bytes pinned: ``mimosec sweep`` of ``golden/golden.cfg`` must write
-exactly the CSVs stored beside it, for any worker count.  A change meant to
-alter them regenerates them with
+"""CSV bytes and ``-v`` log pinned: ``mimosec sweep`` of
+``golden/golden.cfg`` must write exactly the CSVs stored beside it, for any
+worker count, and ``mimosec -v sweep`` must log the lines of
+``golden/verbose.log``, with the seconds masked as ``*``.  A change meant
+to alter them regenerates them with
 ``mimosec sweep tests/golden/golden.cfg --out DIR`` and copies the CSVs
-(not the manifests, which carry a timestamp) into ``tests/golden/``."""
+(not the manifests, which carry a timestamp) into ``tests/golden/``; the
+log comes from ``mimosec -v sweep ... --workers 1`` in a fresh process with
+none of the BLAS thread or glibc malloc variables set."""
 
+import re
 from pathlib import Path
 
 import pytest
@@ -21,3 +26,29 @@ def test_sweep_writes_the_golden_csvs(tmp_path, capsys, workers):
     assert sorted(p.name for p in tmp_path.glob("*.csv")) == expected
     for name in expected:
         assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+
+
+# Runs ``mimosec -v sweep`` and prints its exit code, whether the heap is
+# kept, then the log, which goes to stderr.
+VERBOSE_SWEEP = """if True:
+    import contextlib, io, sys
+    import mimosec
+    from mimosec.cli import main
+    sys.stderr = log = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(["-v", "sweep", {cfg!r}, "--out", {out!r}, "--workers", {workers!r}])
+    print(code, mimosec.HEAP_KEPT)
+    print(log.getvalue(), end="")
+"""
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_verbose_log_is_the_golden_one(tmp_path, fresh_python, workers):
+    status, *lines = fresh_python(VERBOSE_SWEEP.format(
+        cfg=str(GOLDEN / "golden.cfg"), out=str(tmp_path), workers=workers)).splitlines()
+    if status == "0 False":
+        pytest.skip("no working mallopt in this C library, so the head lines differ")
+    assert status == "0 True"
+    expected = (GOLDEN / "verbose.log").read_text().replace(": 1 workers,",
+                                                            f": {workers} workers,")
+    assert [re.sub(r", \d+\.\d\d s\)$", ", * s)", line) for line in lines] == expected.splitlines()

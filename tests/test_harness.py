@@ -1,6 +1,5 @@
 import ast
 import logging
-import os
 from collections import Counter
 from dataclasses import fields, replace
 from pathlib import Path
@@ -228,13 +227,13 @@ class TestRunSweep:
     @pytest.mark.parametrize("numpy_first", [False, True])
     def test_verbose_log_reports_dispatch_and_time_per_m(self, caplog, monkeypatch,
                                                          numpy_first):
-        monkeypatch.setattr(harness, "NUMPY_BEFORE_PIN", numpy_first)
+        monkeypatch.setitem(mimosec.SETTINGS, "numpy_before_pin", numpy_first)
         with caplog.at_level(logging.INFO, logger="mimosec.harness"):
             run_sweep(small_spec(trials=19), workers=2)
         head, *per_m = caplog.messages
         assert "2 workers, 2 trials per block, env " in head
         for var in mimosec.BLAS_THREAD_VARS:
-            assert f"{var}={os.environ.get(var, 'unset')}" in head
+            assert f"{var}={mimosec.SETTINGS['blas_threads'][var]}" in head
         assert ("set after numpy loaded" in head) == numpy_first
         assert [line.split(":")[0] for line in per_m] == ["unit TAS_A m=8", "unit TAS_A m=16"]
         assert all(line.endswith(" s)") for line in per_m)
@@ -245,13 +244,40 @@ class TestRunSweep:
         (False, "glibc.malloc.top_pad=0", "heap left to the C library (malloc set by the user)")])
     def test_verbose_log_reports_the_heap_setting(self, caplog, monkeypatch, heap_kept,
                                                   tunables, heap):
-        monkeypatch.setattr(harness, "HEAP_KEPT", heap_kept)
-        for var in mimosec.MALLOC_VARS:
-            monkeypatch.delenv(var, raising=False)
-        monkeypatch.setenv("GLIBC_TUNABLES", tunables)
+        # The record an import would make on a C library whose mallopt works,
+        # or not, with these tunables at start-up.
+        heap_left = mimosec.keep_heap(TestHeap.FakeLibc(int(heap_kept)),
+                                      {"GLIBC_TUNABLES": tunables})
+        monkeypatch.setitem(mimosec.SETTINGS, "heap_left", heap_left)
         with caplog.at_level(logging.INFO, logger="mimosec.harness"):
             run_sweep(small_spec(trials=1, m_values=(8,)), workers=1)
         assert caplog.messages[0].endswith(f", {heap}")
+
+    # A sweep of one trial that logs to stdout, in a fresh interpreter after
+    # ``import mimosec`` and a change to the environment.
+    ONE_TRIAL = """if True:
+        import logging, os, sys
+        import mimosec
+        import numpy as np
+        {change}
+        logging.basicConfig(level=logging.INFO, format="%(message)s", stream=sys.stdout)
+        mimosec.run_sweep(mimosec.SweepSpec(
+            scenario="unit", scheme="TAS_A", K=2, J=1, L=2, total_power=1.0, sigma2=1.0,
+            rho2=1.0, betas=np.ones(2), thetas=np.full(1, 0.1), weights=np.ones(2),
+            m_values=(8,), trials=1, master_seed=5))
+    """
+
+    @pytest.mark.parametrize("env, change, reported", [
+        ({}, 'os.environ["OPENBLAS_NUM_THREADS"] = "4"', " OPENBLAS_NUM_THREADS=1 "),
+        ({"MALLOC_TOP_PAD_": "0"}, 'del os.environ["MALLOC_TOP_PAD_"]',
+         ", heap left to the C library (malloc set by the user)")], ids=["blas", "heap"])
+    def test_verbose_log_reports_the_settings_as_the_import_left_them(self, fresh_python,
+                                                                      env, change, reported):
+        """BLAS reads its variables and glibc its malloc settings once, at
+        start-up, so a later change to os.environ alters neither; the log
+        says what the process runs with."""
+        head = fresh_python(self.ONE_TRIAL.format(change=change), **env).splitlines()[0]
+        assert reported in head
 
 
 def shared_specs():
@@ -432,7 +458,7 @@ class TestTrial:
         uses = [(preset_cfg(M=24, K=K + wider_K, J=J + wider_J), "HADP_A", None),
                 (sibling, scheme, quant_bits), (cfg, scheme, quant_bits)]
         trial = harness._Trial(24, 41, t, uses)
-        assert harness._build_key(*uses[-1]) in trial.reused
+        assert beamforming.build_key(*uses[-1]) in trial.reused
         outcome(sibling, scheme, quant_bits, 41, t, trial)
         alone = outcome(cfg, scheme, quant_bits, 41, t)
         assert outcome(cfg, scheme, quant_bits, 41, t, trial) == alone
@@ -507,15 +533,15 @@ class TestHeap:
 
     @pytest.mark.parametrize("libc", [object(), FakeLibc(0)], ids=["no mallopt", "musl"])
     def test_without_a_working_mallopt_nothing_is_set(self, libc):
-        assert mimosec.keep_heap(libc, {}) is False
+        assert mimosec.keep_heap(libc, {}) == "no mallopt"
 
     def test_sets_the_mmap_then_the_trim_threshold(self):
         libc = self.FakeLibc(1)
         other = {"GLIBC_TUNABLES": "glibc.rtld.optional_static_tls=512"}
-        assert mimosec.keep_heap(libc, other) is True
+        assert mimosec.keep_heap(libc, other) is None
         assert libc.calls == [(-3, 32 << 20), (-1, 64 << 20)]
 
     def test_user_setting_is_left_alone(self):
         libc = self.FakeLibc(1)
-        assert mimosec.keep_heap(libc, {"MALLOC_TOP_PAD_": "0"}) is False
+        assert mimosec.keep_heap(libc, {"MALLOC_TOP_PAD_": "0"}) == "malloc set by the user"
         assert libc.calls == []

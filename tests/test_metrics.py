@@ -97,6 +97,13 @@ class TestRateReport:
         assert report.r_sum_noeve == 0.0
         assert report.cost == 0.0
 
+    @pytest.mark.parametrize("powers", [[1.0], [1.0, 1.0, 1.0]])
+    def test_powers_of_the_wrong_length_rejected(self, powers):
+        ch, bf, cfg = random_instance(0)
+        bad = BeamformerSet(F=bf.F, W=bf.W, powers=np.array(powers))
+        with pytest.raises(ConfigurationError, match="powers must be a length-K vector"):
+            rate_report(ch, bad, cfg)
+
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_scalar_loop_oracle(self, seed):
         ch, bf, cfg = random_instance(seed)
