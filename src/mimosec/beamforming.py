@@ -4,7 +4,7 @@ All constructions read only the user channels H, never the eavesdropper
 channels: the transmitter has no CSI of the overhearing links.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,6 +41,8 @@ class BeamformerSet:
     F: np.ndarray
     W: np.ndarray
     powers: np.ndarray
+    identity: bool = False  # W is the identity (HADP_A), which gains skips
+    formed: tuple = field(default=(None, None), repr=False)  # (H, F^T H), H read-only
 
     @property
     def M(self) -> int:
@@ -51,8 +53,15 @@ class BeamformerSet:
         return self.F.shape[1]
 
     def effective(self, X: np.ndarray) -> np.ndarray:
-        """F^T X: the channels X (M x n) as the L RF chains see them."""
-        return self.F.T @ X
+        """F^T X: the channels X (M x n) as the L RF chains see them; for the H
+        object of ``formed``, the product the build formed of it."""
+        return self.formed[1] if X is self.formed[0] else self.F.T @ X
+
+    def gains(self, X: np.ndarray) -> np.ndarray:
+        """X^T F W: entry (n, i) is x_n^T F w_i.  An identity W is not multiplied,
+        but copied to the product's layout, which later BLAS bits depend on."""
+        E = self.effective(X).T
+        return np.ascontiguousarray(E) if self.identity else E @ self.W
 
 
 @dataclass(frozen=True)
@@ -82,6 +91,10 @@ class SwitchedBeamformerSet:
     def effective(self, X: np.ndarray) -> np.ndarray:
         """F^T X, taken as the rows ``idx`` of X."""
         return X[self.idx]
+
+    def gains(self, X: np.ndarray) -> np.ndarray:
+        """X^T F W: entry (n, i) is x_n^T F w_i."""
+        return self.effective(X).T @ self.W
 
 
 # What build_beamformers returns and rate_report evaluates.
@@ -173,12 +186,14 @@ def analog_phase_match(H: np.ndarray) -> np.ndarray:
     real non-negative.
     """
     H = np.asarray(H)
-    if np.any(H == 0):
+    scale = np.abs(H)
+    if not scale.all():
         raise DegenerateChannelError("zero channel entry; phase undefined")
-    M = H.shape[0]
     # numpy divides a complex array by a real one as this product with the
     # reciprocal, so the bits are those of the quotient, at a real divide's cost.
-    return np.conj(H) * (1.0 / (np.sqrt(M) * np.abs(H)))
+    np.divide(1.0, np.multiply(np.sqrt(H.shape[0]), scale, out=scale), out=scale)
+    F = np.conj(H)
+    return np.multiply(F, scale, out=F)
 
 
 def quantize_phases(F: np.ndarray, bits: int) -> np.ndarray:
@@ -194,12 +209,14 @@ def quantize_phases(F: np.ndarray, bits: int) -> np.ndarray:
     F = np.asarray(F)
     half = 1 << (int(bits) - 1)
     step = np.pi / half
-    n = np.round(np.angle(F) / step)       # integers in [-half, half]
+    n = np.arctan2(F.imag, F.real)         # np.angle(F)
+    np.rint(np.divide(n, step, out=n), out=n)  # integers in [-half, half]
     if 2 * half + 1 < F.size:
-        # Fewer grid points than entries: evaluate exp once per point and
-        # gather, the same bits as the direct formula below.
-        table = np.exp(1j * (np.arange(-half, half + 1) * step))
-        return np.abs(F) * table[n.astype(np.intp) + half]
+        # Fewer grid points than entries: evaluate exp once per point, n at
+        # table[n] (from the end if n < 0), and gather: the direct formula's bits.
+        table = np.exp(1j * (np.concatenate((np.arange(half + 1), np.arange(-half, 0))) * step))
+        out = table[n.astype(np.intp)]
+        return np.multiply(out, np.abs(F), out=out)
     return np.abs(F) * np.exp(1j * (n * step))
 
 
@@ -216,7 +233,11 @@ def zf_effective(H_eff: np.ndarray) -> np.ndarray:
     L, K = H_eff.shape
     if L < K:
         raise MimosecError(f"zero forcing needs L >= K, got L={L}, K={K}")
-    cond = np.linalg.cond(H_eff)
+    try:
+        s = np.linalg.svd(H_eff, compute_uv=False).tolist()
+    except np.linalg.LinAlgError:
+        raise MimosecError("effective channel is not finite; zero forcing is undefined") from None
+    cond = s[0] / s[-1] if s[-1] > 0 else np.inf  # np.linalg.cond(H_eff)
     if not np.isfinite(cond) or cond > ZF_CONDITION_LIMIT:
         raise SingularChannelError(f"effective channel condition number {cond:.3e} "
                                    f"exceeds {ZF_CONDITION_LIMIT:.0e}")
@@ -319,6 +340,8 @@ def build_beamformers(H: np.ndarray, cfg: SystemConfig, scheme: str,
         raise ConfigurationError("HADP_B requires quant_bits")
     F = analog_phase_match(H) if phase_match is None else phase_match
     if scheme == "HADP_A":
-        return BeamformerSet(F, np.eye(K, dtype=complex), powers)
+        return BeamformerSet(F, np.eye(K, dtype=complex), powers, identity=True)
     F = quantize_phases(F, quant_bits)
-    return BeamformerSet(F, zf_effective(F.T @ H), powers)
+    H_eff = F.T @ H
+    return BeamformerSet(F, zf_effective(H_eff), powers,
+                         formed=(None, None) if H.flags.writeable else (H, H_eff))

@@ -18,7 +18,7 @@ from .channel import sample_realization  # unused here: perfbench/inproc.py patc
 from .config import MAX_SIZE, SystemConfig
 from .errors import (ConfigParseError, ConfigurationError,
                      DegenerateChannelError, SingularChannelError)
-from .metrics import RateReport, rate_report
+from .metrics import RateReport, rate_report, user_rates
 
 log = logging.getLogger(__name__)
 
@@ -224,14 +224,21 @@ class SweepResult:
     points: tuple
 
 
+def _reused(uses) -> frozenset:
+    """What more than one of ``uses`` makes from H: a build and its user half, or a phase match."""
+    made = Counter(build_key(*use) for use in uses)
+    made.update(("phase match", cfg.K) for cfg, scheme, _ in uses if scheme in HYBRID_SCHEMES)
+    return frozenset(key for key, n in made.items() if n > 1)
+
+
 class _Trial:
     """One trial index t of array size m, drawn once for ``uses``, the
     (cfg, scheme, quant_bits) that evaluate it: the trial's stream is drawn
     at the widest K + J of the uses and carved into a read-only realization
-    per (K, J) with one H per K, and each build from H that more than one
-    use makes is made once."""
+    per (K, J) with one H per K, and each key of ``reused``, which is
+    ``_reused(uses)``, is made once."""
 
-    def __init__(self, m: int, seed: int, t: int, uses):
+    def __init__(self, m: int, seed: int, t: int, uses, reused: frozenset):
         normals = trial_normals(seed, t, 2 * m * max(cfg.K + cfg.J for cfg, _, _ in uses))
         self.draws, H = {}, {}
         for cfg, _, _ in uses:
@@ -240,10 +247,7 @@ class _Trial:
                 ch.H.flags.writeable = ch.G.flags.writeable = False
                 self.draws[cfg.K, cfg.J] = ch
                 H[cfg.K] = ch.H
-        # Each use builds its beamformers, and a hybrid one first phase-matches H.
-        made = Counter(build_key(*use) for use in uses)
-        made.update(("phase match", cfg.K) for cfg, scheme, _ in uses if scheme in HYBRID_SCHEMES)
-        self.reused = {key for key, n in made.items() if n > 1}
+        self.reused = reused
         self.built = {}
 
     def _stage(self, key, make):
@@ -256,16 +260,18 @@ class _Trial:
         return self.built[key]
 
     def report(self, cfg: SystemConfig, scheme: str, quant_bits: int | None) -> RateReport:
-        """The rate metrics of one use: its scheme's beamformers, built from
-        the H of the realization of its K and J, on that realization."""
+        """The rate metrics of one use: its scheme's beamformers and the user
+        half of the report, made from the H of its K, then the rest from its G."""
         ch = self.draws[cfg.K, cfg.J]
 
         def build():
             phase_match = (self._stage(("phase match", cfg.K), lambda: analog_phase_match(ch.H))
                            if scheme in HYBRID_SCHEMES else None)
-            return build_beamformers(ch.H, cfg, scheme, quant_bits, phase_match)
+            bf = build_beamformers(ch.H, cfg, scheme, quant_bits, phase_match)
+            return bf, user_rates(ch.H, bf, cfg)
 
-        return rate_report(ch, self._stage(build_key(cfg, scheme, quant_bits), build), cfg)
+        bf, user = self._stage(build_key(cfg, scheme, quant_bits), build)
+        return rate_report(ch, bf, cfg, user)
 
 
 def run_trial(cfg: SystemConfig, scheme: str, quant_bits: int | None,
@@ -280,7 +286,7 @@ def run_trial(cfg: SystemConfig, scheme: str, quant_bits: int | None,
     builds are used; by default the trial is drawn for this use alone.
     """
     if trial is None:
-        trial = _Trial(cfg.M, master_seed, trial_index, [(cfg, scheme, quant_bits)])
+        trial = _Trial(cfg.M, master_seed, trial_index, [(cfg, scheme, quant_bits)], frozenset())
     return trial.report(cfg, scheme, quant_bits)
 
 
@@ -320,9 +326,12 @@ def _block_task(args):
     seconds = [0.0] * len(runs)
     for t in range(lo, hi):
         active = [j for j, run in enumerate(runs) if t < run[0].trials]
+        if t == lo or len(active) < len(uses):  # sweeps drop out, none come back
+            uses = [runs[j][1] for j in active]
+            reused = _reused(uses)
         trial = None  # the last trial's draws go before the next is drawn
         start = time.perf_counter()
-        trial = _Trial(m, seed, t, [runs[j][1] for j in active])
+        trial = _Trial(m, seed, t, uses, reused)
         seconds[active[0]] += time.perf_counter() - start
         for j in active:
             spec, use, rows, resamples = runs[j]

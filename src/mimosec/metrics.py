@@ -66,32 +66,38 @@ def esnr_k(k: int, ch: ChannelRealization, bf: Beamformers,
     return float(rate_report(ch, bf, cfg).esnr[k])
 
 
-def rate_report(ch: ChannelRealization, bf: Beamformers,
-                cfg: SystemConfig) -> RateReport:
+def user_rates(H: np.ndarray, bf: Beamformers, cfg: SystemConfig) -> tuple:
+    """(sinr, r_noeve, r_sum_noeve, interference): the half of ``rate_report``
+    read from H and the build alone, whose overflow its finite check catches."""
+    a, powers = bf.gains(H), bf.powers  # a[k, i] = h_k^T F w_i
+    with np.errstate(over="ignore", invalid="ignore"):
+        sig = np.abs(np.diagonal(a)) ** 2
+        interference = np.maximum((np.abs(a) ** 2) @ powers - powers * sig, 0.0)
+        sinr = powers * cfg.betas * sig / (cfg.sigma2 + cfg.betas * interference)
+        r_noeve = np.log2(1.0 + sinr)
+        return sinr, r_noeve, float(cfg.weights @ r_noeve), interference
+
+
+def rate_report(ch: ChannelRealization, bf: Beamformers, cfg: SystemConfig,
+                user: tuple | None = None) -> RateReport:
     """Evaluate all per-user and network-level rate metrics.
 
     Per user: secrecy rate [log2((1+SINR)/(1+ESNR))]^+ and the
     no-eavesdropper rate log2(1+SINR).  Network level: weighted sums, their
     gap (the information leakage), and the relative secrecy cost
     1 - R_sum / R_sum_noeve (defined as 0 when R_sum_noeve is 0).  Rates
-    that overflow to a non-finite value raise MimosecError.
+    that overflow to a non-finite value raise MimosecError.  ``user``, when
+    given, is ``user_rates(ch.H, bf, cfg)`` formed before.
     """
     _check_dims(ch, bf, cfg)
-    a = bf.effective(ch.H).T @ bf.W  # h_k^T F w_i
-    b = bf.effective(ch.G).T @ bf.W  # g_j^T F w_i
-    powers = bf.powers
+    sinr, r_noeve, r_sum_noeve, interference = user or user_rates(ch.H, bf, cfg)
+    b = bf.gains(ch.G)  # g_j^T F w_i
     # Overflow is caught by the finite check below, not warned about.
     with np.errstate(over="ignore", invalid="ignore"):
-        sig = np.abs(np.diagonal(a)) ** 2
-        interference = np.maximum((np.abs(a) ** 2) @ powers - powers * sig, 0.0)
-        sinr = powers * cfg.betas * sig / (cfg.sigma2 + cfg.betas * interference)
         eve_power = cfg.thetas @ (np.abs(b) ** 2)
-        esnr = powers * eve_power / cfg.rho2
-
-        r_noeve = np.log2(1.0 + sinr)
+        esnr = bf.powers * eve_power / cfg.rho2
         r_secrecy = np.maximum(r_noeve - np.log2(1.0 + esnr), 0.0)
         r_sum = float(cfg.weights @ r_secrecy)
-        r_sum_noeve = float(cfg.weights @ r_noeve)
     if not (math.isfinite(r_sum) and math.isfinite(r_sum_noeve)):
         raise MimosecError(f"rates are not finite (r_sum={r_sum}, r_sum_noeve={r_sum_noeve}): "
                            "the powers, gains and noise levels overflow double precision")

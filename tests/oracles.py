@@ -111,3 +111,34 @@ def greedy_tas(H, L, powers, betas, weights, sigma2) -> list:
 def harmonic_number(n: int) -> float:
     """Expected maximum of n i.i.d. unit-mean exponentials."""
     return float(sum(1.0 / i for i in range(1, n + 1)))
+
+
+# The hybrid kernels as the one-line formulas they replaced.  These are
+# vectorized, not loops: the kernels now work in place and must give these
+# formulas' bits, and raise exactly where they raised.
+
+def phase_match_formula(H):
+    """conj(H) / (sqrt(M) |H|), written as numpy evaluates that quotient;
+    None where an entry is exactly zero and the phase is undefined."""
+    if np.any(H == 0):
+        return None
+    return np.conj(H) * (1.0 / (np.sqrt(H.shape[0]) * np.abs(H)))
+
+
+def quantizer_formula(F, bits):
+    """Nearest point of the 2^bits phase grid: a table of the grid gathered
+    by index when there are fewer points than entries, else one exp per
+    entry."""
+    half = 1 << (bits - 1)
+    step = np.pi / half
+    n = np.round(np.angle(F) / step)
+    if 2 * half + 1 < F.size:
+        table = np.exp(1j * (np.arange(-half, half + 1) * step))
+        return np.abs(F) * table[n.astype(np.intp) + half]
+    return np.abs(F) * np.exp(1j * (n * step))
+
+
+def zf_well_conditioned(H_eff, limit) -> bool:
+    """Whether zero forcing over H_eff passes its condition-number check."""
+    cond = np.linalg.cond(H_eff)
+    return bool(np.isfinite(cond) and cond <= limit)

@@ -13,7 +13,7 @@ from mimosec import (DegenerateChannelError, InfeasibleSelectionError,
                      complex_normal, derived_rng, digital_mrt_selected,
                      mrt_effective, power_uniform, quantize_phases,
                      select_antennas_protocol1, stepwise_tas, zf_effective)
-from mimosec.beamforming import MAX_QUANT_BITS
+from mimosec.beamforming import MAX_QUANT_BITS, ZF_CONDITION_LIMIT
 
 
 def cfg_for(M, K, **overrides):
@@ -227,6 +227,21 @@ class TestAnalogPhaseMatch:
         expected = np.conj(H) / (np.sqrt(M) * np.abs(H))
         assert analog_phase_match(H).tobytes() == expected.tobytes()
 
+    @given(H=hnp.arrays(complex, hnp.array_shapes(min_dims=2, max_dims=2, max_side=40),
+                        elements=st.complex_numbers(max_magnitude=1e300) | st.just(0j)))
+    @example(H=np.array([[1.0 + 0j, 0.0 - 0j], [0.5j, -2.0]]))
+    @example(H=np.array([[0j]]))
+    @example(H=np.array([[5e-324 + 0j, -5e-324j], [np.inf, np.nan + 1j]]))
+    def test_bitwise_equal_to_the_formula_and_raises_where_it_did(self, H):
+        # Tiny, huge and non-finite entries overflow alike in both.
+        with np.errstate(all="ignore"):
+            expected = oracles.phase_match_formula(H)
+            if expected is None:
+                with pytest.raises(DegenerateChannelError):
+                    analog_phase_match(H)
+            else:
+                assert analog_phase_match(H).tobytes() == expected.tobytes()
+
 
 def direct_quantizer(F, bits):
     """The quantizer as one exp per entry."""
@@ -290,6 +305,17 @@ class TestQuantizePhases:
     def test_bitwise_equal_to_the_direct_formula(self, F, bits):
         assert quantize_phases(F, bits).tobytes() == direct_quantizer(F, bits).tobytes()
 
+    # Both of the formula's paths: a gathered table when the 2^bits + 1 grid
+    # points are fewer than the entries, one exp per entry otherwise.
+    @given(F=hnp.arrays(complex, hnp.array_shapes(min_dims=1, max_dims=2, max_side=80),
+                        elements=finite_complex | st.just(0j)),
+           bits=st.integers(1, 6) | st.integers(1, MAX_QUANT_BITS))
+    @example(F=np.zeros((3, 2), dtype=complex), bits=1)
+    @example(F=np.array([1.0, -1.0, 1j, -1j, 0j, -0.0 - 0j]), bits=1)
+    @example(F=np.array([[1 + 1e-9j, -1 - 1e-9j], [0j, 3.0]]), bits=MAX_QUANT_BITS)
+    def test_bitwise_equal_to_the_formula_on_both_paths(self, F, bits):
+        assert quantize_phases(F, bits).tobytes() == oracles.quantizer_formula(F, bits).tobytes()
+
 
 class TestZeroForcing:
     def test_identity_channel(self):
@@ -318,6 +344,38 @@ class TestZeroForcing:
     def test_wide_channel_rejected(self):
         with pytest.raises(MimosecError):
             zf_effective(complex_normal(derived_rng(853), (2, 3)))
+
+    @pytest.mark.parametrize("value", [np.nan + 0j, complex(1.0, np.nan)])
+    def test_non_finite_channel_is_not_a_redraw(self, value):
+        # numpy's SVD raises LinAlgError on NaN; a SingularChannelError would
+        # be redrawn by a sweep, a plain MimosecError is reported at once.
+        H = np.full((3, 2), value)
+        with pytest.raises(MimosecError, match="effective channel is not finite") as info:
+            zf_effective(H)
+        assert type(info.value) is MimosecError
+
+    # Columns made dependent to within ``tilt`` straddle the limit on the
+    # condition number; ``scale`` moves the singular values, not their ratio.
+    @given(seed=st.integers(0, 2 ** 63), K=st.integers(1, 4), extra=st.integers(0, 3),
+           tilt=st.sampled_from([0.0, 1e-14, 1e-11, 1e-10, 1.1e-10, 1e-9, 1e-6, 1.0]),
+           scale=st.sampled_from([1e-100, 1.0, 1e100]))
+    @example(seed=0, K=2, extra=1, tilt=0.0, scale=0.0)
+    def test_same_decision_as_the_condition_number(self, seed, K, extra, tilt, scale):
+        H = complex_normal(derived_rng(seed), (K + extra, K))
+        H[:, -1] = H[:, 0] * (0.3 - 2j) + tilt * H[:, -1]
+        H *= scale
+        expected = oracles.zf_well_conditioned(H, ZF_CONDITION_LIMIT)
+        try:
+            zf_effective(H)
+        except SingularChannelError:
+            assert not expected
+        except np.linalg.LinAlgError:
+            # Raised by the Gram solve, so past a passed check: near the
+            # limit the Gram matrix, whose condition number is the square of
+            # H's, can be singular in double precision.
+            assert expected
+        else:
+            assert expected
 
 
 class TestPowerUniform:

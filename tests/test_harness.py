@@ -351,6 +351,31 @@ class TestRunSweeps:
         assert len(matched) == 6 * 2
         assert built == {"HADP_A": 6 * 2, "HADP_B": 4 * 2}
 
+    def test_each_analog_stage_forms_f_t_h_once_per_trial(self, monkeypatch):
+        # Sparse and dense HADP_A share F, and HADP_B's zero forcing and
+        # report share its F^T H: two (K x K) products of the trial's H.
+        specs = [small_spec("HADP_A", m_values=(16,), trials=1),
+                 small_spec("HADP_A", J=5, m_values=(16,), trials=1),
+                 small_spec("HADP_B", quant_bits=4, m_values=(16,), trials=1)]
+        products = []  # kept alive, so that distinct products have distinct ids
+        real_effective, real_zf = beamforming.BeamformerSet.effective, beamforming.zf_effective
+
+        def effective(bf, X):
+            product = real_effective(bf, X)
+            if X.shape[1] == 4:  # H, not G, whose J is 2 or 5
+                products.append(product)
+            return product
+
+        def zero_forcing(H_eff):
+            products.append(H_eff)
+            return real_zf(H_eff)
+
+        monkeypatch.setattr(beamforming.BeamformerSet, "effective", effective)
+        monkeypatch.setattr(beamforming, "zf_effective", zero_forcing)
+        results = run_sweeps(specs, workers=1)
+        assert [p.resamples for r in results for p in r.points] == [0, 0, 0]
+        assert len({id(product) for product in products}) == 2
+
     def test_trials_outside_a_sweep_draw_every_time(self, monkeypatch):
         drawn = []
         real = harness.trial_normals
@@ -457,7 +482,7 @@ class TestTrial:
         # in J alone and is evaluated first.
         uses = [(preset_cfg(M=24, K=K + wider_K, J=J + wider_J), "HADP_A", None),
                 (sibling, scheme, quant_bits), (cfg, scheme, quant_bits)]
-        trial = harness._Trial(24, 41, t, uses)
+        trial = harness._Trial(24, 41, t, uses, harness._reused(uses))
         assert beamforming.build_key(*uses[-1]) in trial.reused
         outcome(sibling, scheme, quant_bits, 41, t, trial)
         alone = outcome(cfg, scheme, quant_bits, 41, t)

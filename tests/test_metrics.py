@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,10 +7,13 @@ from hypothesis import strategies as st
 
 import oracles
 from mimosec import (SCHEMES, BeamformerSet, ChannelRealization, ConfigurationError,
-                     InfeasibleSelectionError, MimosecError, SwitchedBeamformerSet,
+                     DegenerateChannelError, InfeasibleSelectionError, MimosecError,
+                     SingularChannelError, SwitchedBeamformerSet,
                      SystemConfig, analog_selection_matrix, build_beamformers,
                      complex_normal, derived_rng, esnr_k, rate_report,
                      sample_realization, sinr_k, zf_effective)
+from mimosec.channel import carve, trial_normals
+from mimosec.metrics import user_rates
 
 
 def single_link_setup(h=1.0 + 0j, g=None, P=2.0, beta=1.0, theta=0.1,
@@ -251,3 +256,56 @@ class TestSwitchedBeamformerSet:
         ref = oracles.report(ch.H, ch.G, bf.F, bf.W, bf.powers, cfg.betas, cfg.thetas,
                              cfg.weights, cfg.sigma2, cfg.rho2)
         assert rate_report(ch, bf, cfg).r_sum == pytest.approx(ref["r_sum"], rel=1e-12)
+
+
+def report_bytes(report):
+    return [np.asarray(getattr(report, f.name)).tobytes() for f in fields(report)]
+
+
+class TestUserHalf:
+    """``rate_report`` with a user half formed before, as a trial stages it
+    for the sweeps sharing a build, gives the bytes of the whole report."""
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @settings(max_examples=30, deadline=None)
+    @given(K=st.integers(1, 5), extra_M=st.integers(0, 24), J=st.integers(0, 4),
+           other_J=st.integers(0, 4), seed=st.integers(0, 2 ** 63))
+    def test_a_staged_user_half_reports_as_the_whole(self, scheme, K, extra_M, J,
+                                                     other_J, seed):
+        M = K + extra_M
+        quant_bits = 4 if scheme == "HADP_B" else None
+        # Two realizations sharing a read-only H, as a trial carves them for
+        # sweeps that differ in J alone.
+        normals = trial_normals(seed, 0, 2 * M * (K + max(J, other_J)))
+        ch = carve(normals, M, K, J)
+        ch.H.flags.writeable = False
+        other = carve(normals, M, K, other_J, ch.H)
+        cfg, other_cfg = (SystemConfig.uniform(M=M, K=K, J=j, L=K, total_power=1.3,
+                                               sigma2=0.7, rho2=1.1, theta=0.3)
+                          for j in (J, other_J))
+        try:
+            bf = build_beamformers(ch.H, cfg, scheme, quant_bits)
+        except (DegenerateChannelError, SingularChannelError):
+            return
+        # The same build from a writable copy of H, which keeps no product,
+        # and for HADP_A with its identity W multiplied out.
+        plain = build_beamformers(ch.H.copy(), cfg, scheme, quant_bits)
+        if scheme == "HADP_A":
+            plain = BeamformerSet(plain.F, plain.W, plain.powers)
+        user = user_rates(ch.H, bf, cfg)
+        for c, c_cfg in ((ch, cfg), (other, other_cfg)):
+            whole = report_bytes(rate_report(c, bf, c_cfg))
+            assert report_bytes(rate_report(c, bf, c_cfg, user)) == whole
+            assert report_bytes(rate_report(c, plain, c_cfg)) == whole
+
+    def test_hadp_b_keeps_f_t_h_of_its_own_h_alone(self):
+        cfg = SystemConfig.uniform(M=16, K=3, J=2, L=3, total_power=1.0,
+                                   sigma2=1.0, rho2=1.0)
+        H = sample_realization(cfg, 5, 0).H
+        H.flags.writeable = False
+        bf = build_beamformers(H, cfg, "HADP_B", 3)
+        assert bf.effective(H) is bf.formed[1]
+        equal = H.copy()
+        assert bf.effective(equal) is not bf.formed[1]
+        assert np.array_equal(bf.effective(equal), bf.formed[1])
+        assert build_beamformers(H.copy(), cfg, "HADP_B", 3).formed == (None, None)
