@@ -8,19 +8,6 @@ import ctypes
 import os
 import sys
 
-# One BLAS thread per process.  Trials multiply K x K matrices, too small to
-# gain from BLAS threads; with a pool of trial workers each worker's threads
-# only contend for the cores.  OpenBLAS reads these variables once, when numpy
-# loads it, so they are set here, before any submodule imports numpy, and
-# forked pool workers inherit them.  A value already set in the environment
-# wins.  When numpy was imported first the setting comes too late, and
-# NUMPY_BEFORE_PIN records that.
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-NUMPY_BEFORE_PIN = "numpy" in sys.modules
-for _var in BLAS_THREAD_VARS:
-    os.environ.setdefault(_var, "1")
-del _var
-
 # glibc's own malloc settings.  Any of them, or a glibc.malloc. entry in
 # GLIBC_TUNABLES, means the user has tuned malloc, and that tuning wins.
 MALLOC_VARS = ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_", "MALLOC_TOP_PAD_")
@@ -51,18 +38,25 @@ def keep_heap(libc, environ):
     return None
 
 
-# Set once per process at import, so forked pool workers inherit it; unlike
-# the BLAS pin it takes effect even when numpy was imported first.
+# One BLAS thread per process.  Trials multiply K x K matrices, too small to
+# gain from BLAS threads; with a pool of trial workers each worker's threads
+# only contend for the cores.  OpenBLAS reads these variables once, when numpy
+# loads it, so they are set here, before any submodule imports numpy, and
+# forked pool workers inherit them.  A value already set in the environment
+# wins.  When numpy was imported first the setting comes too late.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# The heap is kept once per process at import, so forked pool workers inherit
+# it; unlike the BLAS pin it takes effect even when numpy was imported first.
 try:
     _libc = ctypes.CDLL(None)
 except (OSError, TypeError):  # Windows has no handle on the process's symbols
     _libc = None
-# What the import set, recorded once for the sweep log, which a later change to
-# os.environ must not alter: the BLAS variables as the import left them, whether
-# numpy was loaded first, and why the heap is left to the C library (or None).
-SETTINGS = {"blas_threads": {var: os.environ[var] for var in BLAS_THREAD_VARS},
-            "numpy_before_pin": NUMPY_BEFORE_PIN, "heap_left": keep_heap(_libc, os.environ)}
-HEAP_KEPT = SETTINGS["heap_left"] is None
+# What the import set, the one record of it, for the sweep log, which a later
+# change to os.environ must not alter: the BLAS variables as the import left
+# them (setdefault sets each one the user has not), whether numpy was loaded
+# first, and why the heap is left to the C library (or None).
+SETTINGS = {"blas_threads": {var: os.environ.setdefault(var, "1") for var in BLAS_THREAD_VARS},
+            "numpy_before_pin": "numpy" in sys.modules, "heap_left": keep_heap(_libc, os.environ)}
 del _libc
 
 from .asymptotics import (FitResult, GumbelCheck, clt_check, fit_cost_anchor,

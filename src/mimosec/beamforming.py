@@ -41,7 +41,6 @@ class BeamformerSet:
     F: np.ndarray
     W: np.ndarray
     powers: np.ndarray
-    identity: bool = False  # W is the identity (HADP_A), which gains skips
     formed: tuple = field(default=(None, None), repr=False)  # (H, F^T H), H read-only
 
     @property
@@ -56,12 +55,6 @@ class BeamformerSet:
         """F^T X: the channels X (M x n) as the L RF chains see them; for the H
         object of ``formed``, the product the build formed of it."""
         return self.formed[1] if X is self.formed[0] else self.F.T @ X
-
-    def gains(self, X: np.ndarray) -> np.ndarray:
-        """X^T F W: entry (n, i) is x_n^T F w_i.  An identity W is not multiplied,
-        but copied to the product's layout, which later BLAS bits depend on."""
-        E = self.effective(X).T
-        return np.ascontiguousarray(E) if self.identity else E @ self.W
 
 
 @dataclass(frozen=True)
@@ -91,10 +84,6 @@ class SwitchedBeamformerSet:
     def effective(self, X: np.ndarray) -> np.ndarray:
         """F^T X, taken as the rows ``idx`` of X."""
         return X[self.idx]
-
-    def gains(self, X: np.ndarray) -> np.ndarray:
-        """X^T F W: entry (n, i) is x_n^T F w_i."""
-        return self.effective(X).T @ self.W
 
 
 # What build_beamformers returns and rate_report evaluates.
@@ -340,7 +329,7 @@ def build_beamformers(H: np.ndarray, cfg: SystemConfig, scheme: str,
         raise ConfigurationError("HADP_B requires quant_bits")
     F = analog_phase_match(H) if phase_match is None else phase_match
     if scheme == "HADP_A":
-        return BeamformerSet(F, np.eye(K, dtype=complex), powers, identity=True)
+        return BeamformerSet(F, np.eye(K), powers)
     F = quantize_phases(F, quant_bits)
     H_eff = F.T @ H
     return BeamformerSet(F, zf_effective(H_eff), powers,

@@ -66,10 +66,15 @@ def esnr_k(k: int, ch: ChannelRealization, bf: Beamformers,
     return float(rate_report(ch, bf, cfg).esnr[k])
 
 
+def gains(bf: Beamformers, X: np.ndarray) -> np.ndarray:
+    """X^T F W: entry (n, i) is x_n^T F w_i."""
+    return bf.effective(X).T @ bf.W
+
+
 def user_rates(H: np.ndarray, bf: Beamformers, cfg: SystemConfig) -> tuple:
     """(sinr, r_noeve, r_sum_noeve, interference): the half of ``rate_report``
     read from H and the build alone, whose overflow its finite check catches."""
-    a, powers = bf.gains(H), bf.powers  # a[k, i] = h_k^T F w_i
+    a, powers = gains(bf, H), bf.powers  # a[k, i] = h_k^T F w_i
     with np.errstate(over="ignore", invalid="ignore"):
         sig = np.abs(np.diagonal(a)) ** 2
         interference = np.maximum((np.abs(a) ** 2) @ powers - powers * sig, 0.0)
@@ -91,7 +96,7 @@ def rate_report(ch: ChannelRealization, bf: Beamformers, cfg: SystemConfig,
     """
     _check_dims(ch, bf, cfg)
     sinr, r_noeve, r_sum_noeve, interference = user or user_rates(ch.H, bf, cfg)
-    b = bf.gains(ch.G)  # g_j^T F w_i
+    b = gains(bf, ch.G)  # g_j^T F w_i
     # Overflow is caught by the finite check below, not warned about.
     with np.errstate(over="ignore", invalid="ignore"):
         eve_power = cfg.thetas @ (np.abs(b) ** 2)

@@ -37,7 +37,7 @@ VERBOSE_SWEEP = """if True:
     sys.stderr = log = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()):
         code = main(["-v", "sweep", {cfg!r}, "--out", {out!r}, "--workers", {workers!r}])
-    print(code, mimosec.HEAP_KEPT)
+    print(code, mimosec.SETTINGS["heap_left"] is None)
     print(log.getvalue(), end="")
 """
 

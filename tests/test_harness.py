@@ -517,7 +517,7 @@ class TestBlasThreads:
     @pytest.mark.parametrize("imports, late", [("mimosec", "False"),
                                                ("numpy, mimosec", "True")])
     def test_records_numpy_loaded_first(self, fresh_python, imports, late):
-        code = f"import {imports}; print(mimosec.NUMPY_BEFORE_PIN)"
+        code = f"import {imports}; print(mimosec.SETTINGS['numpy_before_pin'])"
         assert fresh_python(code).strip() == late
 
 
@@ -534,7 +534,8 @@ class TestHeap:
             before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             for t in range(1, 6):
                 run_trial(cfg, "HADP_B", 4, 7, t)
-            print(mimosec.HEAP_KEPT, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+            print(mimosec.SETTINGS["heap_left"] is None,
+                  resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
         """
         kept, faults = fresh_python(code).split()
         if kept != "True":
@@ -544,7 +545,8 @@ class TestHeap:
     @pytest.mark.parametrize("env", [{"MALLOC_TRIM_THRESHOLD_": "131072"},
                                      {"GLIBC_TUNABLES": "glibc.malloc.trim_threshold=131072"}])
     def test_malloc_set_by_the_user_wins(self, fresh_python, env):
-        assert fresh_python("import mimosec; print(mimosec.HEAP_KEPT)", **env).strip() == "False"
+        code = "import mimosec; print(mimosec.SETTINGS['heap_left'] is None)"
+        assert fresh_python(code, **env).strip() == "False"
 
     class FakeLibc:
         """A C library whose ``mallopt`` records its calls and returns ``ok``."""

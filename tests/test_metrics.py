@@ -287,11 +287,8 @@ class TestUserHalf:
             bf = build_beamformers(ch.H, cfg, scheme, quant_bits)
         except (DegenerateChannelError, SingularChannelError):
             return
-        # The same build from a writable copy of H, which keeps no product,
-        # and for HADP_A with its identity W multiplied out.
+        # The same build from a writable copy of H, which keeps no product.
         plain = build_beamformers(ch.H.copy(), cfg, scheme, quant_bits)
-        if scheme == "HADP_A":
-            plain = BeamformerSet(plain.F, plain.W, plain.powers)
         user = user_rates(ch.H, bf, cfg)
         for c, c_cfg in ((ch, cfg), (other, other_cfg)):
             whole = report_bytes(rate_report(c, bf, c_cfg))
