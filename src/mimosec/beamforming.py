@@ -216,7 +216,8 @@ def zf_effective(H_eff: np.ndarray) -> np.ndarray:
     per-column rescale keeps the off-diagonal entries of H_eff^T W zero.
     Raises when the effective channel is ill-conditioned (condition number
     above ``ZF_CONDITION_LIMIT``), where the rescale would amplify noise
-    past the interference tolerance.
+    past the interference tolerance, and when the Gram solve, whose matrix
+    has the square of that condition number, finds it singular.
     """
     H_eff = np.asarray(H_eff)
     L, K = H_eff.shape
@@ -231,13 +232,19 @@ def zf_effective(H_eff: np.ndarray) -> np.ndarray:
         raise SingularChannelError(f"effective channel condition number {cond:.3e} "
                                    f"exceeds {ZF_CONDITION_LIMIT:.0e}")
     C = np.conj(H_eff)
-    A = H_eff.T @ C  # K x K Gram, full rank by the condition check
-    W0 = np.linalg.solve(A.T, C.T).T
+    A = H_eff.T @ C  # K x K Gram
+    try:
+        W0 = np.linalg.solve(A.T, C.T).T
+    except np.linalg.LinAlgError:
+        raise SingularChannelError("the zero-forcing Gram solve found the Gram matrix "
+                                   "singular") from None
     return W0 / np.linalg.norm(W0, axis=0)
 
 
 def power_uniform(K: int, total_power: float) -> np.ndarray:
-    """Equal share total_power / K for each of the K users."""
+    """Equal share total_power / K for each of the K >= 1 users."""
+    if K < 1:
+        raise MimosecError(f"need at least one user, got K={K}")
     return np.full(K, total_power / K)
 
 

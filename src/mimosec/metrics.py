@@ -46,6 +46,13 @@ def _check_dims(ch: ChannelRealization, bf: Beamformers, cfg: SystemConfig):
         raise ConfigurationError("powers must be a length-K vector")
 
 
+def _user(k, cfg: SystemConfig) -> int:
+    """``k``, checked to be the index of one of the cfg.K users."""
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 0 <= k < cfg.K:
+        raise MimosecError(f"user index must be an integer in [0, {cfg.K}), got {k!r}")
+    return int(k)
+
+
 def sinr_k(k: int, ch: ChannelRealization, bf: Beamformers,
            cfg: SystemConfig) -> float:
     r"""SINR of user k:
@@ -54,7 +61,7 @@ def sinr_k(k: int, ch: ChannelRealization, bf: Beamformers,
         -----------------------------------------------
         sigma^2 + beta_k sum_{i != k} P_i |h_k^T F w_i|^2
     """
-    return float(rate_report(ch, bf, cfg).sinr[k])
+    return float(rate_report(ch, bf, cfg).sinr[_user(k, cfg)])
 
 
 def esnr_k(k: int, ch: ChannelRealization, bf: Beamformers,
@@ -63,7 +70,7 @@ def esnr_k(k: int, ch: ChannelRealization, bf: Beamformers,
 
         (P_k / rho^2) sum_j theta_j |g_j^T F w_k|^2
     """
-    return float(rate_report(ch, bf, cfg).esnr[k])
+    return float(rate_report(ch, bf, cfg).esnr[_user(k, cfg)])
 
 
 def gains(bf: Beamformers, X: np.ndarray) -> np.ndarray:

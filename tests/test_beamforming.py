@@ -360,6 +360,7 @@ class TestZeroForcing:
            tilt=st.sampled_from([0.0, 1e-14, 1e-11, 1e-10, 1.1e-10, 1e-9, 1e-6, 1.0]),
            scale=st.sampled_from([1e-100, 1.0, 1e100]))
     @example(seed=0, K=2, extra=1, tilt=0.0, scale=0.0)
+    @example(seed=34, K=3, extra=0, tilt=1e-9, scale=1.0)  # condition 4.3e9, singular Gram
     def test_same_decision_as_the_condition_number(self, seed, K, extra, tilt, scale):
         H = complex_normal(derived_rng(seed), (K + extra, K))
         H[:, -1] = H[:, 0] * (0.3 - 2j) + tilt * H[:, -1]
@@ -367,13 +368,11 @@ class TestZeroForcing:
         expected = oracles.zf_well_conditioned(H, ZF_CONDITION_LIMIT)
         try:
             zf_effective(H)
-        except SingularChannelError:
-            assert not expected
-        except np.linalg.LinAlgError:
-            # Raised by the Gram solve, so past a passed check: near the
+        except SingularChannelError as exc:
+            # Past a passed check only the Gram solve may raise: near the
             # limit the Gram matrix, whose condition number is the square of
             # H's, can be singular in double precision.
-            assert expected
+            assert not expected or "Gram solve" in str(exc)
         else:
             assert expected
 
@@ -386,6 +385,11 @@ class TestPowerUniform:
 
     def test_single_user(self):
         assert np.array_equal(power_uniform(1, 2.5), np.array([2.5]))
+
+    @pytest.mark.parametrize("K", [0, -1])
+    def test_no_users_rejected(self, K):
+        with pytest.raises(MimosecError, match="at least one user"):
+            power_uniform(K, 1.0)
 
 
 class TestStepwiseTas:

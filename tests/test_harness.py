@@ -1,4 +1,5 @@
 import ast
+import importlib
 import logging
 from collections import Counter
 from dataclasses import fields, replace
@@ -501,6 +502,20 @@ def test_every_name_the_benchmark_traces_is_bound_in_the_harness():
     names = ast.literal_eval(traced)
     assert names
     assert [name for name in names if not callable(getattr(harness, name, None))] == []
+
+
+def test_every_name_the_benchmark_imports_is_bound_in_mimosec():
+    """perfbench/inproc.py imports names from ``mimosec`` and its modules
+    (``mimosec.cli``, ``mimosec.errors``), so a name they stop binding
+    breaks ``perfbench/run.py``.  The imports are read without importing
+    the benchmark."""
+    tree = ast.parse((ROOT / "perfbench" / "inproc.py").read_text())
+    imported = [(node.module, alias.name) for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module
+                and node.module.split(".")[0] == "mimosec" for alias in node.names]
+    assert imported
+    assert [(module, name) for module, name in imported
+            if not hasattr(importlib.import_module(module), name)] == []
 
 
 class TestBlasThreads:

@@ -62,6 +62,14 @@ class TestSinr:
         with pytest.raises(ConfigurationError):
             sinr_k(0, ch, bf, bad)
 
+    @pytest.mark.parametrize("metric", [sinr_k, esnr_k])
+    @pytest.mark.parametrize("k", [2, 1.5, -1, True])
+    def test_user_index_outside_the_users_rejected(self, metric, k):
+        ch, bf, cfg = random_instance(0)  # K = 2
+        with pytest.raises(MimosecError, match=r"user index must be an integer in \[0, 2\)"):
+            metric(k, ch, bf, cfg)
+        assert metric(np.int64(1), ch, bf, cfg) == metric(1, ch, bf, cfg)
+
 
 class TestEsnr:
     def test_no_eavesdroppers(self):
