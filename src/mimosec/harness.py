@@ -310,38 +310,33 @@ def _trial_with_resampling(cfg, scheme, quant_bits, seed, trial_index, trials, t
 
 def _block_task(args):
     """Run trials lo..hi-1 of array size m for each sweep of ``members``, a
-    tuple of (position, spec) sharing the master seed, trial index by trial
-    index: each trial is one ``_Trial`` for every sweep with more trials
-    than its index, so its channels are drawn once and each build from H
-    that several of the sweeps make is made once.  The draw's seconds count
-    in the first of those sweeps.  Returns (m, lo, and per member
-    (position, a (4, n) array of r_sum, r_sum_noeve, leakage and cost over
-    its n trials in the block, resamples per cause, seconds in its trials)).
+    tuple of (position, spec) sharing the master seed, each with at least hi
+    trials, trial index by trial index: each trial is one ``_Trial`` for all
+    the sweeps, so its channels are drawn once and each build from H that
+    several of them make is made once.  The draw's seconds count in the
+    first sweep.  Returns (m, lo, hi, the positions, an (n, 4, hi - lo)
+    array of r_sum, r_sum_noeve, leakage and cost per sweep and trial, the
+    (n, causes) resamples and the n seconds of the sweeps' trials).
     """
     m, lo, hi, members = args
     seed = derive_seed(members[0][1].master_seed, m)
-    runs = [(spec, (spec.config_for(m), spec.scheme, spec.quant_bits),
-             np.empty((4, min(hi, spec.trials) - lo)),
-             np.zeros(len(RESAMPLE_CAUSES), dtype=int)) for _, spec in members]
-    seconds = [0.0] * len(runs)
+    uses = [(spec.config_for(m), spec.scheme, spec.quant_bits) for _, spec in members]
+    reused = _reused(uses)
+    rows = np.empty((len(members), 4, hi - lo))
+    resamples = np.zeros((len(members), len(RESAMPLE_CAUSES)), dtype=int)
+    seconds = [0.0] * len(members)
     for t in range(lo, hi):
-        active = [j for j, run in enumerate(runs) if t < run[0].trials]
-        if t == lo or len(active) < len(uses):  # sweeps drop out, none come back
-            uses = [runs[j][1] for j in active]
-            reused = _reused(uses)
         trial = None  # the last trial's draws go before the next is drawn
         start = time.perf_counter()
         trial = _Trial(m, seed, t, uses, reused)
-        seconds[active[0]] += time.perf_counter() - start
-        for j in active:
-            spec, use, rows, resamples = runs[j]
+        seconds[0] += time.perf_counter() - start
+        for j, ((_, spec), use) in enumerate(zip(members, uses)):
             start = time.perf_counter()
             report, extra = _trial_with_resampling(*use, seed, t, spec.trials, trial)
             seconds[j] += time.perf_counter() - start
-            rows[:, t - lo] = report.r_sum, report.r_sum_noeve, report.leakage, report.cost
-            resamples += extra
-    return m, lo, [(i, rows, resamples, sec)
-                   for (i, _), (_, _, rows, resamples), sec in zip(members, runs, seconds)]
+            rows[j, :, t - lo] = report.r_sum, report.r_sum_noeve, report.leakage, report.cost
+            resamples[j] += extra
+    return m, lo, hi, [i for i, _ in members], rows, resamples, seconds
 
 
 def _standard_error(x: np.ndarray) -> float:
@@ -383,26 +378,27 @@ def _aggregate(spec: SweepSpec, m: int, r_sum, r_noeve, leakage, cost,
 
 def _tasks(specs, workers: int):
     """The blocks of a run of ``specs`` as ``_block_task`` arguments, and the
-    block size and draw-sharing group of each spec.  Specs with equal master
-    seed draw from the same trial streams, whatever their K and J, so they
-    form one group; its blocks go array size by array size, over
+    block size of each spec.  Specs with equal master seed draw from the
+    same trial streams, whatever their K and J, so they form one group; its
+    blocks go array size by array size, over at most
     ``max(1, trials // (4 * workers))`` consecutive trial indices of its
-    largest trial count."""
+    largest trial count, and end where a member's trials end, so every
+    member of a block runs all of its trial indices."""
     groups = {}
     for i, spec in enumerate(specs):
         groups.setdefault(spec.master_seed, []).append(i)
-    tasks, blocks, group_of = [], {}, {}
+    tasks, blocks = [], {}
     for members in groups.values():
         block = max(1, max(specs[i].trials for i in members) // (4 * workers))
-        for i in members:
-            blocks[i], group_of[i] = block, members
+        blocks.update(dict.fromkeys(members, block))
         for m in sorted({m for i in members for m in specs[i].m_values}):
             at_m = [i for i in members if m in specs[i].m_values]
-            top = max(specs[i].trials for i in at_m)
-            for lo in range(0, top, block):
-                tasks.append((m, lo, min(lo + block, top),
-                              tuple((i, specs[i]) for i in at_m if specs[i].trials > lo)))
-    return tasks, blocks, group_of
+            cuts = sorted(set(range(0, max(specs[i].trials for i in at_m), block))
+                          | {specs[i].trials for i in at_m})
+            for lo, hi in zip(cuts, cuts[1:]):
+                tasks.append((m, lo, hi, tuple((i, specs[i]) for i in at_m
+                                               if specs[i].trials >= hi)))
+    return tasks, blocks
 
 
 def _names(specs, positions) -> str:
@@ -427,23 +423,24 @@ def run_sweeps(specs, workers: int = 1) -> list:
     workers : int
         Process count for the trial loop, at most ``MAX_WORKERS``; below 1
         runs serially.  A group of sweeps sharing draws goes out array size
-        by array size in blocks of ``trials // (4 * workers)`` trials of its
-        largest trial count, about four per worker, and no more processes
-        start than there are blocks.  Results are placed by trial index
-        before aggregation, so the output is bitwise-identical for any
-        worker count.
+        by array size in blocks of at most ``trials // (4 * workers)`` trials
+        of its largest trial count, about four per worker, each ending where
+        a sweep's trials end; no more processes start than there are blocks.
+        Rows are placed at their trial indices before aggregation, so the
+        output is bitwise-identical for any worker count.
     """
     if workers > MAX_WORKERS:
         raise ConfigurationError(f"workers must be at most {MAX_WORKERS}, got {workers}")
     specs = list(specs)
     workers = max(1, workers)
-    tasks, blocks, group_of = _tasks(specs, workers)
+    tasks, blocks = _tasks(specs, workers)
     processes = min(workers, len(tasks))
     env = " ".join(f"{var}={value}" for var, value in SETTINGS["blas_threads"].items())
     heap = (f"heap left to the C library ({SETTINGS['heap_left']})" if SETTINGS["heap_left"]
             else "heap kept between trials")
     for i, spec in enumerate(specs):
-        draws = [j for j in group_of[i] if j != i]
+        draws = [j for j, other in enumerate(specs)
+                 if j != i and other.master_seed == spec.master_seed]
         builds = [j for j in draws if build_key(specs[j], specs[j].scheme, specs[j].quant_bits)
                   == build_key(spec, spec.scheme, spec.quant_bits)]
         log.info("%s %s: %d workers, %d trials per block, env %s%s, %s%s%s", spec.scenario,
@@ -461,13 +458,13 @@ def run_sweeps(specs, workers: int = 1) -> list:
         # A group's tasks are m-major and both maps yield in task order, so a
         # sweep's m is complete when the block ending at its last trial arrives.
         results = map(_block_task, tasks) if pool is None else pool.map(_block_task, tasks)
-        for m, lo, parts in results:
-            for i, rows, extra, sec in parts:
+        for m, lo, hi, positions, rows, extra, secs in results:
+            for i, row, more, sec in zip(positions, rows, extra, secs):
                 spec = specs[i]
-                values[i][:, lo:lo + rows.shape[1]] = rows
-                resamples[i] += extra
+                values[i][:, lo:hi] = row
+                resamples[i] += more
                 seconds[i] += sec
-                if lo + rows.shape[1] < spec.trials:
+                if hi < spec.trials:
                     continue
                 point = _aggregate(spec, m, *values[i], int(resamples[i].sum()))
                 points[i].append(point)
