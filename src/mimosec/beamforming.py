@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import SystemConfig
+from .config import SystemConfig, as_integer
 from .errors import (ConfigurationError, DegenerateChannelError,
                      InfeasibleSelectionError, MimosecError,
                      SingularChannelError)
@@ -243,7 +243,7 @@ def zf_effective(H_eff: np.ndarray) -> np.ndarray:
 
 def power_uniform(K: int, total_power: float) -> np.ndarray:
     """Equal share total_power / K for each of the K >= 1 users."""
-    if K < 1:
+    if as_integer(K, "K") < 1:
         raise MimosecError(f"need at least one user, got K={K}")
     return np.full(K, total_power / K)
 

@@ -1,5 +1,6 @@
 """I.i.d. Rayleigh channel generation with reproducible per-trial streams."""
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -9,10 +10,14 @@ from .errors import ConfigurationError, MimosecError
 
 
 def _seed_sequence(key) -> np.random.SeedSequence:
-    """The stream of a key tuple; a negative entry raises MimosecError."""
-    entropy = [int(k) for k in key]
-    if any(k < 0 for k in entropy):
-        raise MimosecError(f"random stream key {tuple(entropy)} must be non-negative: "
+    """The stream of a key tuple; an entry that is not an integer >= 0
+    raises MimosecError."""
+    try:
+        entropy = [operator.index(k) for k in key]
+    except TypeError:
+        entropy = None
+    if entropy is None or any(k < 0 for k in entropy):
+        raise MimosecError(f"random stream key {tuple(key)} must be non-negative integers: "
                            "seeds and trial indices are integers >= 0")
     return np.random.SeedSequence(entropy)
 

@@ -1,5 +1,6 @@
 """System-level parameters of one downlink wiretap instance."""
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -10,6 +11,16 @@ from .errors import ConfigurationError
 # system may have.  One draw holds M x (K + J) complex gains, so 2**20
 # antennas with 16 users and 16 eavesdroppers already take 512 MiB.
 MAX_SIZE = 1 << 20
+
+
+def as_integer(value, name: str) -> int:
+    """``value`` as a Python int; a float or other non-integer raises
+    ConfigurationError naming ``name``, where ``int`` would truncate it."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}",
+                                 field=name) from None
 
 
 def _as_vector(x, n: int, name: str) -> np.ndarray:
@@ -50,6 +61,7 @@ class SystemConfig:
 
     def __post_init__(self):
         for name, low in (("K", 1), ("J", 0), ("L", 1), ("M", 1)):
+            object.__setattr__(self, name, as_integer(getattr(self, name), name))
             if not low <= getattr(self, name) <= MAX_SIZE:
                 raise ConfigurationError(f"{name} must be between {low} and {MAX_SIZE}, "
                                          f"got {getattr(self, name)}", field=name)

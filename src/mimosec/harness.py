@@ -15,7 +15,7 @@ from .beamforming import (HYBRID_SCHEMES, MAX_QUANT_BITS, SCHEMES, analog_phase_
                           build_beamformers, build_key)
 from .channel import carve, derive_seed, trial_normals
 from .channel import sample_realization  # unused here: perfbench/inproc.py patches it by name
-from .config import MAX_SIZE, SystemConfig
+from .config import MAX_SIZE, SystemConfig, as_integer
 from .errors import (ConfigParseError, ConfigurationError,
                      DegenerateChannelError, SingularChannelError)
 from .metrics import RateReport, rate_report, user_rates
@@ -127,12 +127,16 @@ class SweepSpec:
             raise ConfigurationError(f"unknown cost_estimator '{self.cost_estimator}', "
                                      f"expected one of {COST_ESTIMATORS}", field="cost_estimator")
         # The network at its smallest feasible size checks the counts and
-        # vectors, and normalizes the vectors so the sweep round-trips
-        # through manifests.
+        # vectors, and normalizes them so the sweep round-trips through
+        # manifests.
         probe = self.config_for(max(self.L, self.K))
-        for name in ("betas", "thetas", "weights"):
+        for name in ("K", "J", "L", "betas", "thetas", "weights"):
             object.__setattr__(self, name, getattr(probe, name))
-        m = tuple(int(v) for v in self.m_values)
+        for name in ("trials", "master_seed"):
+            object.__setattr__(self, name, as_integer(getattr(self, name), name))
+        if self.quant_bits is not None:
+            object.__setattr__(self, "quant_bits", as_integer(self.quant_bits, "quant_bits"))
+        m = tuple(as_integer(v, "m_values") for v in self.m_values)
         object.__setattr__(self, "m_values", m)
         # An empty m_values is allowed; it emits a header-only CSV.
         if any(b <= a for a, b in zip(m, m[1:])):
@@ -193,7 +197,7 @@ class SweepSpec:
         if m < floor:
             raise ConfigurationError(f"m must be at least max(L, K) = {floor}, got {m}",
                                      field="m_values")
-        return SystemConfig(M=int(m), K=self.K, J=self.J, L=self.L,
+        return SystemConfig(M=m, K=self.K, J=self.J, L=self.L,
                             total_power=self.total_power, sigma2=self.sigma2,
                             rho2=self.rho2, betas=self.betas,
                             thetas=self.thetas, weights=self.weights)

@@ -391,6 +391,10 @@ class TestPowerUniform:
         with pytest.raises(MimosecError, match="at least one user"):
             power_uniform(K, 1.0)
 
+    def test_non_integer_count_rejected(self):
+        with pytest.raises(MimosecError, match="K must be an integer"):
+            power_uniform(2.5, 1.0)
+
 
 class TestStepwiseTas:
     def test_single_antenna_single_user_is_argmax(self):

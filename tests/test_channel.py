@@ -64,6 +64,12 @@ class TestSampleRealization:
         with pytest.raises(MimosecError, match=r"key \(5, -2\) must be non-negative"):
             derive(5, -2)
 
+    @pytest.mark.parametrize("derive", [derived_rng, derive_seed])
+    @pytest.mark.parametrize("key", [(1.5,), (5, 2.5)])
+    def test_non_integer_key_rejected(self, derive, key):
+        with pytest.raises(MimosecError, match="must be non-negative integers"):
+            derive(*key)
+
 
 N_STAT = 100_000
 
@@ -116,6 +122,12 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError) as exc:
             SystemConfig(**sizes, total_power=1.0, sigma2=1.0, rho2=1.0,
                          betas=np.ones(1), thetas=np.ones(1), weights=np.ones(1))
+        assert exc.value.field == field
+
+    @pytest.mark.parametrize("field, value", [("M", 8.5), ("K", 2.5), ("J", 1.5), ("L", 2.5)])
+    def test_non_integer_sizes_rejected(self, field, value):
+        with pytest.raises(ConfigurationError, match="must be an integer") as exc:
+            make_cfg(**{field: value})
         assert exc.value.field == field
 
     def test_negative_gain_names_its_field(self):

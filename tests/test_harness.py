@@ -14,7 +14,7 @@ import mimosec
 import mimosec.beamforming as beamforming
 import mimosec.harness as harness
 from mimosec.config import MAX_SIZE
-from mimosec import (ConfigurationError, DegenerateChannelError,
+from mimosec import (ConfigurationError, DegenerateChannelError, MimosecError,
                      SingularChannelError, SweepSpec, SystemConfig,
                      build_beamformers, derive_seed, run_sweep, run_sweeps,
                      run_trial, sample_realization)
@@ -67,6 +67,17 @@ class TestSpecValidation:
             small_spec(**overrides)
         assert exc.value.field == field
 
+    @pytest.mark.parametrize("field, overrides", [
+        ("master_seed", dict(seed=1.5)),
+        ("m_values", dict(m_values=(8.7, 16))),
+        ("trials", dict(trials=2.5)),
+        ("quant_bits", dict(scheme="HADP_B", quant_bits=2.5)),
+    ])
+    def test_non_integers_rejected(self, field, overrides):
+        with pytest.raises(ConfigurationError, match="must be an integer") as exc:
+            small_spec(**overrides)
+        assert exc.value.field == field
+
 
 class TestRunTrial:
     def test_no_eavesdroppers_no_leakage(self):
@@ -74,6 +85,11 @@ class TestRunTrial:
             report = run_trial(preset_cfg(J=0), scheme, None, 3, 0)
             assert report.leakage == 0.0
             assert report.cost == 0.0
+
+    @pytest.mark.parametrize("seed, trial_index", [(1.5, 1), (1, 1.5)])
+    def test_non_integer_seed_or_trial_index_rejected(self, seed, trial_index):
+        with pytest.raises(MimosecError, match="must be non-negative integers"):
+            run_trial(preset_cfg(), "TAS_A", None, seed, trial_index)
 
     def test_deterministic(self):
         cfg = preset_cfg()
@@ -293,6 +309,15 @@ def shared_specs():
             small_spec("HADP_A", J=3, trials=22, m_values=narrow)]
 
 
+def tas_specs():
+    """Sweeps shaped like the benchmark's ``tas`` workload: two of 44 trials
+    over m = 64..4096 and one of 22 over m = 64..1024."""
+    wide, narrow = tuple(2 ** e for e in range(6, 13)), tuple(2 ** e for e in range(6, 11))
+    return [small_spec("TAS_A", trials=44, m_values=wide),
+            small_spec("TAS_A", J=3, trials=44, m_values=wide),
+            small_spec("TAS_B", trials=22, m_values=narrow)]
+
+
 def trial_streams(specs):
     """Distinct trial streams of a run of ``specs``: one per (seed, m, trial
     index) of any of them."""
@@ -301,6 +326,19 @@ def trial_streams(specs):
 
 
 class TestRunSweeps:
+    @pytest.mark.parametrize("specs, workers", [
+        *(pytest.param(shared_specs(), w, id=f"shared-w{w}") for w in (1, 2, 3)),
+        pytest.param(tas_specs(), 2, id="tas-w2")])
+    def test_every_sweep_of_a_block_runs_all_its_trials(self, specs, workers):
+        tasks, blocks = harness._tasks(specs, workers)
+        runs = Counter()
+        for m, lo, hi, members in tasks:
+            for i, spec in members:
+                assert spec is specs[i] and spec.trials >= hi and hi - lo <= blocks[i]
+                runs.update((i, m, t) for t in range(lo, hi))
+        assert runs == Counter((i, m, t) for i, spec in enumerate(specs)
+                               for m in spec.m_values for t in range(spec.trials))
+
     def test_equal_to_each_sweep_run_alone(self):
         specs = shared_specs()
         alone = [run_sweep(spec).points for spec in specs]
