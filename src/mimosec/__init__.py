@@ -75,7 +75,7 @@ from .errors import (ConfigParseError, ConfigurationError,
                      MimosecError, SingularChannelError)
 from .harness import (SweepPoint, SweepResult, SweepSpec, run_sweep, run_sweeps,
                       run_trial)
-from .metrics import RateReport, esnr_k, rate_report, sinr_k
+from .metrics import RateReport, rate_report
 
 __all__ = [
     "BeamformerSet", "ChannelRealization", "ConfigParseError",
@@ -85,9 +85,8 @@ __all__ = [
     "SweepResult", "SweepSpec", "SystemConfig", "analog_phase_match",
     "analog_selection_matrix", "build_beamformers", "clt_check",
     "complex_normal", "derive_seed", "derived_rng", "digital_mrt_selected",
-    "esnr_k", "fit_cost_anchor", "fit_growth", "gumbel_check",
-    "mrt_effective", "phase_aligned_sums", "power_uniform", "quantize_phases",
-    "rate_report", "run_sweep", "run_sweeps", "run_trial",
-    "sample_realization", "select_antennas_protocol1", "sinr_k",
-    "stepwise_tas", "zf_effective",
+    "fit_cost_anchor", "fit_growth", "gumbel_check", "mrt_effective",
+    "phase_aligned_sums", "power_uniform", "quantize_phases", "rate_report",
+    "run_sweep", "run_sweeps", "run_trial", "sample_realization",
+    "select_antennas_protocol1", "stepwise_tas", "zf_effective",
 ]

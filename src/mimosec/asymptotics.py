@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import complex_normal, derived_rng
-from .config import MAX_SIZE
+from .config import MAX_SIZE, as_integer
 from .errors import FitError, MimosecError
 
 GROWTH_MODELS = ("LOGLOG_GROWTH", "LOG_GROWTH")
@@ -50,10 +50,13 @@ class GumbelCheck:
         return self.sample_mean_shifted + float(np.log(self.m))
 
 
-def _check_sizes(check: str, m: int, trials: int) -> None:
-    for name, value in (("m", m), ("trials", trials)):
+def _check_sizes(check: str, m: int, trials: int) -> tuple:
+    """(m, trials) as ints, each checked to be between 1 and MAX_SIZE."""
+    sizes = as_integer(m, "m"), as_integer(trials, "trials")
+    for name, value in zip(("m", "trials"), sizes):
         if not 1 <= value <= MAX_SIZE:
             raise MimosecError(f"{check} needs {name} between 1 and {MAX_SIZE}, got {value}")
+    return sizes
 
 
 def _regressor(m_values: np.ndarray, model: str) -> np.ndarray:
@@ -83,10 +86,14 @@ def fit_growth(m_values, y_values, K: int, model: str) -> FitResult:
     """Least-squares line y = intercept + slope * K * regressor(m)."""
     if model not in GROWTH_MODELS:
         raise MimosecError(f"unknown growth model '{model}'")
+    if as_integer(K, "K") < 1:
+        raise MimosecError(f"growth fit needs K >= 1, got {K}")
     m = np.asarray(m_values, dtype=float)
     y = np.asarray(y_values, dtype=float)
     if m.size != y.size or m.size < 3:
         raise FitError("growth fit needs at least 3 (m, y) points")
+    if not (np.isfinite(m).all() and np.isfinite(y).all()):
+        raise FitError("growth fit needs finite m and y values")
     x = K * _regressor(m, model)
     if np.ptp(x) == 0.0:
         raise FitError("degenerate regressor: all m values map to the same abscissa")
@@ -108,6 +115,8 @@ def fit_cost_anchor(m_values, c_values, model: str, m0: int) -> FitResult:
     c = np.asarray(c_values, dtype=float)
     if m.size != c.size or m.size == 0:
         raise FitError("cost fit needs matching non-empty m and c vectors")
+    if not (np.isfinite(m).all() and np.isfinite(c).all()):
+        raise FitError("cost fit needs finite m and c values")
     where = np.nonzero(m == m0)[0]
     if where.size == 0:
         raise MimosecError(f"anchor m0={m0} is not among the swept m values")
@@ -127,7 +136,7 @@ def gumbel_check(m: int, trials: int, seed: int) -> GumbelCheck:
     statistic.  Sampling uses the exponential identity directly rather than
     squaring complex Gaussians.
     """
-    _check_sizes("gumbel_check", m, trials)
+    m, trials = _check_sizes("gumbel_check", m, trials)
     rng = derived_rng(seed)
     maxima = np.empty(trials)
     block = (1 << 22) // m
@@ -146,9 +155,10 @@ def gumbel_check(m: int, trials: int, seed: int) -> GumbelCheck:
 def phase_aligned_sums(m: int, trials: int, rng: np.random.Generator) -> np.ndarray:
     r"""Draw S = m^{-1/2} \sum_m a_m conj(b_m)/|b_m| for independent CN(0,1)
     pairs (a, b); the cross-user / cross-eavesdropper statistic whose limit
-    is standard complex Gaussian."""
+    is standard complex Gaussian.  m and trials are between 1 and MAX_SIZE."""
+    m, trials = _check_sizes("phase_aligned_sums", m, trials)
     out = np.empty(trials, dtype=complex)
-    block = max(1, (1 << 21) // max(m, 1))
+    block = (1 << 21) // m
     done = 0
     while done < trials:
         n = min(block, trials - done)
@@ -163,7 +173,6 @@ def clt_check(m: int, trials: int, seed: int) -> float:
     """KS statistic of sqrt(2) * Re(S) against the standard normal CDF,
     where S is the phase-aligned cross sum of two independent CN(0,1)
     vectors of length m."""
-    _check_sizes("clt_check", m, trials)
-    s = phase_aligned_sums(m, trials, derived_rng(seed))
+    s = phase_aligned_sums(*_check_sizes("clt_check", m, trials), derived_rng(seed))
     from scipy import stats  # imported here: it dominates the CLI's start-up
     return float(stats.kstest(np.sqrt(2.0) * s.real, "norm").statistic)

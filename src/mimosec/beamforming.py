@@ -121,9 +121,9 @@ def _checked_selection(idx, M: int) -> np.ndarray:
     idx = np.asarray(idx, dtype=int)
     if idx.ndim != 1 or idx.size == 0:
         raise InfeasibleSelectionError("selection must be a non-empty index vector")
-    if np.unique(idx).size != idx.size:
+    if len(set(idx.tolist())) != idx.size:
         raise InfeasibleSelectionError("selected antenna indices must be distinct")
-    if np.any(idx < 0) or np.any(idx >= M):
+    if idx.min() < 0 or idx.max() >= M:
         raise MimosecError(f"antenna index out of range [0, {M})")
     return idx
 
@@ -144,12 +144,14 @@ def digital_mrt_selected(H: np.ndarray, idx: np.ndarray) -> np.ndarray:
 
     Column k of the returned K x K matrix has one unit-magnitude entry at
     row k whose phase conjugates H[idx[k], k], so the cascade with the
-    selection matrix delivers |H[idx[k], k]| to user k.
+    selection matrix delivers |H[idx[k], k]| to user k.  ``idx`` is checked
+    as ``SwitchedBeamformerSet`` checks it.
     """
     H = np.asarray(H)
-    K = H.shape[1]
+    M, K = H.shape
     if len(idx) != K:
         raise MimosecError(f"selection size {len(idx)} != number of users {K}")
+    idx = _checked_selection(idx, M)
     coeff = H[idx, np.arange(K)]
     if np.any(coeff == 0):
         raise DegenerateChannelError("zero channel coefficient on a selected antenna")
@@ -192,11 +194,12 @@ def quantize_phases(F: np.ndarray, bits: int) -> np.ndarray:
     Nearest is in wrapped angular distance, which on the unit circle is the
     least-squares choice.  ``bits`` is an integer in [1, MAX_QUANT_BITS].
     """
-    if int(bits) != bits or not 1 <= bits <= MAX_QUANT_BITS:
+    bits = as_integer(bits, "bits")
+    if not 1 <= bits <= MAX_QUANT_BITS:
         raise MimosecError(f"quantizer resolution must be an integer between 1 and "
                            f"{MAX_QUANT_BITS}, got {bits}")
     F = np.asarray(F)
-    half = 1 << (int(bits) - 1)
+    half = 1 << (bits - 1)
     step = np.pi / half
     n = np.arctan2(F.imag, F.real)         # np.angle(F)
     np.rint(np.divide(n, step, out=n), out=n)  # integers in [-half, half]
@@ -242,9 +245,12 @@ def zf_effective(H_eff: np.ndarray) -> np.ndarray:
 
 
 def power_uniform(K: int, total_power: float) -> np.ndarray:
-    """Equal share total_power / K for each of the K >= 1 users."""
+    """Equal share total_power / K for each of the K >= 1 users; the total
+    is finite and >= 0."""
     if as_integer(K, "K") < 1:
         raise MimosecError(f"need at least one user, got K={K}")
+    if not 0 <= total_power < np.inf:  # false for NaN too
+        raise MimosecError(f"total power must be finite and >= 0, got {total_power}")
     return np.full(K, total_power / K)
 
 
@@ -262,7 +268,9 @@ def stepwise_tas(H: np.ndarray, L: int, cfg: SystemConfig) -> np.ndarray:
     """
     H = np.asarray(H)
     M, K = H.shape
-    if not 1 <= L <= M:
+    if K != cfg.K:
+        raise ConfigurationError(f"H has {K} user columns, cfg has K={cfg.K}", field="K")
+    if not 1 <= as_integer(L, "L") <= M:
         raise InfeasibleSelectionError(f"need 1 <= L <= M, got L={L}, M={M}")
     powers = power_uniform(K, cfg.total_power)
     q = cfg.weights

@@ -1,7 +1,7 @@
 """System-level parameters of one downlink wiretap instance."""
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -36,8 +36,23 @@ def _as_vector(x, n: int, name: str) -> np.ndarray:
     return v if v.size == n else np.full(n, v[0])
 
 
-@dataclass(frozen=True)
-class SystemConfig:
+class ByValue:
+    """Equality and hash of a ``@dataclass(frozen=True, eq=False)`` by its
+    field values, ndarrays as tuples: the generated ones fail on ndarrays."""
+
+    def _values(self) -> tuple:
+        return tuple(tuple(v) if isinstance(v, np.ndarray) else v
+                     for v in (getattr(self, f.name) for f in fields(self)))
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+
+@dataclass(frozen=True, eq=False)
+class SystemConfig(ByValue):
     """All scalar parameters of one base-station / users / eavesdroppers setup.
 
     M transmit antennas serve K single-antenna users through L RF chains

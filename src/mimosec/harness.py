@@ -15,7 +15,7 @@ from .beamforming import (HYBRID_SCHEMES, MAX_QUANT_BITS, SCHEMES, analog_phase_
                           build_beamformers, build_key)
 from .channel import carve, derive_seed, trial_normals
 from .channel import sample_realization  # unused here: perfbench/inproc.py patches it by name
-from .config import MAX_SIZE, SystemConfig, as_integer
+from .config import MAX_SIZE, ByValue, SystemConfig, as_integer
 from .errors import (ConfigParseError, ConfigurationError,
                      DegenerateChannelError, SingularChannelError)
 from .metrics import RateReport, rate_report, user_rates
@@ -85,8 +85,8 @@ _SPARSE = dict(K=16, J=2, L=16, total_power=1.0, sigma2=1.0, rho2=1.0,
 PRESETS = {"sparse": _SPARSE, "dense": dict(_SPARSE, J=16)}
 
 
-@dataclass(frozen=True)
-class SweepSpec:
+@dataclass(frozen=True, eq=False)
+class SweepSpec(ByValue):
     """One Monte Carlo sweep: a network profile swept over array sizes.
 
     ``m_values`` must be strictly increasing and each at least

@@ -20,6 +20,11 @@ class RateReport:
     received interference power sum_{i != k} P_i |h_k^T F w_i|^2 and
     ``eve_power[k]`` the aggregate overheard power
     sum_j theta_j |g_j^T F w_k|^2 (both without the noise scaling).
+    ``sinr[k]`` is user k's SINR and ``esnr[k]`` the effective SNR of its
+    signal at the cooperating eavesdroppers:
+
+        sinr[k] = P_k beta_k |h_k^T F w_k|^2 / (sigma^2 + beta_k interference[k])
+        esnr[k] = (P_k / rho^2) eve_power[k]
     """
 
     sinr: np.ndarray
@@ -44,33 +49,6 @@ def _check_dims(ch: ChannelRealization, bf: Beamformers, cfg: SystemConfig):
                                  f"do not compose to M x K")
     if bf.powers.shape != (K,):
         raise ConfigurationError("powers must be a length-K vector")
-
-
-def _user(k, cfg: SystemConfig) -> int:
-    """``k``, checked to be the index of one of the cfg.K users."""
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 0 <= k < cfg.K:
-        raise MimosecError(f"user index must be an integer in [0, {cfg.K}), got {k!r}")
-    return int(k)
-
-
-def sinr_k(k: int, ch: ChannelRealization, bf: Beamformers,
-           cfg: SystemConfig) -> float:
-    r"""SINR of user k:
-
-        P_k beta_k |h_k^T F w_k|^2
-        -----------------------------------------------
-        sigma^2 + beta_k sum_{i != k} P_i |h_k^T F w_i|^2
-    """
-    return float(rate_report(ch, bf, cfg).sinr[_user(k, cfg)])
-
-
-def esnr_k(k: int, ch: ChannelRealization, bf: Beamformers,
-           cfg: SystemConfig) -> float:
-    r"""Effective SNR of user k's signal at the cooperating eavesdroppers:
-
-        (P_k / rho^2) sum_j theta_j |g_j^T F w_k|^2
-    """
-    return float(rate_report(ch, bf, cfg).esnr[_user(k, cfg)])
 
 
 def gains(bf: Beamformers, X: np.ndarray) -> np.ndarray:

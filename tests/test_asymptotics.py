@@ -43,6 +43,23 @@ class TestFitGrowth:
         with pytest.raises(MimosecError):
             fit_growth([8, 16, 32], [1, 2, 3], 1, "CUBIC")
 
+    @pytest.mark.parametrize("K, match", [
+        (float("nan"), "K must be an integer"), (2.5, "K must be an integer"),
+        (0, "K >= 1"), (-2, "K >= 1"),
+    ])
+    def test_user_count_not_a_positive_integer_rejected(self, K, match):
+        with pytest.raises(MimosecError, match=match):
+            fit_growth([4, 8, 16], [1.0, 2.0, 3.0], K, "LOG_GROWTH")
+
+    @pytest.mark.parametrize("m, y", [
+        ([4, 8, 16], [1.0, float("nan"), 3.0]),
+        ([4, 8, 16], [1.0, 2.0, float("inf")]),
+        ([4, float("nan"), 16], [1.0, 2.0, 3.0]),
+    ])
+    def test_non_finite_data_rejected(self, m, y):
+        with pytest.raises(FitError, match="finite"):
+            fit_growth(m, y, 1, "LOG_GROWTH")
+
     def test_constant_data_is_fit_exactly(self):
         fit = fit_growth([8, 16, 32], [2.5, 2.5, 2.5], 1, "LOG_GROWTH")
         assert fit.slope == pytest.approx(0.0, abs=1e-12)
@@ -80,6 +97,15 @@ class TestFitCostAnchor:
         with pytest.raises(FitError, match="non-empty"):
             fit_cost_anchor([], [], "LOG_COST", 64)
 
+    @pytest.mark.parametrize("m, c", [
+        ([16, 64], [0.1, float("nan")]),
+        ([16, 64], [float("inf"), 0.1]),
+        ([16, float("nan"), 64], [0.3, 0.2, 0.1]),
+    ])
+    def test_non_finite_data_rejected(self, m, c):
+        with pytest.raises(FitError, match="finite"):
+            fit_cost_anchor(m, c, "LOG_COST", 64)
+
 
 class TestGumbelCheck:
     def test_mean_max_matches_harmonic_number(self):
@@ -105,6 +131,11 @@ class TestGumbelCheck:
         exact = oracles.harmonic_number(2 ** 14) - np.log(2 ** 14)
         assert exact == pytest.approx(EULER_MASCHERONI, rel=1e-4)
 
+    @pytest.mark.parametrize("m, trials, name", [(2.5, 5, "m"), (4, 2.5, "trials")])
+    def test_non_integer_sizes_rejected(self, m, trials, name):
+        with pytest.raises(MimosecError, match=f"{name} must be an integer"):
+            gumbel_check(m, trials, 1)
+
 
 class TestCltCheck:
     def test_exact_at_m_one(self):
@@ -118,3 +149,13 @@ class TestCltCheck:
         s = phase_aligned_sums(256, 10_000, derived_rng(3))
         assert np.var(s) == pytest.approx(1.0, rel=0.03)
         assert abs(np.mean(s)) < 0.03
+
+    @pytest.mark.parametrize("m, trials, name", [(2.5, 5, "m"), (4, 2.5, "trials")])
+    def test_non_integer_sizes_rejected(self, m, trials, name):
+        with pytest.raises(MimosecError, match=f"{name} must be an integer"):
+            clt_check(m, trials, 1)
+
+    @pytest.mark.parametrize("m, trials, name", [(0, 3, "m"), (-1, 3, "m"), (4, 0, "trials")])
+    def test_sums_need_a_positive_size(self, m, trials, name):
+        with pytest.raises(MimosecError, match=f"needs {name} between 1 and"):
+            phase_aligned_sums(m, trials, derived_rng(3))

@@ -168,6 +168,16 @@ class TestDigitalMrtSelected:
         with pytest.raises(MimosecError, match=f"selection size {len(idx)} != number of users 2"):
             digital_mrt_selected(H, np.array(idx))
 
+    @pytest.mark.parametrize("idx, error, match", [
+        ([0, 9], MimosecError, r"out of range \[0, 8\)"),
+        ([0, -1], MimosecError, r"out of range \[0, 8\)"),
+        ([3, 3], InfeasibleSelectionError, "distinct"),
+    ])
+    def test_selection_outside_the_antennas_rejected(self, idx, error, match):
+        H = complex_normal(derived_rng(810, 1), (8, 2))
+        with pytest.raises(error, match=match):
+            digital_mrt_selected(H, idx)
+
 
 class TestMrtEffective:
     def test_unit_column_passthrough(self):
@@ -278,6 +288,11 @@ class TestQuantizePhases:
     @pytest.mark.parametrize("bits", [MAX_QUANT_BITS + 1, 1100])
     def test_resolution_above_the_cap_rejected(self, bits):
         with pytest.raises(MimosecError, match=f"between 1 and {MAX_QUANT_BITS}"):
+            quantize_phases(np.ones((4, 2), dtype=complex), bits)
+
+    @pytest.mark.parametrize("bits", [float("inf"), float("nan"), 2.5])
+    def test_non_integer_resolution_rejected(self, bits):
+        with pytest.raises(MimosecError, match="bits must be an integer"):
             quantize_phases(np.ones((4, 2), dtype=complex), bits)
 
     def test_finest_resolution_accepted(self):
@@ -395,6 +410,11 @@ class TestPowerUniform:
         with pytest.raises(MimosecError, match="K must be an integer"):
             power_uniform(2.5, 1.0)
 
+    @pytest.mark.parametrize("total", [float("nan"), float("inf"), -1.0])
+    def test_total_not_finite_and_non_negative_rejected(self, total):
+        with pytest.raises(MimosecError, match="total power must be finite and >= 0"):
+            power_uniform(2, total)
+
 
 class TestStepwiseTas:
     def test_single_antenna_single_user_is_argmax(self):
@@ -412,6 +432,15 @@ class TestStepwiseTas:
         H = complex_normal(derived_rng(862), (3, 2))
         with pytest.raises(InfeasibleSelectionError):
             stepwise_tas(H, 4, cfg_for(3, 2))
+
+    @pytest.mark.parametrize("users, L, match", [
+        (2, 2.5, "L must be an integer"),
+        (3, 2, "H has 3 user columns, cfg has K=2"),
+    ])
+    def test_bad_count_rejected(self, users, L, match):
+        H = complex_normal(derived_rng(862, users), (6, users))
+        with pytest.raises(MimosecError, match=match):
+            stepwise_tas(H, L, cfg_for(6, 2, L=2))
 
     @pytest.mark.parametrize("seed", range(12))
     def test_matches_per_step_oracle_small(self, seed):

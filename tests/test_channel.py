@@ -130,6 +130,11 @@ class TestConfigValidation:
             make_cfg(**{field: value})
         assert exc.value.field == field
 
+    def test_equal_configs_compare_and_hash_by_value(self):
+        a, b = make_cfg(M=16, beta=0.5), make_cfg(M=16, beta=0.5)
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != make_cfg(M=16, beta=0.25) and a != make_cfg(M=32, beta=0.5)
+
     def test_negative_gain_names_its_field(self):
         with pytest.raises(ConfigurationError, match="betas must be non-negative") as exc:
             make_cfg(beta=-1.0)

@@ -659,6 +659,7 @@ def assert_round_trips(spec):
         a, b = getattr(again, field.name), getattr(spec, field.name)
         assert type(a) is type(b), field.name
         assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b, field.name
+    assert again == spec and hash(again) == hash(spec)
 
 
 class TestSpecSchema:
@@ -670,3 +671,9 @@ class TestSpecSchema:
     def test_shipped_configs_round_trip(self, config):
         for spec in parse_config(config):
             assert_round_trips(spec)
+
+    def test_specs_compare_and_hash_by_value(self):
+        a, b = (parse_config(CONFIGS / "tas_sparse.cfg") for _ in range(2))
+        assert a == b and [hash(s) for s in a] == [hash(s) for s in b]
+        assert a[0] != dataclasses.replace(a[0], trials=a[0].trials + 1)
+        assert a[0] != a[0].config_for(a[0].m_values[0])

@@ -10,8 +10,8 @@ from mimosec import (SCHEMES, BeamformerSet, ChannelRealization, ConfigurationEr
                      DegenerateChannelError, InfeasibleSelectionError, MimosecError,
                      SingularChannelError, SwitchedBeamformerSet,
                      SystemConfig, analog_selection_matrix, build_beamformers,
-                     complex_normal, derived_rng, esnr_k, rate_report,
-                     sample_realization, sinr_k, zf_effective)
+                     complex_normal, derived_rng, rate_report,
+                     sample_realization, zf_effective)
 from mimosec.channel import carve, trial_normals
 from mimosec.metrics import user_rates
 
@@ -42,7 +42,7 @@ def random_instance(seed, M=4, K=2, J=2):
 class TestSinr:
     def test_single_link(self):
         ch, bf, cfg = single_link_setup()
-        assert sinr_k(0, ch, bf, cfg) == pytest.approx(2.0)
+        assert rate_report(ch, bf, cfg).sinr[0] == pytest.approx(2.0)
 
     def test_zero_forcing_kills_interference(self):
         cfg = SystemConfig.uniform(M=8, K=4, J=0, L=8, total_power=1.0,
@@ -51,34 +51,27 @@ class TestSinr:
         W = zf_effective(ch.H)
         bf = BeamformerSet(F=np.eye(8, dtype=complex), W=W,
                            powers=np.full(4, 0.25))
+        sinr = rate_report(ch, bf, cfg).sinr
         for k in range(4):
             expected = (0.25 * abs(ch.H[:, k] @ W[:, k]) ** 2) / 0.5
-            assert sinr_k(k, ch, bf, cfg) == pytest.approx(expected, rel=1e-12)
+            assert sinr[k] == pytest.approx(expected, rel=1e-12)
 
     def test_dimension_mismatch_rejected(self):
         ch, bf, cfg = single_link_setup()
         bad = SystemConfig.uniform(M=2, K=1, J=0, L=1, total_power=1.0,
                                    sigma2=1.0, rho2=1.0)
         with pytest.raises(ConfigurationError):
-            sinr_k(0, ch, bf, bad)
-
-    @pytest.mark.parametrize("metric", [sinr_k, esnr_k])
-    @pytest.mark.parametrize("k", [2, 1.5, -1, True])
-    def test_user_index_outside_the_users_rejected(self, metric, k):
-        ch, bf, cfg = random_instance(0)  # K = 2
-        with pytest.raises(MimosecError, match=r"user index must be an integer in \[0, 2\)"):
-            metric(k, ch, bf, cfg)
-        assert metric(np.int64(1), ch, bf, cfg) == metric(1, ch, bf, cfg)
+            rate_report(ch, bf, bad)
 
 
 class TestEsnr:
     def test_no_eavesdroppers(self):
         ch, bf, cfg = single_link_setup()
-        assert esnr_k(0, ch, bf, cfg) == 0.0
+        assert rate_report(ch, bf, cfg).esnr[0] == 0.0
 
     def test_single_eavesdropper(self):
         ch, bf, cfg = single_link_setup(g=1.0 + 0j, P=1.0, theta=0.1)
-        assert esnr_k(0, ch, bf, cfg) == pytest.approx(0.1)
+        assert rate_report(ch, bf, cfg).esnr[0] == pytest.approx(0.1)
 
 
 class TestRateReport:
