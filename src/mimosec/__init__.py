@@ -61,7 +61,7 @@ del _libc
 
 from .asymptotics import (FitResult, GumbelCheck, clt_check, fit_cost_anchor,
                           fit_growth, gumbel_check, phase_aligned_sums)
-from .beamforming import (SCHEMES, BeamformerSet, SwitchedBeamformerSet,
+from .beamforming import (BeamformerSet, SwitchedBeamformerSet,
                           analog_phase_match, analog_selection_matrix,
                           build_beamformers, digital_mrt_selected,
                           mrt_effective, power_uniform, quantize_phases,
@@ -69,12 +69,11 @@ from .beamforming import (SCHEMES, BeamformerSet, SwitchedBeamformerSet,
                           zf_effective)
 from .channel import (ChannelRealization, complex_normal, derive_seed,
                       derived_rng, sample_realization)
-from .config import SystemConfig
+from .config import SCHEMES, SweepSpec, SystemConfig
 from .errors import (ConfigParseError, ConfigurationError,
                      DegenerateChannelError, FitError, InfeasibleSelectionError,
                      MimosecError, SingularChannelError)
-from .harness import (SweepPoint, SweepResult, SweepSpec, run_sweep, run_sweeps,
-                      run_trial)
+from .harness import SweepPoint, SweepResult, run_sweep, run_sweeps, run_trial
 from .metrics import RateReport, rate_report
 
 __all__ = [

@@ -71,6 +71,18 @@ def _regressor(m_values: np.ndarray, model: str) -> np.ndarray:
     return np.log2(m_values)
 
 
+def _as_finite(message: str, *values) -> list:
+    """``values`` as float arrays; FitError(message) unless every entry is
+    finite, which NaN, inf and an integer past a double's range are not."""
+    try:
+        arrays = [np.asarray(v, dtype=float) for v in values]
+    except OverflowError:
+        raise FitError(message) from None
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise FitError(message)
+    return arrays
+
+
 def _goodness(y: np.ndarray, fitted: np.ndarray):
     residuals = y - fitted
     rms = float(np.sqrt(np.mean(residuals ** 2)))
@@ -88,12 +100,9 @@ def fit_growth(m_values, y_values, K: int, model: str) -> FitResult:
         raise MimosecError(f"unknown growth model '{model}'")
     if as_integer(K, "K") < 1:
         raise MimosecError(f"growth fit needs K >= 1, got {K}")
-    m = np.asarray(m_values, dtype=float)
-    y = np.asarray(y_values, dtype=float)
+    m, y = _as_finite("growth fit needs finite m and y values", m_values, y_values)
     if m.size != y.size or m.size < 3:
         raise FitError("growth fit needs at least 3 (m, y) points")
-    if not (np.isfinite(m).all() and np.isfinite(y).all()):
-        raise FitError("growth fit needs finite m and y values")
     x = K * _regressor(m, model)
     if np.ptp(x) == 0.0:
         raise FitError("degenerate regressor: all m values map to the same abscissa")
@@ -111,13 +120,13 @@ def fit_cost_anchor(m_values, c_values, model: str, m0: int) -> FitResult:
     """
     if model not in COST_MODELS:
         raise MimosecError(f"unknown cost model '{model}'")
-    m = np.asarray(m_values, dtype=float)
-    c = np.asarray(c_values, dtype=float)
+    m, c = _as_finite("cost fit needs finite m and c values", m_values, c_values)
     if m.size != c.size or m.size == 0:
         raise FitError("cost fit needs matching non-empty m and c vectors")
-    if not (np.isfinite(m).all() and np.isfinite(c).all()):
-        raise FitError("cost fit needs finite m and c values")
-    where = np.nonzero(m == m0)[0]
+    try:
+        where = np.nonzero(m == m0)[0]
+    except OverflowError:  # an integer m0 past a double's range
+        raise FitError("cost fit needs a finite anchor m0") from None
     if where.size == 0:
         raise MimosecError(f"anchor m0={m0} is not among the swept m values")
     x = _regressor(m, model)

@@ -8,21 +8,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import SystemConfig, as_integer
+from .config import MAX_QUANT_BITS, SystemConfig, as_integer
 from .errors import (ConfigurationError, DegenerateChannelError,
                      InfeasibleSelectionError, MimosecError,
                      SingularChannelError)
-
-SCHEMES = ("TAS_A", "TAS_B", "HADP_A", "HADP_B")
 
 # The schemes whose analog stage starts from the phase match of H.
 HYBRID_SCHEMES = ("HADP_A", "HADP_B")
 
 ZF_CONDITION_LIMIT = 1e10
-
-# Finest phase-shifter resolution: a grid of more points than 2**52 is finer
-# than a double resolves an angle near pi.
-MAX_QUANT_BITS = 52
 
 
 @dataclass(frozen=True)

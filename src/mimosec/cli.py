@@ -24,10 +24,9 @@ from . import __version__
 from .asymptotics import (COST_MODELS, GROWTH_MODELS, clt_check,
                           fit_cost_anchor, fit_growth, gumbel_check)
 from .channel import derive_seed
-from .config import MAX_SIZE
+from .config import MAX_SIZE, PRESETS, SPEC_FIELDS, SweepSpec
 from .errors import ConfigParseError, MimosecError
-from .harness import (MAX_WORKERS, PRESETS, SPEC_FIELDS, SweepPoint, SweepResult,
-                      SweepSpec, _trial_with_resampling, run_sweeps)
+from .harness import MAX_WORKERS, SweepPoint, SweepResult, _trial_with_resampling, run_sweeps
 
 # Largest b of a 'pow2:a..b' grid, checked before the grid is built.
 _MAX_POW2 = MAX_SIZE.bit_length() - 1
@@ -111,7 +110,7 @@ def _spec_from_text(doc: dict, path: str) -> SweepSpec:
 
 def parse_config(path) -> list:
     """Parse a sweep config (text format or emitted JSON manifest) into a
-    list of SweepSpec.  Both formats are checked against ``SPEC_FIELDS``."""
+    list of SweepSpec, checked against ``config.SPEC_FIELDS``, read off ``SweepSpec``'s fields."""
     path = Path(path)
     try:
         text = path.read_text()
@@ -121,7 +120,7 @@ def parse_config(path) -> list:
         return [_spec_from_text(doc, str(path)) for doc in _read_documents(text, str(path))]
     try:
         body = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also an over-long integer, deep nesting
         raise ConfigParseError(f"not valid JSON: {exc}", path=str(path)) from None
     if not isinstance(body, dict) or "sweep" not in body:
         raise ConfigParseError("expected a manifest object with a 'sweep' entry",

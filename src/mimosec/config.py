@@ -1,16 +1,28 @@
-"""System-level parameters of one downlink wiretap instance."""
+"""System-level parameters of one downlink wiretap instance, and the
+sweep specification that runs one network over a grid of array sizes."""
 
 import operator
-from dataclasses import dataclass, field, fields
+import re
+import sys
+from collections import namedtuple
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigParseError, ConfigurationError
 
 # Largest array size M and largest user, eavesdropper or RF-chain count a
 # system may have.  One draw holds M x (K + J) complex gains, so 2**20
 # antennas with 16 users and 16 eavesdroppers already take 512 MiB.
 MAX_SIZE = 1 << 20
+
+SCHEMES = ("TAS_A", "TAS_B", "HADP_A", "HADP_B")
+
+# Finest phase-shifter resolution: a grid of more points than 2**52 is finer
+# than a double resolves an angle near pi.
+MAX_QUANT_BITS = 52
+
+COST_ESTIMATORS = ("mean_of_ratios", "ratio_of_means")
 
 
 def as_integer(value, name: str) -> int:
@@ -25,7 +37,10 @@ def as_integer(value, name: str) -> int:
 
 def _as_vector(x, n: int, name: str) -> np.ndarray:
     """``x`` as n finite non-negative floats; one value stands for all n."""
-    v = np.atleast_1d(np.asarray(x, dtype=float))
+    try:
+        v = np.atleast_1d(np.asarray(x, dtype=float))
+    except OverflowError:  # an integer past a double's range
+        raise ConfigurationError(f"{name} must be finite", field=name) from None
     if v.ndim != 1 or v.size not in (1, n):
         raise ConfigurationError(f"{name} must be one value or a length-{n} vector, "
                                  f"got shape {v.shape}", field=name)
@@ -85,7 +100,8 @@ class SystemConfig(ByValue):
                                      field="L")
         for name, ok, rule in (("total_power", self.total_power >= 0, ">= 0"),
                                ("sigma2", self.sigma2 > 0, "> 0"), ("rho2", self.rho2 > 0, "> 0")):
-            if not (ok and np.isfinite(getattr(self, name))):
+            # Above the largest double: inf, and an integer past a double's range.
+            if not (ok and getattr(self, name) <= sys.float_info.max):
                 raise ConfigurationError(f"{name} must be finite and {rule}, "
                                          f"got {getattr(self, name)}", field=name)
         for name, n in (("betas", self.K), ("thetas", self.J), ("weights", self.K)):
@@ -110,3 +126,154 @@ class SystemConfig(ByValue):
         """Per-eavesdropper receive SNR theta_j * P / rho^2 in dB."""
         with np.errstate(divide="ignore"):
             return 10.0 * np.log10(self.thetas * self.total_power / self.rho2)
+
+
+# What a value of each field kind must be, as JSON has it.
+FIELD_KINDS = {"int": "an integer", "float": "a number", "string": "a string",
+               "vector": "a list of numbers", "m_grid": "a list of integers"}
+_SCALAR_TYPES = {"int": int, "float": (int, float), "string": str}
+_ITEM_KIND = {"vector": "float", "m_grid": "int"}
+
+
+def _is_kind(value, kind: str) -> bool:
+    if kind in _ITEM_KIND:
+        return (isinstance(value, (list, tuple))
+                and all(_is_kind(v, _ITEM_KIND[kind]) for v in value))
+    return isinstance(value, _SCALAR_TYPES[kind]) and not isinstance(value, bool)
+
+
+# The two networks used throughout the experiment matrix: 16 users at 0 dB
+# receive SNR overheard by 2 (sparse) or 16 (dense) eavesdroppers at -10 dB.
+# Keyed like manifests; a config's ``preset`` key fills in what it omits.
+_SPARSE = dict(K=16, J=2, L=16, total_power=1.0, sigma2=1.0, rho2=1.0,
+               betas=(1.0,), thetas=(0.1,))
+PRESETS = {"sparse": _SPARSE, "dense": dict(_SPARSE, J=16)}
+
+# The fields a SweepSpec shares with the SystemConfig of each of its array sizes.
+_NETWORK = tuple(f.name for f in fields(SystemConfig) if f.name != "M")
+
+
+@dataclass(frozen=True, eq=False, kw_only=True)
+class SweepSpec(ByValue):
+    """One Monte Carlo sweep: a network profile swept over array sizes.
+
+    ``m_values`` must be strictly increasing and each at least
+    max(L, K) so every scheme stays feasible, and at most ``MAX_SIZE``.
+    ``L`` is the RF-chain count of scheme TAS_B; the other schemes have one
+    chain per user and need ``L == K``.  ``quant_bits`` is the phase-shifter
+    resolution and is required exactly for scheme HADP_B.
+
+    Each field's metadata gives its kind (a key of FIELD_KINDS) and, where
+    they differ from its name, its config-file ``key`` and ``manifest`` key.
+    """
+
+    scenario: str = field(metadata={"kind": "string"})
+    scheme: str = field(metadata={"kind": "string"})
+    K: int = field(metadata={"kind": "int"})
+    J: int = field(metadata={"kind": "int"})
+    L: int = field(metadata={"kind": "int"})
+    total_power: float = field(metadata={"kind": "float"})
+    sigma2: float = field(metadata={"kind": "float"})
+    rho2: float = field(metadata={"kind": "float"})
+    betas: np.ndarray = field(metadata={"kind": "vector", "key": "beta"})
+    thetas: np.ndarray = field(metadata={"kind": "vector", "key": "theta"})
+    weights: np.ndarray = field(default=(1.0,), metadata={"kind": "vector"})
+    m_values: tuple = field(metadata={"kind": "m_grid"})
+    trials: int = field(metadata={"kind": "int"})
+    master_seed: int = field(metadata={"kind": "int", "key": "seed", "manifest": "seed"})
+    quant_bits: int | None = field(default=None, metadata={"kind": "int"})
+    cost_estimator: str = field(default="mean_of_ratios", metadata={"kind": "string"})
+
+    def __post_init__(self):
+        # The scenario names the output files and leads every CSV row, where
+        # a control character such as a carriage return is written unquoted
+        # and splits the row when it is read back.
+        if re.search(r"[\x00-\x1f\x7f-\x9f]", self.scenario):
+            raise ConfigurationError(f"scenario must not contain control characters, "
+                                     f"got {self.scenario!r}", field="scenario")
+        if self.scheme not in SCHEMES:
+            raise ConfigurationError(f"unknown scheme '{self.scheme}', expected one of "
+                                     f"{SCHEMES}", field="scheme")
+        if self.cost_estimator not in COST_ESTIMATORS:
+            raise ConfigurationError(f"unknown cost_estimator '{self.cost_estimator}', "
+                                     f"expected one of {COST_ESTIMATORS}", field="cost_estimator")
+        # The network at its smallest feasible size checks the counts and
+        # vectors, and normalizes them so the sweep round-trips through
+        # manifests.
+        probe = self.config_for(max(self.L, self.K))
+        for name in _NETWORK:
+            object.__setattr__(self, name, getattr(probe, name))
+        for name in ("trials", "master_seed"):
+            object.__setattr__(self, name, as_integer(getattr(self, name), name))
+        if self.quant_bits is not None:
+            object.__setattr__(self, "quant_bits", as_integer(self.quant_bits, "quant_bits"))
+        m = tuple(as_integer(v, "m_values") for v in self.m_values)
+        object.__setattr__(self, "m_values", m)
+        # An empty m_values is allowed; it emits a header-only CSV.
+        if any(b <= a for a, b in zip(m, m[1:])):
+            raise ConfigurationError("m_values must be strictly increasing", field="m_values")
+        if m and m[-1] > MAX_SIZE:
+            raise ConfigurationError(f"every m must be at most {MAX_SIZE}", field="m_values")
+        if m:
+            self.config_for(m[0])  # the smallest m, checked against the floor
+        if (self.scheme == "HADP_B") != (self.quant_bits is not None):
+            raise ConfigurationError("quant_bits is required for scheme HADP_B "
+                                     "and must be absent otherwise", field="quant_bits")
+        if self.scheme != "TAS_B" and self.L != self.K:
+            raise ConfigurationError(f"scheme {self.scheme} has one RF chain per user, so L "
+                                     f"must equal K = {self.K}, got {self.L}", field="L")
+        if self.quant_bits is not None and not 1 <= self.quant_bits <= MAX_QUANT_BITS:
+            raise ConfigurationError(f"quant_bits must be between 1 and {MAX_QUANT_BITS}, "
+                                     f"got {self.quant_bits}", field="quant_bits")
+        if not 1 <= self.trials <= MAX_SIZE:
+            raise ConfigurationError(f"trials must be between 1 and {MAX_SIZE}, "
+                                     f"got {self.trials}", field="trials")
+        if self.master_seed < 0:
+            raise ConfigurationError("master_seed must be non-negative", field="master_seed")
+
+    @classmethod
+    def from_dict(cls, entries, *, path: str | None = None) -> "SweepSpec":
+        """Inverse of ``to_dict``: build a spec from a dict keyed like a
+        manifest's ``sweep`` object.  Absent optional keys take their default.
+        A bad key or value raises ConfigParseError naming the manifest key and
+        ``path``."""
+        if not isinstance(entries, dict):
+            raise ConfigParseError("expected an object of sweep settings", path=path)
+        unknown = [key for key in entries if key not in {f.manifest for f in SPEC_FIELDS}]
+        if unknown:
+            raise ConfigParseError("unknown key", path=path, key=unknown[0])
+        values = {}
+        for f in SPEC_FIELDS:
+            value = values[f.name] = entries.get(f.manifest, f.default)
+            if value is MISSING:
+                raise ConfigParseError("missing required key", path=path, key=f.manifest)
+            if not (_is_kind(value, f.kind) or (value is None and f.default is None)):
+                raise ConfigParseError(f"expected {FIELD_KINDS[f.kind]}, got {value!r}",
+                                       path=path, key=f.manifest)
+        try:
+            return cls(**values)
+        except ConfigurationError as exc:
+            key = next((f.manifest for f in SPEC_FIELDS if f.name == exc.field), None)
+            raise ConfigParseError(str(exc), path=path, key=key) from exc
+
+    def to_dict(self) -> dict:
+        """The spec as JSON values, keyed and ordered as in manifests."""
+        return {f.manifest: list(getattr(self, f.name)) if f.kind in _ITEM_KIND
+                else getattr(self, f.name) for f in SPEC_FIELDS}
+
+    def config_for(self, m: int) -> SystemConfig:
+        """System config of this network at array size m, which must be at
+        least max(L, K): below it some scheme is infeasible."""
+        floor = max(self.L, self.K)
+        if m < floor:
+            raise ConfigurationError(f"m must be at least max(L, K) = {floor}, got {m}",
+                                     field="m_values")
+        return SystemConfig(M=m, **{name: getattr(self, name) for name in _NETWORK})
+
+
+# The schema, one row per SweepSpec field in manifest order; ``default`` is
+# MISSING where the key is required.
+SpecField = namedtuple("SpecField", "name key manifest kind default")
+SPEC_FIELDS = tuple(SpecField(f.name, f.metadata.get("key", f.name),
+                              f.metadata.get("manifest", f.name), f.metadata["kind"], f.default)
+                    for f in fields(SweepSpec))

@@ -2,27 +2,22 @@
 and aggregates the rate metrics with standard errors."""
 
 import logging
-import re
 import time
-from collections import Counter, namedtuple
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import SETTINGS
-from .beamforming import (HYBRID_SCHEMES, MAX_QUANT_BITS, SCHEMES, analog_phase_match,
-                          build_beamformers, build_key)
+from .beamforming import HYBRID_SCHEMES, analog_phase_match, build_beamformers, build_key
 from .channel import carve, derive_seed, trial_normals
 from .channel import sample_realization  # unused here: perfbench/inproc.py patches it by name
-from .config import MAX_SIZE, ByValue, SystemConfig, as_integer
-from .errors import (ConfigParseError, ConfigurationError,
-                     DegenerateChannelError, SingularChannelError)
+from .config import SweepSpec, SystemConfig
+from .errors import ConfigurationError, DegenerateChannelError, SingularChannelError
 from .metrics import RateReport, rate_report, user_rates
 
 log = logging.getLogger(__name__)
-
-COST_ESTIMATORS = ("mean_of_ratios", "ratio_of_means")
 
 # Retry budget for resampling measure-zero degenerate draws.
 _MAX_RESAMPLES = 16
@@ -36,171 +31,6 @@ RESAMPLE_CAUSES = {DegenerateChannelError: "zero coefficient",
 # parent holding numpy, so a count in the thousands would exhaust the
 # machine's processes and memory before a trial runs.
 MAX_WORKERS = 64
-
-# One row of the sweep-spec schema: the SweepSpec attribute, the key it goes
-# by in config files and in manifests, its kind (a key of FIELD_KINDS) and its
-# default, NO_DEFAULT when the key is required.
-NO_DEFAULT = object()
-SpecField = namedtuple("SpecField", "name key manifest kind default", defaults=(NO_DEFAULT,))
-
-# The schema, in manifest order.
-SPEC_FIELDS = (
-    SpecField("scenario", "scenario", "scenario", "string"),
-    SpecField("scheme", "scheme", "scheme", "string"),
-    SpecField("K", "K", "K", "int"),
-    SpecField("J", "J", "J", "int"),
-    SpecField("L", "L", "L", "int"),
-    SpecField("total_power", "total_power", "total_power", "float"),
-    SpecField("sigma2", "sigma2", "sigma2", "float"),
-    SpecField("rho2", "rho2", "rho2", "float"),
-    SpecField("betas", "beta", "betas", "vector"),
-    SpecField("thetas", "theta", "thetas", "vector"),
-    SpecField("weights", "weights", "weights", "vector", (1.0,)),
-    SpecField("m_values", "m_values", "m_values", "m_grid"),
-    SpecField("trials", "trials", "trials", "int"),
-    SpecField("master_seed", "seed", "seed", "int"),
-    SpecField("quant_bits", "quant_bits", "quant_bits", "int", None),
-    SpecField("cost_estimator", "cost_estimator", "cost_estimator", "string", "mean_of_ratios"),
-)
-
-# What a value of each field kind must be, as JSON has it.
-FIELD_KINDS = {"int": "an integer", "float": "a number", "string": "a string",
-               "vector": "a list of numbers", "m_grid": "a list of integers"}
-_SCALAR_TYPES = {"int": int, "float": (int, float), "string": str}
-_ITEM_KIND = {"vector": "float", "m_grid": "int"}
-
-
-def _is_kind(value, kind: str) -> bool:
-    if kind in _ITEM_KIND:
-        return (isinstance(value, (list, tuple))
-                and all(_is_kind(v, _ITEM_KIND[kind]) for v in value))
-    return isinstance(value, _SCALAR_TYPES[kind]) and not isinstance(value, bool)
-
-
-# The two networks used throughout the experiment matrix: 16 users at 0 dB
-# receive SNR overheard by 2 (sparse) or 16 (dense) eavesdroppers at -10 dB.
-# Keyed like manifests; a config's ``preset`` key fills in what it omits.
-_SPARSE = dict(K=16, J=2, L=16, total_power=1.0, sigma2=1.0, rho2=1.0,
-               betas=(1.0,), thetas=(0.1,))
-PRESETS = {"sparse": _SPARSE, "dense": dict(_SPARSE, J=16)}
-
-
-@dataclass(frozen=True, eq=False)
-class SweepSpec(ByValue):
-    """One Monte Carlo sweep: a network profile swept over array sizes.
-
-    ``m_values`` must be strictly increasing and each at least
-    max(L, K) so every scheme stays feasible, and at most ``MAX_SIZE``.
-    ``L`` is the RF-chain count of scheme TAS_B; the other schemes have one
-    chain per user and need ``L == K``.  ``quant_bits`` is the phase-shifter
-    resolution and is required exactly for scheme HADP_B.
-    """
-
-    scenario: str
-    scheme: str
-    K: int
-    J: int
-    L: int
-    total_power: float
-    sigma2: float
-    rho2: float
-    betas: np.ndarray
-    thetas: np.ndarray
-    weights: np.ndarray
-    m_values: tuple
-    trials: int
-    master_seed: int
-    quant_bits: int | None = None
-    cost_estimator: str = "mean_of_ratios"
-
-    def __post_init__(self):
-        # The scenario names the output files and leads every CSV row, where
-        # a control character such as a carriage return is written unquoted
-        # and splits the row when it is read back.
-        if re.search(r"[\x00-\x1f\x7f-\x9f]", self.scenario):
-            raise ConfigurationError(f"scenario must not contain control characters, "
-                                     f"got {self.scenario!r}", field="scenario")
-        if self.scheme not in SCHEMES:
-            raise ConfigurationError(f"unknown scheme '{self.scheme}', expected one of "
-                                     f"{SCHEMES}", field="scheme")
-        if self.cost_estimator not in COST_ESTIMATORS:
-            raise ConfigurationError(f"unknown cost_estimator '{self.cost_estimator}', "
-                                     f"expected one of {COST_ESTIMATORS}", field="cost_estimator")
-        # The network at its smallest feasible size checks the counts and
-        # vectors, and normalizes them so the sweep round-trips through
-        # manifests.
-        probe = self.config_for(max(self.L, self.K))
-        for name in ("K", "J", "L", "betas", "thetas", "weights"):
-            object.__setattr__(self, name, getattr(probe, name))
-        for name in ("trials", "master_seed"):
-            object.__setattr__(self, name, as_integer(getattr(self, name), name))
-        if self.quant_bits is not None:
-            object.__setattr__(self, "quant_bits", as_integer(self.quant_bits, "quant_bits"))
-        m = tuple(as_integer(v, "m_values") for v in self.m_values)
-        object.__setattr__(self, "m_values", m)
-        # An empty m_values is allowed; it emits a header-only CSV.
-        if any(b <= a for a, b in zip(m, m[1:])):
-            raise ConfigurationError("m_values must be strictly increasing", field="m_values")
-        if m and m[-1] > MAX_SIZE:
-            raise ConfigurationError(f"every m must be at most {MAX_SIZE}", field="m_values")
-        if m:
-            self.config_for(m[0])  # the smallest m, checked against the floor
-        if (self.scheme == "HADP_B") != (self.quant_bits is not None):
-            raise ConfigurationError("quant_bits is required for scheme HADP_B "
-                                     "and must be absent otherwise", field="quant_bits")
-        if self.scheme != "TAS_B" and self.L != self.K:
-            raise ConfigurationError(f"scheme {self.scheme} has one RF chain per user, so L "
-                                     f"must equal K = {self.K}, got {self.L}", field="L")
-        if self.quant_bits is not None and not 1 <= self.quant_bits <= MAX_QUANT_BITS:
-            raise ConfigurationError(f"quant_bits must be between 1 and {MAX_QUANT_BITS}, "
-                                     f"got {self.quant_bits}", field="quant_bits")
-        if not 1 <= self.trials <= MAX_SIZE:
-            raise ConfigurationError(f"trials must be between 1 and {MAX_SIZE}, "
-                                     f"got {self.trials}", field="trials")
-        if self.master_seed < 0:
-            raise ConfigurationError("master_seed must be non-negative", field="master_seed")
-
-    @classmethod
-    def from_dict(cls, entries, *, path: str | None = None) -> "SweepSpec":
-        """Inverse of ``to_dict``: build a spec from a dict keyed like a
-        manifest's ``sweep`` object.  Absent optional keys take their default.
-        A bad key or value raises ConfigParseError naming the manifest key and
-        ``path``."""
-        if not isinstance(entries, dict):
-            raise ConfigParseError("expected an object of sweep settings", path=path)
-        unknown = [key for key in entries if key not in {f.manifest for f in SPEC_FIELDS}]
-        if unknown:
-            raise ConfigParseError("unknown key", path=path, key=unknown[0])
-        values = {}
-        for f in SPEC_FIELDS:
-            value = values[f.name] = entries.get(f.manifest, f.default)
-            if value is NO_DEFAULT:
-                raise ConfigParseError("missing required key", path=path, key=f.manifest)
-            if not (_is_kind(value, f.kind) or (value is None and f.default is None)):
-                raise ConfigParseError(f"expected {FIELD_KINDS[f.kind]}, got {value!r}",
-                                       path=path, key=f.manifest)
-        try:
-            return cls(**values)
-        except ConfigurationError as exc:
-            key = next((f.manifest for f in SPEC_FIELDS if f.name == exc.field), None)
-            raise ConfigParseError(str(exc), path=path, key=key) from exc
-
-    def to_dict(self) -> dict:
-        """The spec as JSON values, keyed and ordered as in manifests."""
-        return {f.manifest: list(getattr(self, f.name)) if f.kind in _ITEM_KIND
-                else getattr(self, f.name) for f in SPEC_FIELDS}
-
-    def config_for(self, m: int) -> SystemConfig:
-        """System config of this network at array size m, which must be at
-        least max(L, K): below it some scheme is infeasible."""
-        floor = max(self.L, self.K)
-        if m < floor:
-            raise ConfigurationError(f"m must be at least max(L, K) = {floor}, got {m}",
-                                     field="m_values")
-        return SystemConfig(M=m, K=self.K, J=self.J, L=self.L,
-                            total_power=self.total_power, sigma2=self.sigma2,
-                            rho2=self.rho2, betas=self.betas,
-                            thetas=self.thetas, weights=self.weights)
 
 
 @dataclass(frozen=True)

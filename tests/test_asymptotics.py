@@ -55,6 +55,7 @@ class TestFitGrowth:
         ([4, 8, 16], [1.0, float("nan"), 3.0]),
         ([4, 8, 16], [1.0, 2.0, float("inf")]),
         ([4, float("nan"), 16], [1.0, 2.0, 3.0]),
+        ([4, 8, 10 ** 400], [1.0, 2.0, 3.0]),
     ])
     def test_non_finite_data_rejected(self, m, y):
         with pytest.raises(FitError, match="finite"):
@@ -101,10 +102,15 @@ class TestFitCostAnchor:
         ([16, 64], [0.1, float("nan")]),
         ([16, 64], [float("inf"), 0.1]),
         ([16, float("nan"), 64], [0.3, 0.2, 0.1]),
+        ([16, 10 ** 400, 64], [0.3, 0.2, 0.1]),
     ])
     def test_non_finite_data_rejected(self, m, c):
         with pytest.raises(FitError, match="finite"):
             fit_cost_anchor(m, c, "LOG_COST", 64)
+
+    def test_anchor_past_a_doubles_range_rejected(self):
+        with pytest.raises(FitError, match="finite anchor m0"):
+            fit_cost_anchor([4, 8, 16], [0.5, 0.4, 0.3], "LOG_COST", 10 ** 400)
 
 
 class TestGumbelCheck:

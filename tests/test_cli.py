@@ -15,7 +15,7 @@ from mimosec import (SCHEMES, ConfigParseError, DegenerateChannelError, SweepSpe
                      fit_cost_anchor, fit_growth, run_sweep)
 from mimosec.cli import emit_results, main, parse_config
 from mimosec.config import MAX_SIZE
-from mimosec.harness import COST_ESTIMATORS
+from mimosec.config import COST_ESTIMATORS
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -366,8 +366,18 @@ class TestSubcommands:
         (manifest_with(bogus=1), "bogus"),
         (manifest_with(scenario="a\rb"), "scenario"),
         (manifest_with(seed=-1), "seed"),
+        (manifest_with(total_power=10 ** 400), "total_power"),
+        (manifest_with(sigma2=10 ** 400), "sigma2"),
+        (manifest_with(rho2=10 ** 400), "rho2"),
+        (manifest_with(betas=[1.0, 10 ** 400]), "betas"),
+        (manifest_with(thetas=[10 ** 400]), "thetas"),
+        (manifest_with(weights=[10 ** 400, 1.0]), "weights"),
+        ('{"sweep": {"K": 1' + "0" * 5000 + "}}", None),
+        ('{"sweep": ' + "[" * 100_000 + "]" * 100_000 + "}", None),
     ], ids=["malformed", "empty", "array", "sweep_array", "string_K", "nan_sigma2",
-            "unknown_key", "control_character_scenario", "negative_seed"])
+            "unknown_key", "control_character_scenario", "negative_seed", "huge_total_power",
+            "huge_sigma2", "huge_rho2", "huge_beta", "huge_theta", "huge_weight",
+            "over_digit_limit", "nested_too_deep"])
     def test_bad_manifest_rejected(self, tmp_path, capsys, body, key):
         manifest = write(tmp_path, body, name="bad.manifest.json")
         with pytest.raises(ConfigParseError):
@@ -378,6 +388,19 @@ class TestSubcommands:
         if key is not None:
             assert f"key '{key}'" in err
         assert not (tmp_path / "out").exists()
+
+    def test_integer_within_a_doubles_range_runs_as_that_double(self, tmp_path):
+        # 10**20 is past numpy's integer types but within a double's range:
+        # it runs as 1e20 does, and its manifest keeps the integer.
+        csvs = {}
+        for name, value in (("int", 10 ** 20), ("float", 1e20)):
+            path = write(tmp_path, manifest_with(total_power=value, sigma2=value, rho2=value),
+                         name=f"{name}.manifest.json")
+            assert main(["sweep", str(path), "--out", str(tmp_path / name), "--workers", "1"]) == 0
+            csvs[name] = (tmp_path / name / "tiny_TAS_A.csv").read_bytes()
+        assert csvs["int"] == csvs["float"]
+        manifest = json.loads((tmp_path / "int" / "tiny_TAS_A.manifest.json").read_text())
+        assert [manifest["sweep"][k] for k in ("total_power", "sigma2", "rho2")] == [10 ** 20] * 3
 
     def test_fit_of_missing_csv_is_an_error(self, tmp_path, capsys):
         assert main(["fit", str(tmp_path / "nope.csv"), "--model", "LOG_GROWTH"]) == 1
@@ -671,6 +694,13 @@ class TestSpecSchema:
     def test_shipped_configs_round_trip(self, config):
         for spec in parse_config(config):
             assert_round_trips(spec)
+
+    def test_weights_default_alike_in_the_constructor_and_from_dict(self):
+        spec = tiny_spec()
+        fields = {f.name: getattr(spec, f.name) for f in dataclasses.fields(SweepSpec)
+                  if f.name != "weights"}
+        entries = {key: value for key, value in spec.to_dict().items() if key != "weights"}
+        assert SweepSpec(**fields) == SweepSpec.from_dict(entries) == spec
 
     def test_specs_compare_and_hash_by_value(self):
         a, b = (parse_config(CONFIGS / "tas_sparse.cfg") for _ in range(2))
