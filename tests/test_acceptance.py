@@ -1,8 +1,10 @@
 """Acceptance suite: one test per release criterion, each printing a
 PASS/FAIL line (run with ``pytest -s`` to see them live).
 
-The Monte Carlo sweeps are shared across criteria through module-scoped
-fixtures; every tolerance is pinned here, not in helper code.
+The six Monte Carlo sweeps of criteria 6-10 run as one ``run_sweeps``
+call, sharing draws and builds as ``mimosec sweep`` does, and the criteria
+read their sweeps from that one run; every tolerance is pinned here, not in
+helper code.
 """
 
 import time
@@ -14,9 +16,10 @@ import oracles
 from mimosec import (SweepSpec, SystemConfig, BeamformerSet, build_beamformers,
                      clt_check, complex_normal, derived_rng,
                      fit_cost_anchor, fit_growth, gumbel_check,
-                     phase_aligned_sums, rate_report, run_sweep, run_trial,
+                     phase_aligned_sums, rate_report, run_sweeps, run_trial,
                      sample_realization)
 from mimosec.cli import main as cli_main
+from mimosec.config import PRESETS
 
 SEED = 20260810
 M_GRID = (64, 128, 256, 512, 1024, 2048, 4096)
@@ -32,53 +35,52 @@ def verdict(number: int, name: str, ok: bool, detail: str = ""):
     assert ok, line
 
 
-def preset_spec(scheme: str, J: int, quant_bits=None, trials=TRIALS,
-                scenario="acceptance") -> SweepSpec:
-    return SweepSpec(scenario=scenario, scheme=scheme, K=16, J=J, L=16,
-                     total_power=1.0, sigma2=1.0, rho2=1.0,
-                     betas=np.ones(16), thetas=np.full(J, 0.1),
-                     weights=np.ones(16), m_values=M_GRID, trials=trials,
-                     master_seed=SEED, quant_bits=quant_bits)
+def preset_spec(scheme: str, preset: str, quant_bits=None) -> SweepSpec:
+    """The sweep of ``scheme`` over M_GRID on the shipped ``preset`` network."""
+    return SweepSpec(**PRESETS[preset], scenario=preset, scheme=scheme, m_values=M_GRID,
+                     trials=TRIALS, master_seed=SEED, quant_bits=quant_bits)
+
+
+QUANT_BITS = (2, 4, 16)
+SWEEPS = {"tas_sparse": preset_spec("TAS_A", "sparse"),
+          "hadp_sparse": preset_spec("HADP_A", "sparse"),
+          "tas_dense": preset_spec("TAS_A", "dense"),
+          **{bits: preset_spec("HADP_B", "sparse", bits) for bits in QUANT_BITS}}
 
 
 @pytest.fixture(scope="module")
-def sweep_times():
-    return {}
-
-
-@pytest.fixture(scope="module")
-def tas_sparse(sweep_times):
+def shared_run():
+    """The six sweeps of SWEEPS, keyed alike, and the seconds of their one run."""
     t = time.perf_counter()
-    result = run_sweep(preset_spec("TAS_A", J=2), workers=WORKERS)
-    sweep_times["tas_sparse"] = time.perf_counter() - t
-    return result
+    results = run_sweeps(SWEEPS.values(), workers=WORKERS)
+    return dict(zip(SWEEPS, results)), time.perf_counter() - t
 
 
 @pytest.fixture(scope="module")
-def hadp_sparse(sweep_times):
-    t = time.perf_counter()
-    result = run_sweep(preset_spec("HADP_A", J=2), workers=WORKERS)
-    sweep_times["hadp_sparse"] = time.perf_counter() - t
-    return result
+def sweep_times(shared_run):
+    seconds = shared_run[1]
+    return dict.fromkeys(("tas_sparse", "hadp_sparse", "tas_dense", "hadp_quantized"),
+                         seconds)
 
 
 @pytest.fixture(scope="module")
-def tas_dense(sweep_times):
-    t = time.perf_counter()
-    result = run_sweep(preset_spec("TAS_A", J=16), workers=WORKERS)
-    sweep_times["tas_dense"] = time.perf_counter() - t
-    return result
+def tas_sparse(shared_run):
+    return shared_run[0]["tas_sparse"]
 
 
 @pytest.fixture(scope="module")
-def hadp_quantized(sweep_times):
-    out = {}
-    t = time.perf_counter()
-    for bits in (2, 4, 16):
-        out[bits] = run_sweep(preset_spec("HADP_B", J=2, quant_bits=bits),
-                              workers=WORKERS)
-    sweep_times["hadp_quantized"] = time.perf_counter() - t
-    return out
+def hadp_sparse(shared_run):
+    return shared_run[0]["hadp_sparse"]
+
+
+@pytest.fixture(scope="module")
+def tas_dense(shared_run):
+    return shared_run[0]["tas_dense"]
+
+
+@pytest.fixture(scope="module")
+def hadp_quantized(shared_run):
+    return {bits: shared_run[0][bits] for bits in QUANT_BITS}
 
 
 def regression_on_log2m(points):

@@ -309,6 +309,15 @@ def shared_specs():
             small_spec("HADP_A", J=3, trials=22, m_values=narrow)]
 
 
+def hybrid_specs():
+    """Sweeps of one seed sharing a phase match: HADP_B at 2, 4 and 16 bits,
+    then HADP_A at two J, which read the match after every quantizer has.
+    At these sizes 2 and 4 bits take quantize_phases' table path and 16
+    bits its direct path."""
+    return [*(small_spec("HADP_B", quant_bits=bits, trials=4) for bits in (2, 4, 16)),
+            small_spec("HADP_A", trials=6), small_spec("HADP_A", J=3, trials=6)]
+
+
 def tas_specs():
     """Sweeps shaped like the benchmark's ``tas`` workload: two of 44 trials
     over m = 64..4096 and one of 22 over m = 64..1024."""
@@ -340,12 +349,12 @@ class TestRunSweeps:
                                for m in spec.m_values for t in range(spec.trials))
 
     def test_equal_to_each_sweep_run_alone(self):
-        specs = shared_specs()
-        alone = [run_sweep(spec).points for spec in specs]
-        for workers in (0, 1, 2, 3):
-            results = run_sweeps(specs, workers=workers)
-            assert [r.spec for r in results] == specs
-            assert [r.points for r in results] == alone
+        for specs in (shared_specs(), hybrid_specs()):
+            alone = [run_sweep(spec).points for spec in specs]
+            for workers in (0, 1, 2, 3):
+                results = run_sweeps(specs, workers=workers)
+                assert [r.spec for r in results] == specs
+                assert [r.points for r in results] == alone
 
     def test_each_shared_channel_is_drawn_once(self, monkeypatch):
         specs = shared_specs()
@@ -367,9 +376,8 @@ class TestRunSweeps:
 
     def test_each_draw_is_phase_matched_once_and_built_once_per_setting(self, monkeypatch):
         # Two HADP_A sweeps that differ in J alone share their builds; the
-        # HADP_B sweep quantizes the same phase match.
-        specs = [small_spec("HADP_A", trials=6), small_spec("HADP_A", J=3, trials=6),
-                 small_spec("HADP_B", quant_bits=4, trials=4)]
+        # HADP_B sweeps quantize the same phase match on both paths.
+        specs = hybrid_specs()
         alone = [run_sweep(spec).points for spec in specs]
         matched, built = Counter(), Counter()
         real_match, real_build = beamforming.analog_phase_match, harness.build_beamformers
@@ -388,7 +396,7 @@ class TestRunSweeps:
         assert [r.points for r in run_sweeps(specs, workers=1)] == alone
         assert set(matched.values()) == {1}
         assert len(matched) == 6 * 2
-        assert built == {"HADP_A": 6 * 2, "HADP_B": 4 * 2}
+        assert built == {"HADP_A": 6 * 2, "HADP_B": 3 * 4 * 2}
 
     def test_each_analog_stage_forms_f_t_h_once_per_trial(self, monkeypatch):
         # Sparse and dense HADP_A share F, and HADP_B's zero forcing and
