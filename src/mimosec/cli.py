@@ -113,9 +113,11 @@ def parse_config(path) -> list:
     list of SweepSpec, checked against ``config.SPEC_FIELDS``, read off ``SweepSpec``'s fields."""
     path = Path(path)
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigParseError(f"cannot read: {exc.strerror}", path=str(path)) from None
+    except UnicodeDecodeError as exc:
+        raise ConfigParseError(f"cannot read: not UTF-8 ({exc.reason})", path=str(path)) from None
     if path.suffix != ".json":
         return [_spec_from_text(doc, str(path)) for doc in _read_documents(text, str(path))]
     try:
@@ -140,7 +142,7 @@ def _write_all(files) -> None:
         for path, text in files:
             tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
             staged.append(tmp)
-            tmp.write_text(text, newline="\n")
+            tmp.write_text(text, encoding="utf-8", newline="\n")
         for tmp, (path, _) in zip(staged, files):
             os.replace(tmp, path)
             placed.append(path)
@@ -251,10 +253,12 @@ def _cmd_sweep(args) -> int:
 
 def _read_results_csv(path: Path):
     try:
-        with path.open(newline="") as fh:
+        with path.open(newline="", encoding="utf-8") as fh:
             rows = list(csv.DictReader(fh))
     except OSError as exc:
         raise MimosecError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise MimosecError(f"cannot read {path}: not UTF-8 ({exc.reason})") from None
     if not rows:
         raise MimosecError(f"{path}: no data rows to fit")
     return rows

@@ -26,6 +26,8 @@ _MAX_RESAMPLES = 16
 # coefficient, and an effective channel too ill-conditioned for zero forcing.
 RESAMPLE_CAUSES = {DegenerateChannelError: "zero coefficient",
                    SingularChannelError: "ill-conditioned"}
+# A trial's outcome: r_sum, r_sum_noeve, leakage, cost, redraws per cause, seconds.
+_COLUMNS = 5 + len(RESAMPLE_CAUSES)
 
 # Most worker processes a sweep may start.  Each is a forked copy of the
 # parent holding numpy, so a count in the thousands would exhaust the
@@ -147,30 +149,28 @@ def _block_task(args):
     tuple of (position, spec) sharing the master seed, each with at least hi
     trials, trial index by trial index: each trial is one ``_Trial`` for all
     the sweeps, so its channels are drawn once and each build from H that
-    several of them make is made once.  The draw's seconds count in the
-    first sweep.  Returns (m, lo, hi, the positions, an (n, 4, hi - lo)
-    array of r_sum, r_sum_noeve, leakage and cost per sweep and trial, the
-    (n, causes) resamples and the n seconds of the sweeps' trials).
+    several of them make is made once.  Returns (m, lo, hi, the positions,
+    an (n, columns, hi - lo) array of each sweep's outcome per trial).  The
+    columns are r_sum, r_sum_noeve, leakage and cost, the redraws per
+    ``RESAMPLE_CAUSES`` cause, then the seconds, the draw's billed to the
+    first sweep.
     """
     m, lo, hi, members = args
     seed = derive_seed(members[0][1].master_seed, m)
     uses = [(spec.config_for(m), spec.scheme, spec.quant_bits) for _, spec in members]
     reused = _reused(uses)
-    rows = np.empty((len(members), 4, hi - lo))
-    resamples = np.zeros((len(members), len(RESAMPLE_CAUSES)), dtype=int)
-    seconds = [0.0] * len(members)
-    for t in range(lo, hi):
+    outcomes = np.zeros((hi - lo, len(members), _COLUMNS))
+    for t, out in zip(range(lo, hi), outcomes):
         trial = None  # the last trial's draws go before the next is drawn
         start = time.perf_counter()
         trial = _Trial(m, seed, t, uses, reused)
-        seconds[0] += time.perf_counter() - start
+        out[0, -1] = time.perf_counter() - start
         for j, ((_, spec), use) in enumerate(zip(members, uses)):
             start = time.perf_counter()
-            report, extra = _trial_with_resampling(*use, seed, t, spec.trials, trial)
-            seconds[j] += time.perf_counter() - start
-            rows[j, :, t - lo] = report.r_sum, report.r_sum_noeve, report.leakage, report.cost
-            resamples[j] += extra
-    return m, lo, hi, [i for i, _ in members], rows, resamples, seconds
+            report, redraws = _trial_with_resampling(*use, seed, t, spec.trials, trial)
+            out[j, :-1] = report.r_sum, report.r_sum_noeve, report.leakage, report.cost, *redraws
+            out[j, -1] += time.perf_counter() - start
+    return m, lo, hi, [i for i, _ in members], outcomes.transpose(1, 2, 0)
 
 
 def _standard_error(x: np.ndarray) -> float:
@@ -198,11 +198,11 @@ def _cost_stats(r_sum, r_noeve, cost, estimator):
     return mean, float(np.sqrt(max(var, 0.0)))
 
 
-def _aggregate(spec: SweepSpec, m: int, r_sum, r_noeve, leakage, cost,
-               resamples: int) -> SweepPoint:
+def _aggregate(spec: SweepSpec, m: int, outcome: np.ndarray) -> SweepPoint:
+    r_sum, r_noeve, leakage, cost = outcome[:4]
     cost_mean, cost_se = _cost_stats(r_sum, r_noeve, cost, spec.cost_estimator)
     return SweepPoint(
-        m=m, trials=spec.trials, resamples=resamples,
+        m=m, trials=spec.trials, resamples=int(outcome[4:-1].sum()),
         r_sum_mean=float(np.mean(r_sum)), r_sum_se=_standard_error(r_sum),
         r_sum_noeve_mean=float(np.mean(r_noeve)), r_sum_noeve_se=_standard_error(r_noeve),
         leakage_mean=float(np.mean(leakage)), leakage_se=_standard_error(leakage),
@@ -210,21 +210,19 @@ def _aggregate(spec: SweepSpec, m: int, r_sum, r_noeve, leakage, cost,
     )
 
 
-def _tasks(specs, workers: int):
-    """The blocks of a run of ``specs`` as ``_block_task`` arguments, and the
-    block size of each spec.  Specs with equal master seed draw from the
-    same trial streams, whatever their K and J, so they form one group; its
-    blocks go array size by array size, over at most
-    ``max(1, trials // (4 * workers))`` consecutive trial indices of its
-    largest trial count, and end where a member's trials end, so every
-    member of a block runs all of its trial indices."""
+def _tasks(specs, workers: int) -> list:
+    """The blocks of a run of ``specs`` as ``_block_task`` arguments.  Specs
+    with equal master seed draw from the same trial streams, whatever their
+    K and J, so they form one group; its blocks go array size by array
+    size, over at most ``max(1, trials // (4 * workers))`` consecutive
+    trial indices of its largest trial count, and end where a member's
+    trials end, so every member of a block runs all of its trial indices."""
     groups = {}
     for i, spec in enumerate(specs):
         groups.setdefault(spec.master_seed, []).append(i)
-    tasks, blocks = [], {}
+    tasks = []
     for members in groups.values():
         block = max(1, max(specs[i].trials for i in members) // (4 * workers))
-        blocks.update(dict.fromkeys(members, block))
         for m in sorted({m for i in members for m in specs[i].m_values}):
             at_m = [i for i in members if m in specs[i].m_values]
             cuts = sorted(set(range(0, max(specs[i].trials for i in at_m), block))
@@ -232,7 +230,7 @@ def _tasks(specs, workers: int):
             for lo, hi in zip(cuts, cuts[1:]):
                 tasks.append((m, lo, hi, tuple((i, specs[i]) for i in at_m
                                                if specs[i].trials >= hi)))
-    return tasks, blocks
+    return tasks
 
 
 def _names(specs, positions) -> str:
@@ -260,54 +258,51 @@ def run_sweeps(specs, workers: int = 1) -> list:
         by array size in blocks of at most ``trials // (4 * workers)`` trials
         of its largest trial count, about four per worker, each ending where
         a sweep's trials end; no more processes start than there are blocks.
-        Rows are placed at their trial indices before aggregation, so the
-        output is bitwise-identical for any worker count.
+        A sweep's outcomes, r_sum, r_sum_noeve, leakage, cost, the redraws
+        per cause and the seconds, fill one array per m by trial index, so
+        the output is bitwise-identical for any worker count.  The ``-v``
+        head line's sharing census is read from the blocks.
     """
     if workers > MAX_WORKERS:
         raise ConfigurationError(f"workers must be at most {MAX_WORKERS}, got {workers}")
     specs = list(specs)
     workers = max(1, workers)
-    tasks, blocks = _tasks(specs, workers)
+    tasks = _tasks(specs, workers)
     processes = min(workers, len(tasks))
     env = " ".join(f"{var}={value}" for var, value in SETTINGS["blas_threads"].items())
     heap = (f"heap left to the C library ({SETTINGS['heap_left']})" if SETTINGS["heap_left"]
             else "heap kept between trials")
     for i, spec in enumerate(specs):
-        draws = [j for j, other in enumerate(specs)
-                 if j != i and other.master_seed == spec.master_seed]
+        own = [(hi - lo, members) for _, lo, hi, members in tasks if i in dict(members)]
+        draws = sorted({j for _, members in own for j, _ in members} - {i})
         builds = [j for j in draws if build_key(specs[j], specs[j].scheme, specs[j].quant_bits)
                   == build_key(spec, spec.scheme, spec.quant_bits)]
         log.info("%s %s: %d workers, %d trials per block, env %s%s, %s%s%s", spec.scenario,
-                 spec.scheme, processes, blocks[i], env,
+                 spec.scheme, processes, max((n for n, _ in own), default=0), env,
                  " (set after numpy loaded, so BLAS kept its own thread count)"
                  if SETTINGS["numpy_before_pin"] else "", heap,
                  f"; shares channel draws with {_names(specs, draws)}" if draws else "",
                  f"; shares beamformer builds with {_names(specs, builds)}" if builds else "")
     points = [[] for _ in specs]
-    values = [np.empty((4, spec.trials)) for spec in specs]
-    resamples = np.zeros((len(specs), len(RESAMPLE_CAUSES)), dtype=int)
-    seconds = [0.0] * len(specs)
+    outcomes = [np.empty((_COLUMNS, spec.trials)) for spec in specs]
     pool = ProcessPoolExecutor(max_workers=processes) if processes > 1 else None
     try:
         # A group's tasks are m-major and both maps yield in task order, so a
         # sweep's m is complete when the block ending at its last trial arrives.
         results = map(_block_task, tasks) if pool is None else pool.map(_block_task, tasks)
-        for m, lo, hi, positions, rows, extra, secs in results:
-            for i, row, more, sec in zip(positions, rows, extra, secs):
-                spec = specs[i]
-                values[i][:, lo:hi] = row
-                resamples[i] += more
-                seconds[i] += sec
+        for m, lo, hi, positions, block in results:
+            for i, rows in zip(positions, block):
+                spec, outcome = specs[i], outcomes[i]
+                outcome[:, lo:hi] = rows
                 if hi < spec.trials:
                     continue
-                point = _aggregate(spec, m, *values[i], int(resamples[i].sum()))
+                point = _aggregate(spec, m, outcome)
                 points[i].append(point)
-                causes = ", ".join(f"{n} {name}"
-                                   for n, name in zip(resamples[i], RESAMPLE_CAUSES.values()))
+                causes = ", ".join(f"{n:.0f} {name}" for n, name
+                                   in zip(outcome[4:-1].sum(axis=1), RESAMPLE_CAUSES.values()))
                 log.info("%s %s m=%d: r_sum=%.4f cost=%.4f (%d trials, %d resampled: %s, %.2f s)",
                          spec.scenario, spec.scheme, m, point.r_sum_mean, point.cost_mean,
-                         spec.trials, point.resamples, causes, seconds[i])
-                resamples[i], seconds[i] = 0, 0.0
+                         spec.trials, point.resamples, causes, outcome[-1].sum())
     finally:
         if pool is not None:
             pool.shutdown()

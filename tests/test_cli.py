@@ -51,8 +51,9 @@ NON_FINITE = ("preset: sparse\nscheme: HADP_A\nbeta: 1e300\ntotal_power: 1e300\n
 
 
 def write(tmp_path, text, name="sweep.cfg"):
+    """Write ``text`` to ``name`` in ``tmp_path``: a str as UTF-8, bytes as they are."""
     path = tmp_path / name
-    path.write_text(text)
+    path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
     return path
 
 
@@ -374,10 +375,11 @@ class TestSubcommands:
         (manifest_with(weights=[10 ** 400, 1.0]), "weights"),
         ('{"sweep": {"K": 1' + "0" * 5000 + "}}", None),
         ('{"sweep": ' + "[" * 100_000 + "]" * 100_000 + "}", None),
+        (b'{"sweep": {"scenario": "\xff"}}', None),
     ], ids=["malformed", "empty", "array", "sweep_array", "string_K", "nan_sigma2",
             "unknown_key", "control_character_scenario", "negative_seed", "huge_total_power",
             "huge_sigma2", "huge_rho2", "huge_beta", "huge_theta", "huge_weight",
-            "over_digit_limit", "nested_too_deep"])
+            "over_digit_limit", "nested_too_deep", "ff_byte"])
     def test_bad_manifest_rejected(self, tmp_path, capsys, body, key):
         manifest = write(tmp_path, body, name="bad.manifest.json")
         with pytest.raises(ConfigParseError):
@@ -413,14 +415,34 @@ class TestSubcommands:
         ("M,r_sum_noeve_mean\n64,1\n128,-inf\n", "line 3 column 'r_sum_noeve_mean': expected a finite"),
         (f"M,r_sum_noeve_mean\n64,1\n1{'0' * 400},2\n", "line 3 column 'M': expected a finite"),
         ("M,r_sum_noeve_mean\n1,1\n64,2\n128,3\n", "log2 m regressor needs m >= 2"),
+        (b"M,r_sum_noeve_mean\n64,1\n128,\xff\n", "bad.csv: not UTF-8"),
     ], ids=["no_results_columns", "non_numeric_cell", "nan_cell", "inf_cell", "huge_int_cell",
-            "m_1_cell"])
+            "m_1_cell", "ff_byte"])
     def test_fit_of_malformed_csv_is_an_error(self, tmp_path, capsys, text, detail):
         path = write(tmp_path, text, name="bad.csv")
         assert main(["fit", str(path), "--model", "LOG_GROWTH", "--k", "1"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and detail in err
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("argv, name", [
+        (["sweep", "{path}", "--out", "{out}"], "sweep.cfg"),
+        (["single", "{path}", "--m", "16"], "sweep.cfg"),
+        (["fit", "{csv}", "--model", "LOG_GROWTH"], "res.manifest.json"),
+    ], ids=["sweep_config", "single_config", "fit_sibling_manifest"])
+    def test_non_utf8_input_is_an_error(self, tmp_path, capsys, argv, name):
+        # A Latin-1 'é' in the scenario of a text config, or of the manifest
+        # fit reads K from beside its CSV.
+        body = (SPARSE_TAS.replace("sparse-demo", "caf\xe9") if name.endswith(".cfg")
+                else manifest_with().replace('"tiny"', '"caf\xe9"'))
+        path = write(tmp_path, body.encode("latin-1"), name=name)
+        csv_path = write(tmp_path, "M,r_sum_noeve_mean\n64,1\n128,2\n", name="res.csv")
+        out = tmp_path / "out"
+        assert main([arg.format(path=path, out=out, csv=csv_path) for arg in argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: cannot read: not UTF-8 (")
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("line, key", [
         ("K: 1000000000000000000000", "K"),

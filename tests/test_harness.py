@@ -339,11 +339,16 @@ class TestRunSweeps:
         *(pytest.param(shared_specs(), w, id=f"shared-w{w}") for w in (1, 2, 3)),
         pytest.param(tas_specs(), 2, id="tas-w2")])
     def test_every_sweep_of_a_block_runs_all_its_trials(self, specs, workers):
-        tasks, blocks = harness._tasks(specs, workers)
+        # Specs of one master seed form a group, whose blocks span at most
+        # a quarter per worker of its largest trial count.
+        group_trials = Counter()
+        for spec in specs:
+            group_trials[spec.master_seed] = max(group_trials[spec.master_seed], spec.trials)
         runs = Counter()
-        for m, lo, hi, members in tasks:
+        for m, lo, hi, members in harness._tasks(specs, workers):
             for i, spec in members:
-                assert spec is specs[i] and spec.trials >= hi and hi - lo <= blocks[i]
+                block = max(1, group_trials[spec.master_seed] // (4 * workers))
+                assert spec is specs[i] and spec.trials >= hi and hi - lo <= block
                 runs.update((i, m, t) for t in range(lo, hi))
         assert runs == Counter((i, m, t) for i, spec in enumerate(specs)
                                for m in spec.m_values for t in range(spec.trials))
@@ -485,6 +490,28 @@ class TestRunSweeps:
         per_m = caplog.messages[len(specs):]
         assert sorted(line.split(":")[0] for line in per_m) == [
             f"s{i} {s.scheme} m=8" for i, s in enumerate(specs)]
+
+    def test_sweeps_of_one_seed_and_no_common_size_share_nothing(self, caplog):
+        # Equal master seed but disjoint array sizes: no block holds both,
+        # so neither a draw nor a build is shared.
+        specs = [small_spec(trials=3, m_values=(16,)),
+                 replace(small_spec(trials=5, m_values=(32,)), scenario="other")]
+        with caplog.at_level(logging.INFO, logger="mimosec.harness"):
+            run_sweeps(specs, workers=1)
+        heads = caplog.messages[:len(specs)]
+        assert [head.split(":")[0] for head in heads] == ["unit TAS_A", "other TAS_A"]
+        assert not any("shares" in head for head in heads)
+
+    def test_verbose_head_reports_each_sweeps_largest_block(self, caplog):
+        # One worker cuts the group's 40 trials in blocks of 10; the sweep
+        # of 3 trials runs in one block of 3, the first block cut at its end.
+        specs = [small_spec(trials=40, m_values=(8,)),
+                 replace(small_spec(trials=3, m_values=(8,)), scenario="short")]
+        with caplog.at_level(logging.INFO, logger="mimosec.harness"):
+            run_sweeps(specs, workers=1)
+        heads = caplog.messages[:len(specs)]
+        assert ": 1 workers, 10 trials per block, " in heads[0]
+        assert ": 1 workers, 3 trials per block, " in heads[1]
 
     def test_a_sweep_leaves_the_module_state_alone(self, monkeypatch):
         # What a trial shares with the other sweeps is handed to it, not
