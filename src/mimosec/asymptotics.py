@@ -59,6 +59,12 @@ def _check_sizes(check: str, m: int, trials: int) -> tuple:
     return sizes
 
 
+def _in_blocks(trials: int, block: int, draw) -> np.ndarray:
+    """``trials`` values drawn in turn by ``draw(n)``, n at most ``block`` at
+    a time, so that no draw's temporaries exceed a block of rows."""
+    return np.concatenate([draw(min(block, trials - done)) for done in range(0, trials, block)])
+
+
 def _regressor(m_values: np.ndarray, model: str) -> np.ndarray:
     """The model's regressor of each m, which must be positive: the cost
     models divide by it."""
@@ -147,13 +153,8 @@ def gumbel_check(m: int, trials: int, seed: int) -> GumbelCheck:
     """
     m, trials = _check_sizes("gumbel_check", m, trials)
     rng = derived_rng(seed)
-    maxima = np.empty(trials)
-    block = (1 << 22) // m
-    done = 0
-    while done < trials:
-        n = min(block, trials - done)
-        maxima[done:done + n] = rng.standard_exponential((n, m)).max(axis=1)
-        done += n
+    maxima = _in_blocks(trials, (1 << 22) // m,
+                        lambda n: rng.standard_exponential((n, m)).max(axis=1))
     shifted = maxima - np.log(m)
     from scipy import stats  # imported here: it dominates the CLI's start-up
     ks = float(stats.kstest(shifted, stats.gumbel_r.cdf).statistic)
@@ -166,16 +167,13 @@ def phase_aligned_sums(m: int, trials: int, rng: np.random.Generator) -> np.ndar
     pairs (a, b); the cross-user / cross-eavesdropper statistic whose limit
     is standard complex Gaussian.  m and trials are between 1 and MAX_SIZE."""
     m, trials = _check_sizes("phase_aligned_sums", m, trials)
-    out = np.empty(trials, dtype=complex)
-    block = (1 << 21) // m
-    done = 0
-    while done < trials:
-        n = min(block, trials - done)
+
+    def sums(n):
         a = complex_normal(rng, (n, m))
         b = complex_normal(rng, (n, m))
-        out[done:done + n] = (a * np.conj(b) / np.abs(b)).sum(axis=1) / np.sqrt(m)
-        done += n
-    return out
+        return (a * np.conj(b) / np.abs(b)).sum(axis=1) / np.sqrt(m)
+
+    return _in_blocks(trials, (1 << 21) // m, sums)
 
 
 def clt_check(m: int, trials: int, seed: int) -> float:

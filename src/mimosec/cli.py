@@ -20,38 +20,16 @@ from dataclasses import astuple, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .asymptotics import (COST_MODELS, GROWTH_MODELS, clt_check,
                           fit_cost_anchor, fit_growth, gumbel_check)
 from .channel import derive_seed
-from .config import MAX_SIZE, PRESETS, SPEC_FIELDS, SweepSpec
+from .config import KINDS, MAX_SIZE, PRESETS, SPEC_FIELDS, SweepSpec
 from .errors import ConfigParseError, MimosecError
 from .harness import MAX_WORKERS, SweepPoint, SweepResult, _trial_with_resampling, run_sweeps
 
-# Largest b of a 'pow2:a..b' grid, checked before the grid is built.
-_MAX_POW2 = MAX_SIZE.bit_length() - 1
-
-
-def _read_m_grid(raw):
-    m = re.fullmatch(r"pow2:(\d+)\.\.(\d+)", raw)
-    if m is None:
-        return [int(tok) for tok in raw.split(",")]
-    lo, hi = int(m.group(1)), int(m.group(2))
-    if not lo <= hi <= _MAX_POW2:
-        raise ValueError("pow2 range out of bounds")
-    return [2 ** e for e in range(lo, hi + 1)]
-
-
-# Field kind: (read a config-file value, what the value must look like).
-_READERS = {
-    "int": (int, "integer"),
-    "float": (float, "number"),
-    "string": (str, "string"),
-    "vector": (lambda raw: [float(tok) for tok in raw.split(",")],
-               "a number or comma-separated numbers"),
-    "m_grid": (_read_m_grid, "comma-separated integers or 'pow2:a..b' with "
-                             f"a <= b <= {_MAX_POW2}"),
-}
 _FIELD_BY_KEY = {f.key: f for f in SPEC_FIELDS}
 _CONFIG_KEY = {f.manifest: f.key for f in SPEC_FIELDS}
 
@@ -75,14 +53,13 @@ def _read_documents(text: str, path: str) -> list:
         field = _FIELD_BY_KEY.get(key)
         if field is None and key != "preset":
             raise ConfigParseError("unknown key", path=path, key=key, line=lineno)
-        name, kind = (field.manifest, field.kind) if field else (key, "string")
+        name, kind = (field.manifest, KINDS[field.kind]) if field else (key, KINDS["string"])
         if name in documents[-1]:
             raise ConfigParseError("duplicate key", path=path, key=key, line=lineno)
-        read, expected = _READERS[kind]
         try:
-            documents[-1][name] = (read(raw), lineno)
+            documents[-1][name] = (kind.read(raw), lineno)
         except ValueError:
-            raise ConfigParseError(f"expected {expected}, got '{raw}'",
+            raise ConfigParseError(f"expected {kind.text}, got '{raw}'",
                                    path=path, key=key, line=lineno) from None
     documents = [d for d in documents if d]
     if not documents:
@@ -134,6 +111,18 @@ def _fmt(value: float) -> str:
     return format(float(value), ".9g")
 
 
+def _print_report(*lines) -> None:
+    """Print each (name, value) as ``name: value``: a float to 9 significant
+    digits, an array comma-joined, and a None not at all."""
+    for name, value in lines:
+        if isinstance(value, float):
+            value = _fmt(value)
+        elif isinstance(value, np.ndarray):
+            value = ", ".join(map(_fmt, value))
+        if value is not None:
+            print(f"{name}: {value}")
+
+
 def _write_all(files) -> None:
     """Write each (path, text) to a temp file in its directory, then rename
     them into place.  If any step fails, none of the files is left behind."""
@@ -169,8 +158,8 @@ def emit_results(result: SweepResult, path) -> None:
     for p in result.points:
         writer.writerow([result.spec.scenario, result.spec.scheme,
                          *(_fmt(v) if isinstance(v, float) else v for v in astuple(p))])
-    cfg0 = result.spec.config_for(max(result.spec.m_values)) \
-        if result.spec.m_values else None
+    # The SNRs do not depend on M: read them from the network at its floor.
+    cfg = result.spec.config_for(max(result.spec.L, result.spec.K))
     manifest = {
         "tool": "mimosec",
         "version": __version__,
@@ -178,10 +167,7 @@ def emit_results(result: SweepResult, path) -> None:
         "master_seed": result.spec.master_seed,
         "output": path.name,
         "sweep": result.spec.to_dict(),
-        "derived": {
-            "snr_user_db": list(cfg0.snr_user_db()) if cfg0 else [],
-            "snr_eve_db": list(cfg0.snr_eve_db()) if cfg0 else [],
-        },
+        "derived": {"snr_user_db": list(cfg.snr_user_db()), "snr_eve_db": list(cfg.snr_eve_db())},
     }
     try:
         _write_all([(path, text.getvalue()),
@@ -310,35 +296,22 @@ def _cmd_fit(args) -> int:
         c = _column(rows, "cost_mean", float, path)
         anchor = args.anchor if args.anchor is not None else max(m)
         fit = fit_cost_anchor(m, c, args.model, anchor)
-    print(f"model: {fit.model}")
-    print(f"intercept: {_fmt(fit.intercept)}")
-    if fit.slope is not None:
-        print(f"slope: {_fmt(fit.slope)}")
-    print(f"residual_rms: {_fmt(fit.residual_rms)}")
-    print(f"r_squared: {_fmt(fit.r_squared)}")
+    _print_report(*vars(fit).items())
     return 0
 
 
 def _cmd_gumbel(args) -> int:
     check = gumbel_check(args.m, args.trials, _seed_flag(args))
-    print(f"m: {check.m}")
-    print(f"trials: {check.trials}")
-    print(f"ks_statistic: {_fmt(check.ks_statistic)}")
-    print(f"mean_shifted_max: {_fmt(check.sample_mean_shifted)}")
-    print(f"mean_max: {_fmt(check.sample_mean_max)}")
+    _print_report(("m", check.m), ("trials", check.trials), ("ks_statistic", check.ks_statistic),
+                  ("mean_shifted_max", check.sample_mean_shifted),
+                  ("mean_max", check.sample_mean_max))
     return 0
 
 
 def _cmd_clt(args) -> int:
     ks = clt_check(args.m, args.trials, _seed_flag(args))
-    print(f"m: {args.m}")
-    print(f"trials: {args.trials}")
-    print(f"ks_statistic: {_fmt(ks)}")
+    _print_report(("m", args.m), ("trials", args.trials), ("ks_statistic", ks))
     return 0
-
-
-def _vector_line(name, values) -> str:
-    return f"{name}: " + ", ".join(_fmt(v) for v in values)
 
 
 def _cmd_single(args) -> int:
@@ -355,16 +328,11 @@ def _cmd_single(args) -> int:
     report, resamples = _trial_with_resampling(cfg, spec.scheme, spec.quant_bits,
                                                derive_seed(seed, args.m), args.trial,
                                                spec.trials)
-    print(f"scenario: {spec.scenario}")
-    print(f"scheme: {spec.scheme}")
-    print(f"m: {args.m}")
-    print(f"seed: {seed}")
-    print(f"trial: {args.trial}")
-    print(f"resamples: {resamples.sum()}")
-    for name in ("sinr", "esnr", "r_secrecy", "r_noeve", "interference", "eve_power"):
-        print(_vector_line(name, getattr(report, name)))
-    for name in ("r_sum", "r_sum_noeve", "leakage", "cost"):
-        print(f"{name}: {_fmt(getattr(report, name))}")
+    _print_report(("scenario", spec.scenario), ("scheme", spec.scheme), ("m", args.m),
+                  ("seed", seed), ("trial", args.trial), ("resamples", resamples.sum()),
+                  *((name, getattr(report, name)) for name in (
+                      "sinr", "esnr", "r_secrecy", "r_noeve", "interference", "eve_power",
+                      "r_sum", "r_sum_noeve", "leakage", "cost")))
     return 0
 
 
@@ -399,17 +367,14 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default: from the sibling manifest, else 1)")
     p.set_defaults(func=_cmd_fit)
 
-    p = sub.add_parser("gumbel", help="extreme-value check of the max channel gain")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_gumbel)
-
-    p = sub.add_parser("clt", help="normality check of the phase-aligned cross sum")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_clt)
+    for name, func, text in (
+            ("gumbel", _cmd_gumbel, "extreme-value check of the max channel gain"),
+            ("clt", _cmd_clt, "normality check of the phase-aligned cross sum")):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--m", type=int, required=True)
+        p.add_argument("--trials", type=int, required=True)
+        p.add_argument("--seed", type=int, default=0)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("single", help="run one trial and print its rate report")
     p.add_argument("config")

@@ -128,18 +128,42 @@ class SystemConfig(ByValue):
             return 10.0 * np.log10(self.thetas * self.total_power / self.rho2)
 
 
-# What a value of each field kind must be, as JSON has it.
-FIELD_KINDS = {"int": "an integer", "float": "a number", "string": "a string",
-               "vector": "a list of numbers", "m_grid": "a list of integers"}
-_SCALAR_TYPES = {"int": int, "float": (int, float), "string": str}
-_ITEM_KIND = {"vector": "float", "m_grid": "int"}
+# Largest b of a 'pow2:a..b' grid, checked before the grid is built.
+_MAX_POW2 = MAX_SIZE.bit_length() - 1
 
 
-def _is_kind(value, kind: str) -> bool:
-    if kind in _ITEM_KIND:
-        return (isinstance(value, (list, tuple))
-                and all(_is_kind(v, _ITEM_KIND[kind]) for v in value))
-    return isinstance(value, _SCALAR_TYPES[kind]) and not isinstance(value, bool)
+def _read_m_grid(raw: str) -> list:
+    m = re.fullmatch(r"pow2:(\d+)\.\.(\d+)", raw)
+    if m is None:
+        return [int(tok) for tok in raw.split(",")]
+    lo, hi = int(m.group(1)), int(m.group(2))
+    if not lo <= hi <= _MAX_POW2:
+        raise ValueError("pow2 range out of bounds")
+    return [2 ** e for e in range(lo, hi + 1)]
+
+
+def _of(types):
+    return lambda value: isinstance(value, types) and not isinstance(value, bool)
+
+
+def _list_of(types):
+    return lambda value: isinstance(value, (list, tuple)) and all(map(_of(types), value))
+
+
+# Each field kind: the test of a JSON value and what its error says was
+# expected, then the reader of a config-file value (a ValueError on a bad
+# one) and what its error says was expected.
+Kind = namedtuple("Kind", "is_json json read text")
+KINDS = {
+    "int": Kind(_of(int), "an integer", int, "integer"),
+    "float": Kind(_of((int, float)), "a number", float, "number"),
+    "string": Kind(_of(str), "a string", str, "string"),
+    "vector": Kind(_list_of((int, float)), "a list of numbers",
+                   lambda raw: [float(tok) for tok in raw.split(",")],
+                   "a number or comma-separated numbers"),
+    "m_grid": Kind(_list_of(int), "a list of integers", _read_m_grid,
+                   f"comma-separated integers or 'pow2:a..b' with a <= b <= {_MAX_POW2}"),
+}
 
 
 # The two networks used throughout the experiment matrix: 16 users at 0 dB
@@ -163,7 +187,7 @@ class SweepSpec(ByValue):
     chain per user and need ``L == K``.  ``quant_bits`` is the phase-shifter
     resolution and is required exactly for scheme HADP_B.
 
-    Each field's metadata gives its kind (a key of FIELD_KINDS) and, where
+    Each field's metadata gives its kind (a key of KINDS) and, where
     they differ from its name, its config-file ``key`` and ``manifest`` key.
     """
 
@@ -247,8 +271,8 @@ class SweepSpec(ByValue):
             value = values[f.name] = entries.get(f.manifest, f.default)
             if value is MISSING:
                 raise ConfigParseError("missing required key", path=path, key=f.manifest)
-            if not (_is_kind(value, f.kind) or (value is None and f.default is None)):
-                raise ConfigParseError(f"expected {FIELD_KINDS[f.kind]}, got {value!r}",
+            if not (KINDS[f.kind].is_json(value) or (value is None and f.default is None)):
+                raise ConfigParseError(f"expected {KINDS[f.kind].json}, got {value!r}",
                                        path=path, key=f.manifest)
         try:
             return cls(**values)
@@ -258,8 +282,8 @@ class SweepSpec(ByValue):
 
     def to_dict(self) -> dict:
         """The spec as JSON values, keyed and ordered as in manifests."""
-        return {f.manifest: list(getattr(self, f.name)) if f.kind in _ITEM_KIND
-                else getattr(self, f.name) for f in SPEC_FIELDS}
+        values = {f.manifest: getattr(self, f.name) for f in SPEC_FIELDS}
+        return {k: list(v) if isinstance(v, (tuple, np.ndarray)) else v for k, v in values.items()}
 
     def config_for(self, m: int) -> SystemConfig:
         """System config of this network at array size m, which must be at

@@ -165,6 +165,9 @@ class TestEmitResults:
         emit_results(result, out)
         lines = out.read_text().splitlines()
         assert len(lines) == 1
+        # The SNRs do not depend on M, so an empty sweep records them too.
+        derived = json.loads(out.with_suffix(".manifest.json").read_text())["derived"]
+        assert derived == {"snr_user_db": [0.0, 0.0], "snr_eve_db": [-10.0]}
 
     def test_reemission_is_byte_identical(self, tmp_path):
         result = run_sweep(tiny_spec())
@@ -729,3 +732,91 @@ class TestSpecSchema:
         assert a == b and [hash(s) for s in a] == [hash(s) for s in b]
         assert a[0] != dataclasses.replace(a[0], trials=a[0].trials + 1)
         assert a[0] != a[0].config_for(a[0].m_values[0])
+
+
+# One bad line of a text config, read beside BASE_CONFIG (in place of its
+# line of the same key), and the whole ``error:`` line it gives.
+BASE_CONFIG = "preset: sparse\nscheme: TAS_A\nm_values: 16, 32\ntrials: 2\nseed: 1\n"
+TEXT_ERRORS = [
+    ("trials: lots", "line 5 key 'trials': expected integer, got 'lots'"),
+    ("seed: 1.5", "line 5 key 'seed': expected integer, got '1.5'"),
+    ("total_power: lots", "line 6 key 'total_power': expected number, got 'lots'"),
+    ("rho2: ", "line 6 key 'rho2': expected number, got ''"),
+    ("beta: 1.0, x",
+     "line 6 key 'beta': expected a number or comma-separated numbers, got '1.0, x'"),
+    ("weights: ", "line 6 key 'weights': expected a number or comma-separated numbers, got ''"),
+    ("m_values: 16, 3x", "line 5 key 'm_values': expected comma-separated integers or "
+                         "'pow2:a..b' with a <= b <= 20, got '16, 3x'"),
+    ("m_values: pow2:6..21", "line 5 key 'm_values': expected comma-separated integers or "
+                             "'pow2:a..b' with a <= b <= 20, got 'pow2:6..21'"),
+    ("m_values: pow2:8..6", "line 5 key 'm_values': expected comma-separated integers or "
+                            "'pow2:a..b' with a <= b <= 20, got 'pow2:8..6'"),
+    ("m_values: 16.0", "line 5 key 'm_values': expected comma-separated integers or "
+                       "'pow2:a..b' with a <= b <= 20, got '16.0'"),
+    ("bogus: 3", "line 6 key 'bogus': unknown key"),
+    ("preset: huge",
+     "line 5 key 'preset': unknown preset 'huge', expected one of ['dense', 'sparse']"),
+    ("K 16", "line 6: expected 'key: value', got 'K 16'"),
+    ("quant_bits: 4", "line 6 key 'quant_bits': quant_bits is required for scheme HADP_B "
+                      "and must be absent otherwise"),
+    ("K: 1000000000", "line 6 key 'K': K must be between 1 and 1048576, got 1000000000"),
+    ("m_values: 8, 16", "line 5 key 'm_values': m must be at least max(L, K) = 16, got 8"),
+    ("cost_estimator: median", "line 6 key 'cost_estimator': unknown cost_estimator "
+                               "'median', expected one of ('mean_of_ratios', 'ratio_of_means')"),
+    ("scheme: TAS_C", "line 5 key 'scheme': unknown scheme 'TAS_C', expected one of "
+                      "('TAS_A', 'TAS_B', 'HADP_A', 'HADP_B')"),
+    ("sigma2: nan", "line 6 key 'sigma2': sigma2 must be finite and > 0, got nan"),
+    ("theta: 0.1, 0.2, 0.3",
+     "line 6 key 'theta': thetas must be one value or a length-2 vector, got shape (3,)"),
+]
+
+# Changes to tiny_spec's manifest and the whole ``error:`` line each gives.
+JSON_ERRORS = [
+    ({"K": "16"}, "key 'K': expected an integer, got '16'"),
+    ({"total_power": "big"}, "key 'total_power': expected a number, got 'big'"),
+    ({"scenario": 3}, "key 'scenario': expected a string, got 3"),
+    ({"betas": [1.0, "x"]}, "key 'betas': expected a list of numbers, got [1.0, 'x']"),
+    ({"betas": 1.0}, "key 'betas': expected a list of numbers, got 1.0"),
+    ({"m_values": [8, 16.0]}, "key 'm_values': expected a list of integers, got [8, 16.0]"),
+    ({"m_values": 16}, "key 'm_values': expected a list of integers, got 16"),
+    ({"trials": True}, "key 'trials': expected an integer, got True"),
+    ({"quant_bits": "4"}, "key 'quant_bits': expected an integer, got '4'"),
+    ({"weights": [True]}, "key 'weights': expected a list of numbers, got [True]"),
+    ({"scheme": None}, "key 'scheme': expected a string, got None"),
+    ({"bogus": 1}, "key 'bogus': unknown key"),
+    ({"trials": None}, "key 'trials': expected an integer, got None"),
+    ({"seed": -1}, "key 'seed': master_seed must be non-negative"),
+    ({"quant_bits": 4}, "key 'quant_bits': quant_bits is required for scheme HADP_B "
+                        "and must be absent otherwise"),
+    ({"thetas": [0.1, 0.2]},
+     "key 'thetas': thetas must be one value or a length-1 vector, got shape (2,)"),
+]
+
+
+def sweep_error(capsys, path) -> str:
+    """The stderr of ``mimosec sweep`` of ``path``, which must fail and
+    write nothing."""
+    assert main(["sweep", str(path), "--out", str(path.parent / "out")]) == 1
+    assert not (path.parent / "out").exists()
+    return capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line, expected", TEXT_ERRORS, ids=[line for line, _ in TEXT_ERRORS])
+def test_text_config_error_lines(tmp_path, capsys, line, expected):
+    key = line.split(":")[0]
+    path = write(tmp_path, "".join(row for row in BASE_CONFIG.splitlines(keepends=True)
+                                   if not row.startswith(key + ":")) + line + "\n")
+    assert sweep_error(capsys, path) == f"error: {path} {expected}\n"
+
+
+@pytest.mark.parametrize("changes, expected", JSON_ERRORS,
+                         ids=[json.dumps(changes) for changes, _ in JSON_ERRORS])
+def test_manifest_error_lines(tmp_path, capsys, changes, expected):
+    path = write(tmp_path, manifest_with(**changes), name="bad.manifest.json")
+    assert sweep_error(capsys, path) == f"error: {path} {expected}\n"
+
+
+def test_manifest_missing_key_error_line(tmp_path, capsys):
+    entries = {key: value for key, value in tiny_spec().to_dict().items() if key != "trials"}
+    path = write(tmp_path, json.dumps({"sweep": entries}), name="bad.manifest.json")
+    assert sweep_error(capsys, path) == f"error: {path} key 'trials': missing required key\n"

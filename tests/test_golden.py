@@ -6,9 +6,15 @@ to alter them regenerates them with
 ``mimosec sweep tests/golden/golden.cfg --out DIR`` and copies the CSVs
 (not the manifests, which carry a timestamp) into ``tests/golden/``; the
 log comes from ``mimosec -v sweep ... --workers 1`` in a fresh process with
-none of the BLAS thread or glibc malloc variables set."""
+none of the BLAS thread or glibc malloc variables set.
+
+``golden/reports.txt`` pins the stdout of ``fit``, ``gumbel``, ``clt`` and
+``single``: each ``$ mimosec ...`` line is a command run from the
+repository root, and the lines up to the next one are what it prints.  A
+change meant to alter a report regenerates it by running its command there."""
 
 import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -16,6 +22,10 @@ import pytest
 from mimosec.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+
+# [command, expected stdout] of each report in golden/reports.txt.
+REPORTS = [block.split("\n", 1) for block in
+           (GOLDEN / "reports.txt").read_text().split("$ mimosec ")[1:]]
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
@@ -52,3 +62,10 @@ def test_verbose_log_is_the_golden_one(tmp_path, fresh_python, workers):
     expected = (GOLDEN / "verbose.log").read_text().replace(": 1 workers,",
                                                             f": {workers} workers,")
     assert [re.sub(r", \d+\.\d\d s\)$", ", * s)", line) for line in lines] == expected.splitlines()
+
+
+@pytest.mark.parametrize("command, expected", REPORTS, ids=[c for c, _ in REPORTS])
+def test_report_is_the_golden_one(capsys, monkeypatch, command, expected):
+    monkeypatch.chdir(GOLDEN.parent.parent)
+    assert main(shlex.split(command)) == 0
+    assert capsys.readouterr().out == expected

@@ -20,17 +20,45 @@ def test_passes():
 """
 
 
+def run_pair(tmp_path, text):
+    """Run pytest under the suite's own settings on ``text`` as a test module."""
+    (tmp_path / "test_pair.py").write_text(text)
+    return subprocess.run([sys.executable, "-m", "pytest", "-c", str(PYPROJECT), "-q",
+                           "-p", "no:cacheprovider", "test_pair.py"],
+                          cwd=tmp_path, capture_output=True, text=True, timeout=300)
+
+
 def test_a_failing_property_test_does_not_end_the_session(tmp_path):
     """On a failure hypothesis imports libcst, whose import warns with a
     DeprecationWarning.  The suite turns those into errors, and raised in
     pytest's own hook it ended the session in INTERNALERROR before the later
     tests ran, hiding their results."""
-    (tmp_path / "test_pair.py").write_text(FAILING_PROPERTY_THEN_PASSING)
-    run = subprocess.run([sys.executable, "-m", "pytest", "-c", str(PYPROJECT), "-q",
-                          "-p", "no:cacheprovider", "test_pair.py"],
-                         cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    run = run_pair(tmp_path, FAILING_PROPERTY_THEN_PASSING)
     assert "INTERNALERROR" not in run.stdout + run.stderr
     assert "1 failed, 1 passed" in run.stdout
+
+
+THREAD_RAISES_THEN_PASSING = """\
+import threading
+
+
+def test_thread_raises():
+    thread = threading.Thread(target=lambda: 1 / 0)
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+
+
+def test_passes():
+    pass
+"""
+
+
+def test_a_thread_that_raises_fails_its_test(tmp_path):
+    """An exception that ends a thread the test started reaches pytest only
+    as a warning; the suite makes it an error, so the test fails rather than
+    passing with the exception in its warnings summary."""
+    assert "1 failed, 1 passed" in run_pair(tmp_path, THREAD_RAISES_THEN_PASSING).stdout
 
 
 def test_a_misspelt_setting_fails_the_run(tmp_path):
