@@ -322,8 +322,12 @@ def build_beamformers(H: np.ndarray, cfg: SystemConfig, scheme: str,
     quantized phase matching followed by zero forcing over the effective
     channel.  Both return a ``BeamformerSet``; ``phase_match``, when given,
     is ``analog_phase_match(H)`` formed before, and the two use it rather
-    than form it again.
+    than form it again.  An H whose shape is not ``(cfg.M, cfg.K)`` raises
+    ConfigurationError.
     """
+    if np.shape(H) != (cfg.M, cfg.K):
+        raise ConfigurationError(f"H has shape {np.shape(H)}, but cfg has (M, K) = "
+                                 f"{(cfg.M, cfg.K)}")
     K = cfg.K
     powers = power_uniform(K, cfg.total_power)
     if scheme == "TAS_A":

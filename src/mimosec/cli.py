@@ -167,11 +167,16 @@ def emit_results(result: SweepResult, path) -> None:
         "master_seed": result.spec.master_seed,
         "output": path.name,
         "sweep": result.spec.to_dict(),
-        "derived": {"snr_user_db": list(cfg.snr_user_db()), "snr_eve_db": list(cfg.snr_eve_db())},
+        # A zero gain or an overflowing ratio gives an infinite dB value,
+        # written as null: JSON has no infinity.
+        "derived": {name: [v if np.isfinite(v) else None for v in snr.tolist()]
+                    for name, snr in (("snr_user_db", cfg.snr_user_db()),
+                                      ("snr_eve_db", cfg.snr_eve_db()))},
     }
     try:
         _write_all([(path, text.getvalue()),
-                    (path.with_suffix(".manifest.json"), json.dumps(manifest, indent=2) + "\n")])
+                    (path.with_suffix(".manifest.json"),
+                     json.dumps(manifest, indent=2, allow_nan=False) + "\n")])
     except OSError as exc:
         raise MimosecError(f"cannot write results to {path}: {exc}") from exc
 
@@ -221,8 +226,8 @@ def _cmd_sweep(args) -> int:
         raise MimosecError(f"cannot create output directory {out_dir}: {exc.strerror}") from None
     used = set()
     try:
-        for spec, result in zip(specs, run_sweeps(specs, workers=workers)):
-            stem = _safe_name(f"{spec.scenario}_{spec.scheme}")
+        for result in run_sweeps(specs, workers=workers):
+            stem = _safe_name(f"{result.spec.scenario}_{result.spec.scheme}")
             if stem in used:
                 stem = f"{stem}_{len(used)}"
             used.add(stem)

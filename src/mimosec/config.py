@@ -118,13 +118,15 @@ class SystemConfig(ByValue):
                    rho2=rho2, betas=beta, thetas=theta, weights=weight)
 
     def snr_user_db(self) -> np.ndarray:
-        """Per-user receive SNR beta_k * P / sigma^2 in dB."""
-        with np.errstate(divide="ignore"):
+        """Per-user receive SNR beta_k * P / sigma^2 in dB: -inf for a zero
+        beta_k, inf where the ratio overflows a double."""
+        with np.errstate(divide="ignore", over="ignore"):
             return 10.0 * np.log10(self.betas * self.total_power / self.sigma2)
 
     def snr_eve_db(self) -> np.ndarray:
-        """Per-eavesdropper receive SNR theta_j * P / rho^2 in dB."""
-        with np.errstate(divide="ignore"):
+        """Per-eavesdropper receive SNR theta_j * P / rho^2 in dB, infinite
+        as ``snr_user_db`` is."""
+        with np.errstate(divide="ignore", over="ignore"):
             return 10.0 * np.log10(self.thetas * self.total_power / self.rho2)
 
 

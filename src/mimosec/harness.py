@@ -1,6 +1,7 @@
 """Monte Carlo sweep driver: runs seeded trials over a grid of array sizes
 and aggregates the rate metrics with standard errors."""
 
+import contextlib
 import logging
 import time
 from collections import Counter
@@ -13,7 +14,7 @@ from . import SETTINGS
 from .beamforming import HYBRID_SCHEMES, analog_phase_match, build_beamformers, build_key
 from .channel import carve, derive_seed, trial_normals
 from .channel import sample_realization  # unused here: perfbench/inproc.py patches it by name
-from .config import SweepSpec, SystemConfig
+from .config import SweepSpec, SystemConfig, as_integer
 from .errors import ConfigurationError, DegenerateChannelError, SingularChannelError
 from .metrics import RateReport, rate_report, user_rates
 
@@ -149,11 +150,10 @@ def _block_task(args):
     tuple of (position, spec) sharing the master seed, each with at least hi
     trials, trial index by trial index: each trial is one ``_Trial`` for all
     the sweeps, so its channels are drawn once and each build from H that
-    several of them make is made once.  Returns (m, lo, hi, the positions,
-    an (n, columns, hi - lo) array of each sweep's outcome per trial).  The
-    columns are r_sum, r_sum_noeve, leakage and cost, the redraws per
-    ``RESAMPLE_CAUSES`` cause, then the seconds, the draw's billed to the
-    first sweep.
+    several of them make is made once.  Returns an (n, columns, hi - lo)
+    array of each sweep's outcome per trial.  The columns are r_sum,
+    r_sum_noeve, leakage and cost, the redraws per ``RESAMPLE_CAUSES``
+    cause, then the seconds, the draw's billed to the first sweep.
     """
     m, lo, hi, members = args
     seed = derive_seed(members[0][1].master_seed, m)
@@ -170,7 +170,7 @@ def _block_task(args):
             report, redraws = _trial_with_resampling(*use, seed, t, spec.trials, trial)
             out[j, :-1] = report.r_sum, report.r_sum_noeve, report.leakage, report.cost, *redraws
             out[j, -1] += time.perf_counter() - start
-    return m, lo, hi, [i for i, _ in members], outcomes.transpose(1, 2, 0)
+    return outcomes.transpose(1, 2, 0)
 
 
 def _standard_error(x: np.ndarray) -> float:
@@ -263,6 +263,7 @@ def run_sweeps(specs, workers: int = 1) -> list:
         the output is bitwise-identical for any worker count.  The ``-v``
         head line's sharing census is read from the blocks.
     """
+    workers = as_integer(workers, "workers")
     if workers > MAX_WORKERS:
         raise ConfigurationError(f"workers must be at most {MAX_WORKERS}, got {workers}")
     specs = list(specs)
@@ -285,14 +286,14 @@ def run_sweeps(specs, workers: int = 1) -> list:
                  f"; shares beamformer builds with {_names(specs, builds)}" if builds else "")
     points = [[] for _ in specs]
     outcomes = [np.empty((_COLUMNS, spec.trials)) for spec in specs]
-    pool = ProcessPoolExecutor(max_workers=processes) if processes > 1 else None
-    try:
+    with (ProcessPoolExecutor(max_workers=processes) if processes > 1
+          else contextlib.nullcontext()) as pool:
         # A group's tasks are m-major and both maps yield in task order, so a
         # sweep's m is complete when the block ending at its last trial arrives.
         results = map(_block_task, tasks) if pool is None else pool.map(_block_task, tasks)
-        for m, lo, hi, positions, block in results:
-            for i, rows in zip(positions, block):
-                spec, outcome = specs[i], outcomes[i]
+        for (m, lo, hi, members), block in zip(tasks, results):
+            for (i, spec), rows in zip(members, block):
+                outcome = outcomes[i]
                 outcome[:, lo:hi] = rows
                 if hi < spec.trials:
                     continue
@@ -303,9 +304,6 @@ def run_sweeps(specs, workers: int = 1) -> list:
                 log.info("%s %s m=%d: r_sum=%.4f cost=%.4f (%d trials, %d resampled: %s, %.2f s)",
                          spec.scenario, spec.scheme, m, point.r_sum_mean, point.cost_mean,
                          spec.trials, point.resamples, causes, outcome[-1].sum())
-    finally:
-        if pool is not None:
-            pool.shutdown()
     return [SweepResult(spec=spec, points=tuple(p)) for spec, p in zip(specs, points)]
 
 

@@ -40,8 +40,11 @@ def pool_sizes(monkeypatch):
 
         map = staticmethod(map)
 
-        def shutdown(self):
-            pass
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
     return started

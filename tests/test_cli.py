@@ -169,6 +169,17 @@ class TestEmitResults:
         derived = json.loads(out.with_suffix(".manifest.json").read_text())["derived"]
         assert derived == {"snr_user_db": [0.0, 0.0], "snr_eve_db": [-10.0]}
 
+    @pytest.mark.parametrize("overrides", [dict(sigma2=1e-320), dict(betas=0.0)])
+    def test_an_infinite_snr_is_written_as_null(self, tmp_path, overrides):
+        def no_constant(name):
+            raise AssertionError(f"manifest holds {name}")
+
+        out = tmp_path / "empty.csv"
+        emit_results(run_sweep(dataclasses.replace(tiny_spec(m_values=()), **overrides)), out)
+        manifest = json.loads(out.with_suffix(".manifest.json").read_text(),
+                              parse_constant=no_constant)
+        assert manifest["derived"] == {"snr_user_db": [None, None], "snr_eve_db": [-10.0]}
+
     def test_reemission_is_byte_identical(self, tmp_path):
         result = run_sweep(tiny_spec())
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -11,7 +11,9 @@ none of the BLAS thread or glibc malloc variables set.
 ``golden/reports.txt`` pins the stdout of ``fit``, ``gumbel``, ``clt`` and
 ``single``: each ``$ mimosec ...`` line is a command run from the
 repository root, and the lines up to the next one are what it prints.  A
-change meant to alter a report regenerates it by running its command there."""
+change meant to alter a report regenerates it by running its command there.
+
+Each ``python`` code block of README.md must run to exit status 0."""
 
 import re
 import shlex
@@ -22,6 +24,11 @@ import pytest
 from mimosec.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+
+# The ```python blocks of README.md, in order.
+EXAMPLES = re.findall(r"^```python\n(.*?)^```$",
+                      (GOLDEN.parent.parent / "README.md").read_text(encoding="utf-8"),
+                      re.MULTILINE | re.DOTALL)
 
 # [command, expected stdout] of each report in golden/reports.txt.
 REPORTS = [block.split("\n", 1) for block in
@@ -69,3 +76,9 @@ def test_report_is_the_golden_one(capsys, monkeypatch, command, expected):
     monkeypatch.chdir(GOLDEN.parent.parent)
     assert main(shlex.split(command)) == 0
     assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("code", EXAMPLES,
+                         ids=[f"example-{i}" for i in range(1, len(EXAMPLES) + 1)])
+def test_readme_example_runs(fresh_python, code):
+    fresh_python(code)

@@ -1,6 +1,7 @@
 import ast
 import importlib
 import logging
+import re
 from collections import Counter
 from dataclasses import fields, replace
 from pathlib import Path
@@ -16,8 +17,8 @@ import mimosec.harness as harness
 from mimosec.config import MAX_SIZE
 from mimosec import (ConfigurationError, DegenerateChannelError, MimosecError,
                      SingularChannelError, SweepSpec, SystemConfig,
-                     build_beamformers, derive_seed, run_sweep, run_sweeps,
-                     run_trial, sample_realization)
+                     build_beamformers, complex_normal, derive_seed, derived_rng,
+                     run_sweep, run_sweeps, run_trial, sample_realization)
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -114,6 +115,16 @@ class TestRunTrial:
         given = build_beamformers(H, cfg, scheme, quant_bits, F)
         assert own.F.tobytes() == given.F.tobytes() and own.W.tobytes() == given.W.tobytes()
         assert (given.F is F) == (scheme == "HADP_A")
+
+    @pytest.mark.parametrize("shape", [(16, 3), (16, 5), (20, 4), (8, 4)])
+    @pytest.mark.parametrize("scheme, quant_bits", [
+        ("TAS_A", None), ("TAS_B", None), ("HADP_A", None), ("HADP_B", 3)])
+    def test_a_channel_that_does_not_fit_the_config_is_rejected(self, scheme, quant_bits,
+                                                                shape):
+        H = complex_normal(derived_rng(14), shape)
+        with pytest.raises(ConfigurationError, match=re.escape(
+                f"H has shape {shape}, but cfg has (M, K) = (16, 4)")):
+            build_beamformers(H, preset_cfg(M=16), scheme, quant_bits)
 
     def test_construction_ignores_eavesdropper_channels(self):
         cfg = preset_cfg()
@@ -232,6 +243,12 @@ class TestRunSweep:
     def test_worker_count_above_the_ceiling_starts_no_process(self, pool_sizes):
         with pytest.raises(ConfigurationError, match=f"at most {harness.MAX_WORKERS}"):
             run_sweep(small_spec(), workers=harness.MAX_WORKERS + 1)
+        assert pool_sizes == []
+
+    @pytest.mark.parametrize("workers", [2.0, 1.5, "2", None])
+    def test_non_integer_worker_count_rejected(self, pool_sizes, workers):
+        with pytest.raises(ConfigurationError, match="workers must be an integer"):
+            run_sweep(small_spec(), workers=workers)
         assert pool_sizes == []
 
     @pytest.mark.parametrize("trials, m_values, processes", [
@@ -561,6 +578,16 @@ class TestTrial:
         outcome(sibling, scheme, quant_bits, 41, t, trial)
         alone = outcome(cfg, scheme, quant_bits, 41, t)
         assert outcome(cfg, scheme, quant_bits, 41, t, trial) == alone
+
+    def test_a_build_made_for_one_use_is_dropped_after_its_report(self):
+        # Three quantizers of one K share the phase match alone: each build
+        # goes with its report, so at large M the trial holds one M x K match.
+        cfg = preset_cfg(M=24)
+        uses = [(cfg, "HADP_B", bits) for bits in (2, 4, 16)]
+        trial = harness._Trial(24, 41, 0, uses, harness._reused(uses))
+        for use in uses:
+            trial.report(*use)
+            assert list(trial.built) == [("phase match", cfg.K)]
 
 
 def test_every_name_the_benchmark_traces_is_bound_in_the_harness():
