@@ -320,9 +320,10 @@ def build_beamformers(H: np.ndarray, cfg: SystemConfig, scheme: str,
     the selected rows.  Both return a ``SwitchedBeamformerSet``.  HADP_A:
     phase matching in the analog stage, identity digital stage.  HADP_B:
     quantized phase matching followed by zero forcing over the effective
-    channel.  Both return a ``BeamformerSet``; ``phase_match``, when given,
-    is ``analog_phase_match(H)`` formed before, and the two use it rather
-    than form it again.  An H whose shape is not ``(cfg.M, cfg.K)`` raises
+    channel.  Both return a ``BeamformerSet``, which keeps F^T H when H is
+    read-only, as a trial's H is; ``phase_match``, when given, is
+    ``analog_phase_match(H)`` formed before, and the two use it rather than
+    form it again.  An H whose shape is not ``(cfg.M, cfg.K)`` raises
     ConfigurationError.
     """
     if np.shape(H) != (cfg.M, cfg.K):
@@ -341,9 +342,8 @@ def build_beamformers(H: np.ndarray, cfg: SystemConfig, scheme: str,
     if scheme == "HADP_B" and quant_bits is None:
         raise ConfigurationError("HADP_B requires quant_bits")
     F = analog_phase_match(H) if phase_match is None else phase_match
-    if scheme == "HADP_A":
-        return BeamformerSet(F, np.eye(K), powers)
-    F = quantize_phases(F, quant_bits)
-    H_eff = F.T @ H
-    return BeamformerSet(F, zf_effective(H_eff), powers,
+    if scheme == "HADP_B":
+        F = quantize_phases(F, quant_bits)
+    H_eff = None if scheme == "HADP_A" and H.flags.writeable else F.T @ H
+    return BeamformerSet(F, np.eye(K) if scheme == "HADP_A" else zf_effective(H_eff), powers,
                          formed=(None, None) if H.flags.writeable else (H, H_eff))

@@ -400,6 +400,9 @@ def main(argv=None) -> int:
     except MimosecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130  # the shell's code for a process ended by SIGINT
     except MemoryError as exc:
         # Sizes within bounds whose arrays still do not fit this machine.
         print(f"error: out of memory: {exc}" if str(exc) else "error: out of memory",

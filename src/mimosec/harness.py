@@ -1,11 +1,12 @@
 """Monte Carlo sweep driver: runs seeded trials over a grid of array sizes
 and aggregates the rate metrics with standard errors."""
 
-import contextlib
 import logging
+import signal
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,8 +16,8 @@ from .beamforming import HYBRID_SCHEMES, analog_phase_match, build_beamformers, 
 from .channel import carve, derive_seed, trial_normals
 from .channel import sample_realization  # unused here: perfbench/inproc.py patches it by name
 from .config import SweepSpec, SystemConfig, as_integer
-from .errors import ConfigurationError, DegenerateChannelError, SingularChannelError
-from .metrics import RateReport, rate_report, user_rates
+from .errors import ConfigurationError, DegenerateChannelError, MimosecError, SingularChannelError
+from .metrics import RateReport, rate_report
 
 log = logging.getLogger(__name__)
 
@@ -62,7 +63,7 @@ class SweepResult:
 
 
 def _reused(uses) -> frozenset:
-    """What more than one of ``uses`` makes from H: a build and its user half, or a phase match."""
+    """What more than one of ``uses`` makes from H: a build, or a phase match."""
     made = Counter(build_key(*use) for use in uses)
     made.update(("phase match", cfg.K) for cfg, scheme, _ in uses if scheme in HYBRID_SCHEMES)
     return frozenset(key for key, n in made.items() if n > 1)
@@ -97,18 +98,16 @@ class _Trial:
         return self.built[key]
 
     def report(self, cfg: SystemConfig, scheme: str, quant_bits: int | None) -> RateReport:
-        """The rate metrics of one use: its scheme's beamformers and the user
-        half of the report, made from the H of its K, then the rest from its G."""
+        """The rate metrics of one use: its scheme's beamformers, made from
+        the H of its K, evaluated on its realization."""
         ch = self.draws[cfg.K, cfg.J]
 
         def build():
             phase_match = (self._stage(("phase match", cfg.K), lambda: analog_phase_match(ch.H))
                            if scheme in HYBRID_SCHEMES else None)
-            bf = build_beamformers(ch.H, cfg, scheme, quant_bits, phase_match)
-            return bf, user_rates(ch.H, bf, cfg)
+            return build_beamformers(ch.H, cfg, scheme, quant_bits, phase_match)
 
-        bf, user = self._stage(build_key(cfg, scheme, quant_bits), build)
-        return rate_report(ch, bf, cfg, user)
+        return rate_report(ch, self._stage(build_key(cfg, scheme, quant_bits), build), cfg)
 
 
 def run_trial(cfg: SystemConfig, scheme: str, quant_bits: int | None,
@@ -153,7 +152,8 @@ def _block_task(args):
     several of them make is made once.  Returns an (n, columns, hi - lo)
     array of each sweep's outcome per trial.  The columns are r_sum,
     r_sum_noeve, leakage and cost, the redraws per ``RESAMPLE_CAUSES``
-    cause, then the seconds, the draw's billed to the first sweep.
+    cause, then the seconds, which bill each trial's draw to the sweeps in
+    equal shares and a build that several share to the one that made it.
     """
     m, lo, hi, members = args
     seed = derive_seed(members[0][1].master_seed, m)
@@ -164,7 +164,7 @@ def _block_task(args):
         trial = None  # the last trial's draws go before the next is drawn
         start = time.perf_counter()
         trial = _Trial(m, seed, t, uses, reused)
-        out[0, -1] = time.perf_counter() - start
+        out[:, -1] = (time.perf_counter() - start) / len(members)
         for j, ((_, spec), use) in enumerate(zip(members, uses)):
             start = time.perf_counter()
             report, redraws = _trial_with_resampling(*use, seed, t, spec.trials, trial)
@@ -261,7 +261,10 @@ def run_sweeps(specs, workers: int = 1) -> list:
         A sweep's outcomes, r_sum, r_sum_noeve, leakage, cost, the redraws
         per cause and the seconds, fill one array per m by trial index, so
         the output is bitwise-identical for any worker count.  The ``-v``
-        head line's sharing census is read from the blocks.
+        head line's sharing census is read from the blocks; the seconds of a
+        ``-v`` line bill a block's draws in equal shares to its sweeps and a
+        shared build to the sweep that made it.  A worker process that ends
+        abruptly raises MimosecError naming the block whose result was awaited.
     """
     workers = as_integer(workers, "workers")
     if workers > MAX_WORKERS:
@@ -286,13 +289,19 @@ def run_sweeps(specs, workers: int = 1) -> list:
                  f"; shares beamformer builds with {_names(specs, builds)}" if builds else "")
     points = [[] for _ in specs]
     outcomes = [np.empty((_COLUMNS, spec.trials)) for spec in specs]
-    with (ProcessPoolExecutor(max_workers=processes) if processes > 1
-          else contextlib.nullcontext()) as pool:
+    # Workers ignore SIGINT, which a terminal sends the whole process group:
+    # the parent alone ends the run, and an idle worker prints no traceback.
+    pool = (ProcessPoolExecutor(max_workers=processes, initializer=signal.signal,
+                                initargs=(signal.SIGINT, signal.SIG_IGN))
+            if processes > 1 else None)
+    awaited = tasks[0] if tasks else None
+    try:
         # A group's tasks are m-major and both maps yield in task order, so a
         # sweep's m is complete when the block ending at its last trial arrives.
         results = map(_block_task, tasks) if pool is None else pool.map(_block_task, tasks)
-        for (m, lo, hi, members), block in zip(tasks, results):
-            for (i, spec), rows in zip(members, block):
+        for awaited in tasks:
+            m, lo, hi, members = awaited
+            for (i, spec), rows in zip(members, next(results)):
                 outcome = outcomes[i]
                 outcome[:, lo:hi] = rows
                 if hi < spec.trials:
@@ -304,6 +313,16 @@ def run_sweeps(specs, workers: int = 1) -> list:
                 log.info("%s %s m=%d: r_sum=%.4f cost=%.4f (%d trials, %d resampled: %s, %.2f s)",
                          spec.scenario, spec.scheme, m, point.r_sum_mean, point.cost_mean,
                          spec.trials, point.resamples, causes, outcome[-1].sum())
+    except BrokenProcessPool:
+        # A worker was lost while the blocks were being sent, or while one was awaited.
+        m, lo, hi, _ = awaited
+        raise MimosecError("a worker process ended abruptly (killed, or out of memory); "
+                           f"no result for m={m}, trials {lo}..{hi - 1}") from None
+    finally:
+        if pool is not None:
+            # Blocks not started yet are dropped, so that an interrupt or an
+            # error ends the run without waiting for them.
+            pool.shutdown(cancel_futures=True)
     return [SweepResult(spec=spec, points=tuple(p)) for spec, p in zip(specs, points)]
 
 

@@ -35,16 +35,13 @@ def pool_sizes(monkeypatch):
     started = []
 
     class SerialPool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, **worker_setup):
             started.append(max_workers)
 
         map = staticmethod(map)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
+        def shutdown(self, **how):
+            pass
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
     return started

@@ -1,7 +1,13 @@
+import contextlib
 import csv
 import dataclasses
 import json
 import logging
+import os
+import signal
+import subprocess
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +15,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import mimosec
 import mimosec.cli as cli
 import mimosec.harness as harness
 from mimosec import (SCHEMES, ConfigParseError, DegenerateChannelError, SweepSpec,
@@ -689,6 +696,72 @@ class TestSubcommands:
         slope = {name: float(out.out.split("slope: ")[1].split()[0])
                  for name, out in (("k2", with_manifest), ("k1", without))}
         assert slope["k2"] == pytest.approx(slope["k1"] / 2)
+
+
+def kill_group(pgid):
+    with contextlib.suppress(ProcessLookupError):
+        os.killpg(pgid, signal.SIGKILL)
+
+
+def run_in_own_session(argv, act=None):
+    """Run ``argv`` under this interpreter in a new session, so that its
+    process group holds it and its workers alone.  ``act(proc)``, if given,
+    runs first and may read ``proc.stderr``.  Returns the exit code, the
+    rest of stderr, and whether any process of the group is left."""
+    env = dict(os.environ, PYTHONPATH=str(Path(mimosec.__file__).resolve().parents[1]))
+    with subprocess.Popen([sys.executable, *argv], stdout=subprocess.DEVNULL,
+                          stderr=subprocess.PIPE, text=True, env=env,
+                          start_new_session=True) as proc:
+        # A run that hangs is killed, so that the test fails instead of hanging.
+        watchdog = threading.Timer(120, kill_group, (proc.pid,))
+        watchdog.start()
+        try:
+            if act is not None:
+                act(proc)
+            err, code = proc.stderr.read(), proc.wait()
+            try:
+                os.killpg(proc.pid, 0)
+            except ProcessLookupError:
+                return code, err, False
+            return code, err, True
+        finally:
+            watchdog.cancel()
+            kill_group(proc.pid)
+
+
+class TestAbruptEnd:
+    @pytest.mark.parametrize("group", [False, True], ids=["to_the_process", "to_the_group"])
+    def test_an_interrupt_ends_in_one_line(self, tmp_path, group):
+        # SIGINT once a sweep logs its first array size, to the process alone
+        # or, as a terminal's Ctrl-C sends it, to the process and its workers.
+        def interrupt(proc):
+            while " m=" not in (line := proc.stderr.readline()):
+                assert line, "the sweep ended before it logged an array size"
+            (os.killpg if group else os.kill)(proc.pid, signal.SIGINT)
+
+        out = tmp_path / "out"
+        code, err, left = run_in_own_session(
+            ["-m", "mimosec.cli", "-v", "sweep", str(CONFIGS / "full_suite.cfg"),
+             "--workers", "2", "--out", str(out)], interrupt)
+        # Lines the sweep logged before the signal landed may precede the error.
+        *logged, last = err.splitlines()
+        assert last == "error: interrupted" and all(" m=" in x for x in logged)
+        assert (code, left, out.exists()) == (130, False, False)
+
+    def test_a_lost_worker_ends_in_one_line(self, tmp_path):
+        # Every block's worker ends at once, as one the kernel kills does;
+        # forked workers see the patched module.
+        cfg, out = write(tmp_path, TWO_DOCS.replace("trials: 2", "trials: 16")), tmp_path / "out"
+        script = write(tmp_path, "import os, sys\nimport mimosec.harness as harness\n"
+                                 "from mimosec.cli import main\n"
+                                 "def lost(args):\n    os._exit(1)\n"
+                                 "harness._block_task = lost\n"
+                                 "sys.exit(main(sys.argv[1:]))\n", "lost.py")
+        code, err, left = run_in_own_session(
+            [str(script), "sweep", str(cfg), "--workers", "2", "--out", str(out)])
+        assert err == ("error: a worker process ended abruptly (killed, or out of memory); "
+                       "no result for m=16, trials 0..1\n")
+        assert (code, left, out.exists()) == (1, False, False)
 
 
 @st.composite

@@ -1,10 +1,14 @@
 import ast
 import importlib
+import importlib.util
 import logging
 import re
+import sys
 from collections import Counter
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import fields, replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -445,6 +449,52 @@ class TestRunSweeps:
         assert [p.resamples for r in results for p in r.points] == [0, 0, 0]
         assert len({id(product) for product in products}) == 2
 
+    def test_each_sweep_of_a_block_is_billed_an_equal_share_of_the_draw(self, monkeypatch):
+        # A fake clock that the draw advances by 3 s and each sweep's own
+        # trial by its own amount: each sweep is billed 3 s / 3 plus its own.
+        clock = [0.0]
+        own = {"TAS_A": 0.5, "HADP_A": 0.25, "HADP_B": 2.0}
+        report = SimpleNamespace(r_sum=1.0, r_sum_noeve=1.0, leakage=0.0, cost=0.0)
+
+        def draw(*args):
+            clock[0] += 3.0
+
+        def evaluate(cfg, scheme, *args):
+            clock[0] += own[scheme]
+            return report, np.zeros(len(harness.RESAMPLE_CAUSES))
+
+        monkeypatch.setattr(harness.time, "perf_counter", lambda: clock[0])
+        monkeypatch.setattr(harness, "_Trial", draw)
+        monkeypatch.setattr(harness, "_trial_with_resampling", evaluate)
+        specs = [small_spec("TAS_A"), small_spec("HADP_A"), small_spec("HADP_B", quant_bits=4)]
+        block = harness._block_task((16, 2, 5, tuple(enumerate(specs))))
+        assert block[:, -1].tolist() == [[1.0 + own[spec.scheme]] * 3 for spec in specs]
+
+    @pytest.mark.parametrize("sent", [0, 1], ids=["while_sending", "while_awaiting"])
+    def test_a_lost_worker_names_the_block_awaited(self, monkeypatch, sent):
+        # The pool breaks before any block is sent, or after the first result.
+        class LostPool:
+            def __init__(self, max_workers, **worker_setup):
+                pass
+
+            def shutdown(self, **how):
+                pass
+
+            def map(self, fn, tasks):
+                def results():
+                    yield fn(tasks[0])
+                    raise BrokenProcessPool("lost")
+                if not sent:
+                    raise BrokenProcessPool("lost")
+                return results()
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", LostPool)
+        spec = small_spec(trials=16)
+        m, lo, hi, _ = harness._tasks([spec], 2)[sent]
+        with pytest.raises(MimosecError, match=r"^a worker process ended abruptly \(killed, or "
+                           rf"out of memory\); no result for m={m}, trials {lo}\.\.{hi - 1}$"):
+            run_sweeps([spec], workers=2)
+
     def test_trials_outside_a_sweep_draw_every_time(self, monkeypatch):
         drawn = []
         real = harness.trial_normals
@@ -616,6 +666,20 @@ def test_every_name_the_benchmark_imports_is_bound_in_mimosec():
     assert imported
     assert [(module, name) for module, name in imported
             if not hasattr(importlib.import_module(module), name)] == []
+
+
+def test_the_benchmarks_oracle_check_passes(monkeypatch):
+    """perfbench/run.py runs ``oracle_check`` of perfbench/inproc.py, which
+    calls ``build_beamformers`` and ``rate_report`` as a library user does,
+    so a change to either that breaks the benchmark fails here.  Loading
+    the benchmark writes no bytecode next to it."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("inproc", ROOT / "perfbench" / "inproc.py")
+    inproc = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inproc)
+    specs = [small_spec(scheme, 4 if scheme == "HADP_B" else None, m_values=(16,), trials=3)
+             for scheme in mimosec.SCHEMES]
+    assert inproc.oracle_check(specs, 7) == []
 
 
 class TestBlasThreads:
