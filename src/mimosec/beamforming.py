@@ -303,7 +303,7 @@ def stepwise_tas(H: np.ndarray, L: int, cfg: SystemConfig) -> np.ndarray:
 
 def build_key(s, scheme: str, quant_bits: int | None) -> tuple:
     """What ``build_beamformers`` reads besides H: the scheme and the transmit
-    side of ``s``, a SystemConfig or a SweepSpec.  The transmitter has no
+    side of the Network ``s``, a SystemConfig or a SweepSpec.  The transmitter has no
     eavesdropper CSI, so J, thetas and rho2 are not in it."""
     return (scheme, quant_bits, s.K, s.L, s.total_power, s.sigma2,
             tuple(s.betas), tuple(s.weights))

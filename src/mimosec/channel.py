@@ -93,7 +93,8 @@ def carve(normals: np.ndarray, M: int, K: int, J: int,
 
 def sample_realization(cfg: SystemConfig, master_seed: int,
                        trial_index: int) -> ChannelRealization:
-    """Draw one channel realization for trial ``trial_index``.
+    """Draw trial ``trial_index`` of the stream ``master_seed``; a sweep and
+    ``single`` draw array size m from ``derive_seed(spec.master_seed, m)``.
 
     Pure function of (cfg dimensions, master_seed, trial_index): repeated
     calls return bitwise-identical matrices regardless of execution order

@@ -158,8 +158,6 @@ def emit_results(result: SweepResult, path) -> None:
     for p in result.points:
         writer.writerow([result.spec.scenario, result.spec.scheme,
                          *(_fmt(v) if isinstance(v, float) else v for v in astuple(p))])
-    # The SNRs do not depend on M: read them from the network at its floor.
-    cfg = result.spec.config_for(max(result.spec.L, result.spec.K))
     manifest = {
         "tool": "mimosec",
         "version": __version__,
@@ -170,8 +168,8 @@ def emit_results(result: SweepResult, path) -> None:
         # A zero gain or an overflowing ratio gives an infinite dB value,
         # written as null: JSON has no infinity.
         "derived": {name: [v if np.isfinite(v) else None for v in snr.tolist()]
-                    for name, snr in (("snr_user_db", cfg.snr_user_db()),
-                                      ("snr_eve_db", cfg.snr_eve_db()))},
+                    for name, snr in (("snr_user_db", result.spec.snr_user_db()),
+                                      ("snr_eve_db", result.spec.snr_eve_db()))},
     }
     try:
         _write_all([(path, text.getvalue()),

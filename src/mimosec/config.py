@@ -1,10 +1,12 @@
-"""System-level parameters of one downlink wiretap instance, and the
-sweep specification that runs one network over a grid of array sizes."""
+"""One downlink wiretap network, the system config that fixes its array
+size, and the sweep specification that runs it over a grid of array sizes."""
 
+import numbers
 import operator
 import re
 import sys
 from collections import namedtuple
+from collections.abc import Iterable
 from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
@@ -41,6 +43,9 @@ def _as_vector(x, n: int, name: str) -> np.ndarray:
         v = np.atleast_1d(np.asarray(x, dtype=float))
     except OverflowError:  # an integer past a double's range
         raise ConfigurationError(f"{name} must be finite", field=name) from None
+    except (TypeError, ValueError):  # a string or a ragged list
+        raise ConfigurationError(f"{name} must be a number or a vector of numbers, "
+                                 f"got {x!r}", field=name) from None
     if v.ndim != 1 or v.size not in (1, n):
         raise ConfigurationError(f"{name} must be one value or a length-{n} vector, "
                                  f"got shape {v.shape}", field=name)
@@ -66,38 +71,46 @@ class ByValue:
         return hash(self._values())
 
 
-@dataclass(frozen=True, eq=False)
-class SystemConfig(ByValue):
-    """All scalar parameters of one base-station / users / eavesdroppers setup.
+@dataclass(frozen=True, eq=False, kw_only=True)
+class Network(ByValue):
+    """One base-station / users / eavesdroppers setup, at any array size.
 
-    M transmit antennas serve K single-antenna users through L RF chains
+    The transmit array serves K single-antenna users through L RF chains
     while J passive single-antenna eavesdroppers overhear.  ``betas`` and
     ``thetas`` are the large-scale (path-loss and shadowing) power gains of
     the user and eavesdropper channels; ``weights`` are the per-user QoS
-    weights used in all weighted sum-rates.  Each of the three may be given
-    as one value for all users or eavesdroppers; it is stored as a vector.
+    weights used in all weighted sum-rates, 1.0 each when left out.  Each of
+    the three may be given as one value for all users or eavesdroppers; it
+    is stored as a vector.
+
+    Each field's metadata gives its kind (a key of KINDS), an integer's
+    ``range``, and, where they differ from its name, its config-file ``key``
+    and ``manifest`` key.
     """
 
-    M: int
-    K: int
-    J: int
-    L: int
-    total_power: float
-    sigma2: float
-    rho2: float
-    betas: np.ndarray = field(repr=False)
-    thetas: np.ndarray = field(repr=False)
-    weights: np.ndarray = field(repr=False)
+    K: int = field(metadata={"kind": "int", "range": (1, MAX_SIZE)})
+    J: int = field(metadata={"kind": "int", "range": (0, MAX_SIZE)})
+    L: int = field(metadata={"kind": "int", "range": (1, MAX_SIZE)})
+    total_power: float = field(metadata={"kind": "float"})
+    sigma2: float = field(metadata={"kind": "float"})
+    rho2: float = field(metadata={"kind": "float"})
+    betas: np.ndarray = field(repr=False, metadata={"kind": "vector", "key": "beta"})
+    thetas: np.ndarray = field(repr=False, metadata={"kind": "vector", "key": "theta"})
+    weights: np.ndarray = field(default=(1.0,), repr=False, metadata={"kind": "vector"})
 
     def __post_init__(self):
-        for name, low in (("K", 1), ("J", 0), ("L", 1), ("M", 1)):
-            object.__setattr__(self, name, as_integer(getattr(self, name), name))
-            if not low <= getattr(self, name) <= MAX_SIZE:
-                raise ConfigurationError(f"{name} must be between {low} and {MAX_SIZE}, "
-                                         f"got {getattr(self, name)}", field=name)
-        if self.L > self.M:
-            raise ConfigurationError(f"L must satisfy L <= M, got L={self.L}, M={self.M}",
-                                     field="L")
+        # Each field's type and each integer's range; integers are stored as ints.
+        for f in fields(self):
+            kind, value = KINDS[f.metadata["kind"]], getattr(self, f.name)
+            if not (isinstance(value, kind.type) or value is f.default):
+                raise ConfigurationError(f"{f.name} must be {kind.json}, got {value!r}",
+                                         field=f.name)
+            if kind.type is numbers.Integral and value is not None:
+                object.__setattr__(self, f.name, int(value))
+            low, high = f.metadata.get("range", (None, None))
+            if low is not None and value is not None and not low <= value <= high:
+                raise ConfigurationError(f"{f.name} must be between {low} and {high}, "
+                                         f"got {value}", field=f.name)
         for name, ok, rule in (("total_power", self.total_power >= 0, ">= 0"),
                                ("sigma2", self.sigma2 > 0, "> 0"), ("rho2", self.rho2 > 0, "> 0")):
             # Above the largest double: inf, and an integer past a double's range.
@@ -108,14 +121,6 @@ class SystemConfig(ByValue):
             object.__setattr__(self, name, _as_vector(getattr(self, name), n, name))
         if not np.any(self.weights > 0):
             raise ConfigurationError("weights must not be all zero", field="weights")
-
-    @classmethod
-    def uniform(cls, M: int, K: int, J: int, L: int, total_power: float,
-                sigma2: float, rho2: float, beta: float = 1.0,
-                theta: float = 0.1, weight: float = 1.0) -> "SystemConfig":
-        """Build a config with identical large-scale gains and weights."""
-        return cls(M=M, K=K, J=J, L=L, total_power=total_power, sigma2=sigma2,
-                   rho2=rho2, betas=beta, thetas=theta, weights=weight)
 
     def snr_user_db(self) -> np.ndarray:
         """Per-user receive SNR beta_k * P / sigma^2 in dB: -inf for a zero
@@ -128,6 +133,27 @@ class SystemConfig(ByValue):
         as ``snr_user_db`` is."""
         with np.errstate(divide="ignore", over="ignore"):
             return 10.0 * np.log10(self.thetas * self.total_power / self.rho2)
+
+
+@dataclass(frozen=True, eq=False, kw_only=True)
+class SystemConfig(Network):
+    """The network with M transmit antennas, L <= M."""
+
+    M: int = field(metadata={"kind": "int", "range": (1, MAX_SIZE)})
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.L > self.M:
+            raise ConfigurationError(f"L must satisfy L <= M, got L={self.L}, M={self.M}",
+                                     field="L")
+
+    @classmethod
+    def uniform(cls, M: int, K: int, J: int, L: int, total_power: float,
+                sigma2: float, rho2: float, beta: float = 1.0,
+                theta: float = 0.1, weight: float = 1.0) -> "SystemConfig":
+        """Build a config with identical large-scale gains and weights."""
+        return cls(M=M, K=K, J=J, L=L, total_power=total_power, sigma2=sigma2,
+                   rho2=rho2, betas=beta, thetas=theta, weights=weight)
 
 
 # Largest b of a 'pow2:a..b' grid, checked before the grid is built.
@@ -153,18 +179,19 @@ def _list_of(types):
 
 
 # Each field kind: the test of a JSON value and what its error says was
-# expected, then the reader of a config-file value (a ValueError on a bad
-# one) and what its error says was expected.
-Kind = namedtuple("Kind", "is_json json read text")
+# expected, the reader of a config-file value (a ValueError on a bad one)
+# and what its error says was expected, then the type of a library value.
+Kind = namedtuple("Kind", "is_json json read text type")
 KINDS = {
-    "int": Kind(_of(int), "an integer", int, "integer"),
-    "float": Kind(_of((int, float)), "a number", float, "number"),
-    "string": Kind(_of(str), "a string", str, "string"),
+    "int": Kind(_of(int), "an integer", int, "integer", numbers.Integral),
+    "float": Kind(_of((int, float)), "a number", float, "number", numbers.Real),
+    "string": Kind(_of(str), "a string", str, "string", str),
     "vector": Kind(_list_of((int, float)), "a list of numbers",
                    lambda raw: [float(tok) for tok in raw.split(",")],
-                   "a number or comma-separated numbers"),
+                   "a number or comma-separated numbers", object),
     "m_grid": Kind(_list_of(int), "a list of integers", _read_m_grid,
-                   f"comma-separated integers or 'pow2:a..b' with a <= b <= {_MAX_POW2}"),
+                   f"comma-separated integers or 'pow2:a..b' with a <= b <= {_MAX_POW2}",
+                   Iterable),
 }
 
 
@@ -175,42 +202,29 @@ _SPARSE = dict(K=16, J=2, L=16, total_power=1.0, sigma2=1.0, rho2=1.0,
                betas=(1.0,), thetas=(0.1,))
 PRESETS = {"sparse": _SPARSE, "dense": dict(_SPARSE, J=16)}
 
-# The fields a SweepSpec shares with the SystemConfig of each of its array sizes.
-_NETWORK = tuple(f.name for f in fields(SystemConfig) if f.name != "M")
-
 
 @dataclass(frozen=True, eq=False, kw_only=True)
-class SweepSpec(ByValue):
-    """One Monte Carlo sweep: a network profile swept over array sizes.
+class SweepSpec(Network):
+    """One Monte Carlo sweep: a network swept over array sizes.
 
     ``m_values`` must be strictly increasing and each at least
     max(L, K) so every scheme stays feasible, and at most ``MAX_SIZE``.
     ``L`` is the RF-chain count of scheme TAS_B; the other schemes have one
     chain per user and need ``L == K``.  ``quant_bits`` is the phase-shifter
     resolution and is required exactly for scheme HADP_B.
-
-    Each field's metadata gives its kind (a key of KINDS) and, where
-    they differ from its name, its config-file ``key`` and ``manifest`` key.
     """
 
     scenario: str = field(metadata={"kind": "string"})
     scheme: str = field(metadata={"kind": "string"})
-    K: int = field(metadata={"kind": "int"})
-    J: int = field(metadata={"kind": "int"})
-    L: int = field(metadata={"kind": "int"})
-    total_power: float = field(metadata={"kind": "float"})
-    sigma2: float = field(metadata={"kind": "float"})
-    rho2: float = field(metadata={"kind": "float"})
-    betas: np.ndarray = field(metadata={"kind": "vector", "key": "beta"})
-    thetas: np.ndarray = field(metadata={"kind": "vector", "key": "theta"})
-    weights: np.ndarray = field(default=(1.0,), metadata={"kind": "vector"})
     m_values: tuple = field(metadata={"kind": "m_grid"})
-    trials: int = field(metadata={"kind": "int"})
+    trials: int = field(metadata={"kind": "int", "range": (1, MAX_SIZE)})
     master_seed: int = field(metadata={"kind": "int", "key": "seed", "manifest": "seed"})
-    quant_bits: int | None = field(default=None, metadata={"kind": "int"})
+    quant_bits: int | None = field(default=None,
+                                   metadata={"kind": "int", "range": (1, MAX_QUANT_BITS)})
     cost_estimator: str = field(default="mean_of_ratios", metadata={"kind": "string"})
 
     def __post_init__(self):
+        super().__post_init__()
         # The scenario names the output files and leads every CSV row, where
         # a control character such as a carriage return is written unquoted
         # and splits the row when it is read back.
@@ -223,16 +237,6 @@ class SweepSpec(ByValue):
         if self.cost_estimator not in COST_ESTIMATORS:
             raise ConfigurationError(f"unknown cost_estimator '{self.cost_estimator}', "
                                      f"expected one of {COST_ESTIMATORS}", field="cost_estimator")
-        # The network at its smallest feasible size checks the counts and
-        # vectors, and normalizes them so the sweep round-trips through
-        # manifests.
-        probe = self.config_for(max(self.L, self.K))
-        for name in _NETWORK:
-            object.__setattr__(self, name, getattr(probe, name))
-        for name in ("trials", "master_seed"):
-            object.__setattr__(self, name, as_integer(getattr(self, name), name))
-        if self.quant_bits is not None:
-            object.__setattr__(self, "quant_bits", as_integer(self.quant_bits, "quant_bits"))
         m = tuple(as_integer(v, "m_values") for v in self.m_values)
         object.__setattr__(self, "m_values", m)
         # An empty m_values is allowed; it emits a header-only CSV.
@@ -248,12 +252,6 @@ class SweepSpec(ByValue):
         if self.scheme != "TAS_B" and self.L != self.K:
             raise ConfigurationError(f"scheme {self.scheme} has one RF chain per user, so L "
                                      f"must equal K = {self.K}, got {self.L}", field="L")
-        if self.quant_bits is not None and not 1 <= self.quant_bits <= MAX_QUANT_BITS:
-            raise ConfigurationError(f"quant_bits must be between 1 and {MAX_QUANT_BITS}, "
-                                     f"got {self.quant_bits}", field="quant_bits")
-        if not 1 <= self.trials <= MAX_SIZE:
-            raise ConfigurationError(f"trials must be between 1 and {MAX_SIZE}, "
-                                     f"got {self.trials}", field="trials")
         if self.master_seed < 0:
             raise ConfigurationError("master_seed must be non-negative", field="master_seed")
 
@@ -294,12 +292,13 @@ class SweepSpec(ByValue):
         if m < floor:
             raise ConfigurationError(f"m must be at least max(L, K) = {floor}, got {m}",
                                      field="m_values")
-        return SystemConfig(M=m, **{name: getattr(self, name) for name in _NETWORK})
+        return SystemConfig(M=m, **{f.name: getattr(self, f.name) for f in fields(Network)})
 
 
-# The schema, one row per SweepSpec field in manifest order; ``default`` is
-# MISSING where the key is required.
+# The schema, one row per SweepSpec field in manifest order (scenario and
+# scheme lead); ``default`` is MISSING where the key is required.
 SpecField = namedtuple("SpecField", "name key manifest kind default")
 SPEC_FIELDS = tuple(SpecField(f.name, f.metadata.get("key", f.name),
                               f.metadata.get("manifest", f.name), f.metadata["kind"], f.default)
-                    for f in fields(SweepSpec))
+                    for f in sorted(fields(SweepSpec),
+                                    key=lambda f: f.name not in ("scenario", "scheme")))

@@ -112,7 +112,8 @@ class _Trial:
 
 def run_trial(cfg: SystemConfig, scheme: str, quant_bits: int | None,
               master_seed: int, trial_index: int, *, trial: _Trial | None = None) -> RateReport:
-    """Sample one realization, build the scheme's beamformers from H only,
+    """Sample one realization of the stream ``master_seed`` (see
+    ``sample_realization``), build the scheme's beamformers from H only,
     and evaluate the rate metrics.
 
     Degenerate draws (exact-zero coefficients, ill-conditioned zero

@@ -9,6 +9,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
+
+# A failing property test prints a ``@reproduce_failure`` line, which replays
+# its example on any checkout, not only from the local example database.
+settings.register_profile("mimosec", print_blob=True)
+settings.load_profile("mimosec")
 
 
 @pytest.fixture

@@ -130,6 +130,22 @@ class TestConfigValidation:
             make_cfg(**{field: value})
         assert exc.value.field == field
 
+    @pytest.mark.parametrize("field, value", [
+        ("total_power", "1"), ("total_power", None), ("sigma2", "1"), ("sigma2", None),
+        ("rho2", "1"), ("rho2", None), ("betas", "x"), ("thetas", "x"), ("weights", "x"),
+    ])
+    def test_values_of_the_wrong_type_name_their_field(self, field, value):
+        values = dict(M=8, K=4, J=2, L=4, total_power=1.0, sigma2=1.0, rho2=1.0,
+                      betas=1.0, thetas=0.1, weights=1.0)
+        with pytest.raises(ConfigurationError) as exc:
+            SystemConfig(**{**values, field: value})
+        assert exc.value.field == field
+
+    def test_weights_default_to_one(self):
+        cfg = SystemConfig(M=8, K=3, J=1, L=3, total_power=1.0, sigma2=1.0, rho2=1.0,
+                           betas=1.0, thetas=0.1)
+        assert np.array_equal(cfg.weights, np.ones(3))
+
     def test_equal_configs_compare_and_hash_by_value(self):
         a, b = make_cfg(M=16, beta=0.5), make_cfg(M=16, beta=0.5)
         assert a == b and hash(a) == hash(b) and len({a, b}) == 1

@@ -83,6 +83,29 @@ class TestSpecValidation:
             small_spec(**overrides)
         assert exc.value.field == field
 
+    @pytest.mark.parametrize("field, overrides", [
+        ("K", dict(K=None)),
+        ("scenario", dict(scenario=3)),
+        ("m_values", dict(m_values=64)),
+        ("total_power", dict(total_power="1")),
+    ])
+    def test_values_of_the_wrong_type_name_their_field(self, field, overrides):
+        with pytest.raises(ConfigurationError) as exc:
+            replace(small_spec(), **overrides)
+        assert exc.value.field == field
+
+    def test_snrs_are_those_of_each_array_size(self):
+        spec = replace(small_spec(), betas=np.array([0.5, 1.0, 2.0, 0.0]), total_power=3.0)
+        for m in spec.m_values:
+            cfg = spec.config_for(m)
+            assert np.array_equal(spec.snr_user_db(), cfg.snr_user_db())
+            assert np.array_equal(spec.snr_eve_db(), cfg.snr_eve_db())
+
+    def test_dict_keys_in_manifest_order(self):
+        assert list(small_spec().to_dict()) == [
+            "scenario", "scheme", "K", "J", "L", "total_power", "sigma2", "rho2", "betas",
+            "thetas", "weights", "m_values", "trials", "seed", "quant_bits", "cost_estimator"]
+
 
 class TestRunTrial:
     def test_no_eavesdroppers_no_leakage(self):

@@ -215,6 +215,11 @@ class TestSwitchedBeamformerSet:
         # of about 3e-4; the two computations differ in its 12th digit.
         self.check_against_dense_and_oracle(8, 1, 4, 1, np.array([5]), 1048576)
 
+    def test_small_weighted_sum_matches_oracle(self):
+        # r_sum is about 1.2e-4, all of it r_secrecy[0]; the two
+        # computations differ by 1.6e-16, in its 13th digit.
+        self.check_against_dense_and_oracle(6, 3, 3, 1, np.array([0, 3, 1]), 8820)
+
     @staticmethod
     def check_against_dense_and_oracle(M, L, K, J, idx, seed):
         rng = derived_rng(seed)
@@ -235,9 +240,11 @@ class TestSwitchedBeamformerSet:
                              cfg.weights, cfg.sigma2, cfg.rho2)
         # Differences of rates are compared absolutely, at the rounding
         # error of the rates they difference: leakage and cost of the sums,
-        # r_secrecy of the per-user rates.
+        # r_secrecy of the per-user rates, and r_sum, their weighted sum, at
+        # the sum of their allowances.
         absolute = {"leakage": 1e-12, "cost": 1e-12,
-                    "r_secrecy": 1e-12 * max(ref["r_noeve"])}
+                    "r_secrecy": 1e-12 * max(ref["r_noeve"]),
+                    "r_sum": 1e-12 * max(ref["r_noeve"]) * sum(cfg.weights)}
         for key in REPORT_KEYS:
             tol = dict(rel=1e-12, abs=absolute.get(key, 0.0))
             value = getattr(got, key)
