@@ -45,19 +45,12 @@ def keep_heap(libc, environ):
 # forked pool workers inherit them.  A value already set in the environment
 # wins.  When numpy was imported first the setting comes too late.
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-# The heap is kept once per process at import, so forked pool workers inherit
-# it; unlike the BLAS pin it takes effect even when numpy was imported first.
-try:
-    _libc = ctypes.CDLL(None)
-except (OSError, TypeError):  # Windows has no handle on the process's symbols
-    _libc = None
 # What the import set, the one record of it, for the sweep log, which a later
 # change to os.environ must not alter: the BLAS variables as the import left
 # them (setdefault sets each one the user has not), whether numpy was loaded
-# first, and why the heap is left to the C library (or None).
+# first, and, set below, why the heap is left to the C library (or None).
 SETTINGS = {"blas_threads": {var: os.environ.setdefault(var, "1") for var in BLAS_THREAD_VARS},
-            "numpy_before_pin": "numpy" in sys.modules, "heap_left": keep_heap(_libc, os.environ)}
-del _libc
+            "numpy_before_pin": "numpy" in sys.modules}
 
 from .asymptotics import (FitResult, GumbelCheck, clt_check, fit_cost_anchor,
                           fit_growth, gumbel_check, phase_aligned_sums)
@@ -75,6 +68,16 @@ from .errors import (ConfigParseError, ConfigurationError,
                      MimosecError, SingularChannelError)
 from .harness import SweepPoint, SweepResult, run_sweep, run_sweeps, run_trial
 from .metrics import RateReport, rate_report
+
+# The heap is kept once per process, after the imports so that what they freed
+# is still handed back, and before any pool forks; unlike the BLAS pin it
+# takes effect even when numpy was imported first.
+try:
+    _libc = ctypes.CDLL(None)
+except (OSError, TypeError):  # Windows has no handle on the process's symbols
+    _libc = None
+SETTINGS["heap_left"] = keep_heap(_libc, os.environ)
+del _libc
 
 __all__ = [
     "BeamformerSet", "ChannelRealization", "ConfigParseError",

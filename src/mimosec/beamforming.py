@@ -257,48 +257,41 @@ def stepwise_tas(H: np.ndarray, L: int, cfg: SystemConfig) -> np.ndarray:
     candidate set; ties go to the smallest antenna index.  Every candidate
     of a step is scored at once from the K x K Gram matrix of the set so
     far, in O(MK^2) matrix products, so the search costs O(LMK^2) and holds
-    only (M, K) arrays.  Returns the selected indices in ascending order
-    (MRT is order-invariant).
+    only (K, M) arrays, one row per user.  Returns the selected indices in
+    ascending order (MRT is order-invariant).
     """
-    H = np.asarray(H)
-    M, K = H.shape
+    X = np.ascontiguousarray(np.transpose(H))
+    K, M = X.shape
     if K != cfg.K:
         raise ConfigurationError(f"H has {K} user columns, cfg has K={cfg.K}", field="K")
     if not 1 <= as_integer(L, "L") <= M:
         raise InfeasibleSelectionError(f"need 1 <= L <= M, got L={L}, M={M}")
-    powers = power_uniform(K, cfg.total_power)
-    q = cfg.weights
-    betas = cfg.betas
-    sigma2 = cfg.sigma2
+    P = power_uniform(K, cfg.total_power)[:, None]
+    betas = cfg.betas[:, None]
 
-    # Adding antenna a to the set S turns the Gram H_S^H H_S into
-    # gram + conj(H[a, :]) outer H[a, :].  Its diagonal is the MRT signal
-    # power of each stream, and user k hears stream i with power
-    # w[a, i] |gram[i, k] + conj(H[a, i]) H[a, k]|^2, w[a, i] = P_i / col_pow[a, i].
-    # Expanding the square splits the sum over i into three (M, K) terms.
-    conj_H = np.conj(H)
-    abs2 = np.abs(H) ** 2
+    # With X = H^T, adding antenna a to the set S turns the Hermitian Gram
+    # H_S^H H_S into gram + conj(X[:, a]) outer X[:, a].  Its diagonal is the
+    # MRT signal power of each stream, and user k hears stream i with power
+    # w[i, a] |gram[k, i] + X[k, a] conj(X[i, a])|^2, w[i, a] = P_i / c[i, a].
+    # Expanding the square splits the sum over i into three (K, M) terms.
+    conj_X = np.conj(X)
+    abs2 = np.abs(X) ** 2
     gram = np.zeros((K, K), dtype=complex)
-    available = np.ones(M, dtype=bool)
-    selected = []
+    chosen = []
     for _ in range(L):
-        col_pow = gram.diagonal().real + abs2          # (M, K): ||h_eff_k||^2
+        c = gram.diagonal().real[:, None] + abs2        # (K, M): ||h_eff_k||^2
         # A stream with no power yet contributes nothing: its Gram row and
         # its candidate entry are both exactly zero.
-        w = np.divide(powers, col_pow, out=np.zeros_like(col_pow), where=col_pow > 0)
-        received = w @ (np.abs(gram) ** 2)
-        received += 2.0 * (H * ((w * conj_H) @ np.conj(gram))).real
-        received += abs2 * (w * abs2).sum(axis=1, keepdims=True)
+        w = np.divide(P, c, out=np.zeros_like(c), where=c > 0)
+        received = np.abs(gram) ** 2 @ w + 2.0 * (X * (gram @ (w * conj_X))).real
+        received += abs2 * (w * abs2).sum(axis=0)
         # The i = k term is the user's own signal.
-        interference = np.maximum(received - powers * col_pow, 0.0)  # clip rounding residue
-        sinr = powers * betas * col_pow / (sigma2 + betas * interference)
-        utility = (q * np.log2(1.0 + sinr)).sum(axis=1)
-        utility[~available] = -np.inf
-        best = int(np.argmax(utility))                  # first max = smallest index
-        selected.append(best)
-        available[best] = False
-        gram += np.outer(conj_H[best], H[best])
-    return np.sort(selected)
+        interference = np.maximum(received - P * c, 0.0)  # clip rounding residue
+        utility = cfg.weights @ np.log2(1.0 + P * betas * c / (cfg.sigma2 + betas * interference))
+        utility[chosen] = -np.inf
+        chosen.append(int(np.argmax(utility)))          # first max = smallest index
+        gram += np.outer(conj_X[:, chosen[-1]], X[:, chosen[-1]])
+    return np.sort(chosen)
 
 
 def build_key(s, scheme: str, quant_bits: int | None) -> tuple:

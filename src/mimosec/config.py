@@ -28,19 +28,20 @@ COST_ESTIMATORS = ("mean_of_ratios", "ratio_of_means")
 
 
 def as_integer(value, name: str) -> int:
-    """``value`` as a Python int; a float or other non-integer raises
+    """``value`` as a Python int; a float, a bool or other non-integer raises
     ConfigurationError naming ``name``, where ``int`` would truncate it."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ConfigurationError(f"{name} must be an integer, got {value!r}",
-                                 field=name) from None
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ConfigurationError(f"{name} must be an integer, got {value!r}", field=name)
 
 
 def _as_vector(x, n: int, name: str) -> np.ndarray:
-    """``x`` as n finite non-negative floats; one value stands for all n."""
+    """``x`` as n finite non-negative floats in a read-only copy; one value stands for all n."""
     try:
-        v = np.atleast_1d(np.asarray(x, dtype=float))
+        v = np.array(x, dtype=float, ndmin=1)
     except OverflowError:  # an integer past a double's range
         raise ConfigurationError(f"{name} must be finite", field=name) from None
     except (TypeError, ValueError):  # a string or a ragged list
@@ -53,7 +54,9 @@ def _as_vector(x, n: int, name: str) -> np.ndarray:
         raise ConfigurationError(f"{name} must be finite", field=name)
     if np.any(v < 0):
         raise ConfigurationError(f"{name} must be non-negative", field=name)
-    return v if v.size == n else np.full(n, v[0])
+    v = v if v.size == n else np.full(n, v[0])
+    v.flags.writeable = False
+    return v
 
 
 class ByValue:
@@ -102,7 +105,7 @@ class Network(ByValue):
         # Each field's type and each integer's range; integers are stored as ints.
         for f in fields(self):
             kind, value = KINDS[f.metadata["kind"]], getattr(self, f.name)
-            if not (isinstance(value, kind.type) or value is f.default):
+            if not (_of(kind.type)(value) or value is f.default):
                 raise ConfigurationError(f"{f.name} must be {kind.json}, got {value!r}",
                                          field=f.name)
             if kind.type is numbers.Integral and value is not None:
@@ -180,7 +183,8 @@ def _list_of(types):
 
 # Each field kind: the test of a JSON value and what its error says was
 # expected, the reader of a config-file value (a ValueError on a bad one)
-# and what its error says was expected, then the type of a library value.
+# and what its error says was expected, then the type of a library value,
+# which is never a bool.
 Kind = namedtuple("Kind", "is_json json read text type")
 KINDS = {
     "int": Kind(_of(int), "an integer", int, "integer", numbers.Integral),

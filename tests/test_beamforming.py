@@ -471,6 +471,21 @@ class TestStepwiseTas:
                                       cfg.betas, cfg.weights, cfg.sigma2)
         assert list(stepwise_tas(H, L, cfg)) == expected
 
+    @given(case=greedy_cases())
+    @example(case=(6, 3, 4, 0))
+    def test_matches_per_step_oracle_with_per_user_gains(self, case):
+        # Each user has its own gain and weight, at non-unit power and noise,
+        # so a kernel that pairs a user with another's gain or weight fails.
+        M, K, L, seed = case
+        rng = derived_rng(867, seed)
+        H = complex_normal(rng, (M, K))
+        betas, weights = rng.uniform(0.1, 4.0, K), rng.uniform(0.1, 2.0, K)
+        power, sigma2 = rng.uniform(0.5, 8.0), rng.uniform(0.2, 3.0)
+        cfg = SystemConfig(M=M, K=K, J=0, L=L, total_power=power, sigma2=sigma2, rho2=1.0,
+                           betas=betas, thetas=0.1, weights=weights)
+        expected = oracles.greedy_tas(H, L, power_uniform(K, power), betas, weights, sigma2)
+        assert list(stepwise_tas(H, L, cfg)) == expected
+
     def test_holds_no_per_candidate_gram(self):
         # Peak memory stays below one (M, K, K) complex array: the search
         # never materializes a K x K Gram per candidate antenna.

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -133,13 +135,26 @@ class TestConfigValidation:
     @pytest.mark.parametrize("field, value", [
         ("total_power", "1"), ("total_power", None), ("sigma2", "1"), ("sigma2", None),
         ("rho2", "1"), ("rho2", None), ("betas", "x"), ("thetas", "x"), ("weights", "x"),
+        ("M", True), ("K", True), ("L", True), ("total_power", True), ("sigma2", True),
     ])
     def test_values_of_the_wrong_type_name_their_field(self, field, value):
         values = dict(M=8, K=4, J=2, L=4, total_power=1.0, sigma2=1.0, rho2=1.0,
                       betas=1.0, thetas=0.1, weights=1.0)
-        with pytest.raises(ConfigurationError) as exc:
+        with pytest.raises(ConfigurationError,
+                           match=f"^{field} must be .*, got {re.escape(repr(value))}$") as exc:
             SystemConfig(**{**values, field: value})
         assert exc.value.field == field
+
+    @pytest.mark.parametrize("field", ["betas", "thetas", "weights"])
+    def test_a_config_owns_its_vectors(self, field):
+        passed = {"betas": np.ones(4), "thetas": np.full(2, 0.1), "weights": np.ones(4)}
+        cfg = SystemConfig(M=8, K=4, J=2, L=4, total_power=1.0, sigma2=1.0, rho2=1.0,
+                           **passed)
+        before = hash(cfg)
+        passed[field][:] = -5.0
+        assert np.all(getattr(cfg, field) > 0) and hash(cfg) == before
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(cfg, field)[0] = -5.0
 
     def test_weights_default_to_one(self):
         cfg = SystemConfig(M=8, K=3, J=1, L=3, total_power=1.0, sigma2=1.0, rho2=1.0,

@@ -1,8 +1,11 @@
 import ast
 import importlib
 import importlib.util
+import json
 import logging
+import os
 import re
+import subprocess
 import sys
 from collections import Counter
 from concurrent.futures.process import BrokenProcessPool
@@ -88,9 +91,13 @@ class TestSpecValidation:
         ("scenario", dict(scenario=3)),
         ("m_values", dict(m_values=64)),
         ("total_power", dict(total_power="1")),
+        ("trials", dict(trials=True)),
+        ("master_seed", dict(master_seed=False)),
+        ("m_values", dict(m_values=(True, 16))),
+        ("rho2", dict(rho2=True)),
     ])
     def test_values_of_the_wrong_type_name_their_field(self, field, overrides):
-        with pytest.raises(ConfigurationError) as exc:
+        with pytest.raises(ConfigurationError, match=f"^{field} must be") as exc:
             replace(small_spec(), **overrides)
         assert exc.value.field == field
 
@@ -272,7 +279,7 @@ class TestRunSweep:
             run_sweep(small_spec(), workers=harness.MAX_WORKERS + 1)
         assert pool_sizes == []
 
-    @pytest.mark.parametrize("workers", [2.0, 1.5, "2", None])
+    @pytest.mark.parametrize("workers", [2.0, 1.5, "2", None, True])
     def test_non_integer_worker_count_rejected(self, pool_sizes, workers):
         with pytest.raises(ConfigurationError, match="workers must be an integer"):
             run_sweep(small_spec(), workers=workers)
@@ -703,6 +710,21 @@ def test_the_benchmarks_oracle_check_passes(monkeypatch):
     specs = [small_spec(scheme, 4 if scheme == "HADP_B" else None, m_values=(16,), trials=3)
              for scheme in mimosec.SCHEMES]
     assert inproc.oracle_check(specs, 7) == []
+
+
+def test_the_traced_benchmark_emits_every_layer_metric():
+    """``perfbench/run.py --trace 1`` times the kernels of every layer, so a
+    change to one that breaks the traced run, or the set of metrics it
+    prints, fails here (about 6 s on two cores).  It writes no bytecode."""
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    argv = ["--workload", "tas", "--seed", "1", "--seconds", "1", "--trace", "1"]
+    out = subprocess.run([sys.executable, *bench["command"][1:], *argv], cwd=ROOT,
+                         capture_output=True, text=True, timeout=180,
+                         env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
+    assert out.returncode == 0, out.stderr
+    result = json.loads(out.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0
+    assert set(result["metrics"]) == {metric["name"] for metric in bench["per_layer"]}
 
 
 class TestBlasThreads:
