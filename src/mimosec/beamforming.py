@@ -302,9 +302,14 @@ def build_key(s, scheme: str, quant_bits: int | None) -> tuple:
             tuple(s.betas), tuple(s.weights))
 
 
+def shared_stages(s, scheme: str) -> tuple:
+    """The keys of what ``build_beamformers`` makes from H on the way to a build
+    of ``scheme`` and other builds may share: a hybrid's phase match, per K."""
+    return (("phase match", s.K),) if scheme in HYBRID_SCHEMES else ()
+
+
 def build_beamformers(H: np.ndarray, cfg: SystemConfig, scheme: str,
-                      quant_bits: int | None = None,
-                      phase_match: np.ndarray | None = None) -> Beamformers:
+                      quant_bits: int | None = None, stage=None) -> Beamformers:
     """Construct the analog/digital pair of the given scheme from the user
     channels alone.
 
@@ -314,16 +319,14 @@ def build_beamformers(H: np.ndarray, cfg: SystemConfig, scheme: str,
     phase matching in the analog stage, identity digital stage.  HADP_B:
     quantized phase matching followed by zero forcing over the effective
     channel.  Both return a ``BeamformerSet``, which keeps F^T H when H is
-    read-only, as a trial's H is; ``phase_match``, when given, is
-    ``analog_phase_match(H)`` formed before, and the two use it rather than
-    form it again.  An H whose shape is not ``(cfg.M, cfg.K)`` raises
-    ConfigurationError.
+    read-only, as a trial's H is.  Each ``shared_stages`` product of H is
+    ``stage(key, make)``, or ``make()`` when ``stage`` is None.  An H whose
+    shape is not ``(cfg.M, cfg.K)`` raises ConfigurationError.
     """
     if np.shape(H) != (cfg.M, cfg.K):
         raise ConfigurationError(f"H has shape {np.shape(H)}, but cfg has (M, K) = "
                                  f"{(cfg.M, cfg.K)}")
-    K = cfg.K
-    powers = power_uniform(K, cfg.total_power)
+    powers = power_uniform(cfg.K, cfg.total_power)
     if scheme == "TAS_A":
         idx = select_antennas_protocol1(H)
         return SwitchedBeamformerSet(idx, cfg.M, digital_mrt_selected(H, idx), powers)
@@ -334,9 +337,10 @@ def build_beamformers(H: np.ndarray, cfg: SystemConfig, scheme: str,
         raise ConfigurationError(f"unknown scheme '{scheme}'")
     if scheme == "HADP_B" and quant_bits is None:
         raise ConfigurationError("HADP_B requires quant_bits")
-    F = analog_phase_match(H) if phase_match is None else phase_match
+    (match,) = shared_stages(cfg, scheme)
+    F = stage(match, lambda: analog_phase_match(H)) if stage else analog_phase_match(H)
     if scheme == "HADP_B":
         F = quantize_phases(F, quant_bits)
     H_eff = None if scheme == "HADP_A" and H.flags.writeable else F.T @ H
-    return BeamformerSet(F, np.eye(K) if scheme == "HADP_A" else zf_effective(H_eff), powers,
+    return BeamformerSet(F, np.eye(cfg.K) if scheme == "HADP_A" else zf_effective(H_eff), powers,
                          formed=(None, None) if H.flags.writeable else (H, H_eff))

@@ -47,6 +47,8 @@ def _as_vector(x, n: int, name: str) -> np.ndarray:
     except (TypeError, ValueError):  # a string or a ragged list
         raise ConfigurationError(f"{name} must be a number or a vector of numbers, "
                                  f"got {x!r}", field=name) from None
+    if any(isinstance(e, (bool, np.bool_)) for e in np.array(x, dtype=object).flat):
+        raise ConfigurationError(f"{name} must be a list of numbers, got {x!r}", field=name)
     if v.ndim != 1 or v.size not in (1, n):
         raise ConfigurationError(f"{name} must be one value or a length-{n} vector, "
                                  f"got shape {v.shape}", field=name)

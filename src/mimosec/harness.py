@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import SETTINGS
-from .beamforming import HYBRID_SCHEMES, analog_phase_match, build_beamformers, build_key
+from .beamforming import build_beamformers, build_key, shared_stages
 from .channel import carve, derive_seed, trial_normals
 from .channel import sample_realization  # unused here: perfbench/inproc.py patches it by name
 from .config import SweepSpec, SystemConfig, as_integer
@@ -63,9 +63,9 @@ class SweepResult:
 
 
 def _reused(uses) -> frozenset:
-    """What more than one of ``uses`` makes from H: a build, or a phase match."""
+    """What more than one of ``uses`` makes from H: a build, or a ``shared_stages`` key."""
     made = Counter(build_key(*use) for use in uses)
-    made.update(("phase match", cfg.K) for cfg, scheme, _ in uses if scheme in HYBRID_SCHEMES)
+    made.update(key for cfg, scheme, _ in uses for key in shared_stages(cfg, scheme))
     return frozenset(key for key, n in made.items() if n > 1)
 
 
@@ -101,13 +101,9 @@ class _Trial:
         """The rate metrics of one use: its scheme's beamformers, made from
         the H of its K, evaluated on its realization."""
         ch = self.draws[cfg.K, cfg.J]
-
-        def build():
-            phase_match = (self._stage(("phase match", cfg.K), lambda: analog_phase_match(ch.H))
-                           if scheme in HYBRID_SCHEMES else None)
-            return build_beamformers(ch.H, cfg, scheme, quant_bits, phase_match)
-
-        return rate_report(ch, self._stage(build_key(cfg, scheme, quant_bits), build), cfg)
+        bf = self._stage(build_key(cfg, scheme, quant_bits),
+                         lambda: build_beamformers(ch.H, cfg, scheme, quant_bits, self._stage))
+        return rate_report(ch, bf, cfg)
 
 
 def run_trial(cfg: SystemConfig, scheme: str, quant_bits: int | None,
@@ -234,10 +230,6 @@ def _tasks(specs, workers: int) -> list:
     return tasks
 
 
-def _names(specs, positions) -> str:
-    return ", ".join(f"{specs[j].scenario} {specs[j].scheme}" for j in positions)
-
-
 def run_sweeps(specs, workers: int = 1) -> list:
     """Run several sweeps through one pool map and aggregate each one's
     per-m statistics; returns their ``SweepResult`` in the order given.
@@ -246,9 +238,9 @@ def run_sweeps(specs, workers: int = 1) -> list:
     of one stream of normals, which depends on the master seed alone, and
     beamformers depend on H and the transmit-side settings alone.  So the
     blocks of sweeps with equal master seed draw each trial once for all of
-    them, and make each build from H once for the sweeps whose
-    transmit-side settings are equal (redraws of a degenerate trial stay
-    per sweep).  Each result is that of the sweep run on its own.
+    them, and make each build from H, and each ``shared_stages`` product
+    of H, once for the sweeps that make it (redraws of a degenerate trial
+    stay per sweep).  Each result is that of the sweep run on its own.
 
     Parameters
     ----------
@@ -277,17 +269,21 @@ def run_sweeps(specs, workers: int = 1) -> list:
     env = " ".join(f"{var}={value}" for var, value in SETTINGS["blas_threads"].items())
     heap = (f"heap left to the C library ({SETTINGS['heap_left']})" if SETTINGS["heap_left"]
             else "heap kept between trials")
+    names = [f"{s.scenario} {s.scheme}" for s in specs]
+    made = [(build_key(s, s.scheme, s.quant_bits), *shared_stages(s, s.scheme)) for s in specs]
     for i, spec in enumerate(specs):
         own = [(hi - lo, members) for _, lo, hi, members in tasks if i in dict(members)]
         draws = sorted({j for _, members in own for j, _ in members} - {i})
-        builds = [j for j in draws if build_key(specs[j], specs[j].scheme, specs[j].quant_bits)
-                  == build_key(spec, spec.scheme, spec.quant_bits)]
-        log.info("%s %s: %d workers, %d trials per block, env %s%s, %s%s%s", spec.scenario,
+        builds = [j for j in draws if made[j][0] == made[i][0]]
+        shares = [("channel draws", draws), ("beamformer builds", builds)]
+        shares += [(f"a {key[0]}", [j for j in draws if j not in builds and key in made[j][1:]])
+                   for key in made[i][1:]]
+        log.info("%s %s: %d workers, %d trials per block, env %s%s, %s%s", spec.scenario,
                  spec.scheme, processes, max((n for n, _ in own), default=0), env,
                  " (set after numpy loaded, so BLAS kept its own thread count)"
                  if SETTINGS["numpy_before_pin"] else "", heap,
-                 f"; shares channel draws with {_names(specs, draws)}" if draws else "",
-                 f"; shares beamformer builds with {_names(specs, builds)}" if builds else "")
+                 "".join(f"; shares {what} with {', '.join(names[j] for j in js)}"
+                         for what, js in shares if js))
     points = [[] for _ in specs]
     outcomes = [np.empty((_COLUMNS, spec.trials)) for spec in specs]
     # Workers ignore SIGINT, which a terminal sends the whole process group:

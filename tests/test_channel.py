@@ -136,6 +136,8 @@ class TestConfigValidation:
         ("total_power", "1"), ("total_power", None), ("sigma2", "1"), ("sigma2", None),
         ("rho2", "1"), ("rho2", None), ("betas", "x"), ("thetas", "x"), ("weights", "x"),
         ("M", True), ("K", True), ("L", True), ("total_power", True), ("sigma2", True),
+        ("betas", [True, False, True, True]), ("thetas", np.array([True, True])),
+        ("weights", [1.0, np.True_, 1.0, 1.0]),
     ])
     def test_values_of_the_wrong_type_name_their_field(self, field, value):
         values = dict(M=8, K=4, J=2, L=4, total_power=1.0, sigma2=1.0, rho2=1.0,

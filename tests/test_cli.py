@@ -437,8 +437,9 @@ class TestSubcommands:
         (f"M,r_sum_noeve_mean\n64,1\n1{'0' * 400},2\n", "line 3 column 'M': expected a finite"),
         ("M,r_sum_noeve_mean\n1,1\n64,2\n128,3\n", "log2 m regressor needs m >= 2"),
         (b"M,r_sum_noeve_mean\n64,1\n128,\xff\n", "bad.csv: not UTF-8"),
+        ("M,r_sum_noeve_mean\n", "bad.csv: no data rows to fit"),
     ], ids=["no_results_columns", "non_numeric_cell", "nan_cell", "inf_cell", "huge_int_cell",
-            "m_1_cell", "ff_byte"])
+            "m_1_cell", "ff_byte", "header_only"])
     def test_fit_of_malformed_csv_is_an_error(self, tmp_path, capsys, text, detail):
         path = write(tmp_path, text, name="bad.csv")
         assert main(["fit", str(path), "--model", "LOG_GROWTH", "--k", "1"]) == 1
@@ -838,6 +839,7 @@ TEXT_ERRORS = [
     ("m_values: 16.0", "line 5 key 'm_values': expected comma-separated integers or "
                        "'pow2:a..b' with a <= b <= 20, got '16.0'"),
     ("bogus: 3", "line 6 key 'bogus': unknown key"),
+    ("seed: 1\nseed: 2", "line 6 key 'seed': duplicate key"),
     ("preset: huge",
      "line 5 key 'preset': unknown preset 'huge', expected one of ['dense', 'sparse']"),
     ("K 16", "line 6: expected 'key: value', got 'K 16'"),
@@ -891,6 +893,13 @@ def test_text_config_error_lines(tmp_path, capsys, line, expected):
     path = write(tmp_path, "".join(row for row in BASE_CONFIG.splitlines(keepends=True)
                                    if not row.startswith(key + ":")) + line + "\n")
     assert sweep_error(capsys, path) == f"error: {path} {expected}\n"
+
+
+@pytest.mark.parametrize("text", ["", "# comments only\n", "---\n\n---\n"],
+                         ids=["empty", "comments_only", "separators_only"])
+def test_a_config_of_no_sweeps_is_an_error(tmp_path, capsys, text):
+    path = write(tmp_path, text)
+    assert sweep_error(capsys, path) == f"error: {path}: config defines no sweeps\n"
 
 
 @pytest.mark.parametrize("changes, expected", JSON_ERRORS,

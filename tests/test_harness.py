@@ -142,13 +142,23 @@ class TestRunTrial:
 
     @pytest.mark.parametrize("scheme, quant_bits", [("HADP_A", None), ("HADP_B", 3)])
     def test_a_given_phase_match_builds_the_same_bits(self, scheme, quant_bits):
+        # The stage hook hands the build a phase match made before.
         cfg = preset_cfg()
         H = sample_realization(cfg, 13, 0).H
         own = build_beamformers(H, cfg, scheme, quant_bits)
-        F = beamforming.analog_phase_match(H)
-        given = build_beamformers(H, cfg, scheme, quant_bits, F)
+        F, asked = beamforming.analog_phase_match(H), []
+        given = build_beamformers(H, cfg, scheme, quant_bits,
+                                  lambda key, make: asked.append(key) or F)
+        assert asked == list(beamforming.shared_stages(cfg, scheme)) == [("phase match", 4)]
         assert own.F.tobytes() == given.F.tobytes() and own.W.tobytes() == given.W.tobytes()
         assert (given.F is F) == (scheme == "HADP_A")
+
+    @pytest.mark.parametrize("scheme, quant_bits, message", [
+        ("TAS_C", None, "unknown scheme 'TAS_C'"), ("HADP_B", None, "HADP_B requires quant_bits")])
+    def test_a_build_the_scheme_does_not_define_is_rejected(self, scheme, quant_bits, message):
+        cfg = preset_cfg()
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+            build_beamformers(sample_realization(cfg, 15, 0).H, cfg, scheme, quant_bits)
 
     @pytest.mark.parametrize("shape", [(16, 3), (16, 5), (20, 4), (8, 4)])
     @pytest.mark.parametrize("scheme, quant_bits", [
@@ -249,6 +259,16 @@ class TestRunSweep:
         for a, b in zip(ratios.points, means.points):
             assert b.cost_mean == pytest.approx(a.cost_mean, abs=0.05)
             assert 0.0 <= b.cost_mean <= 1.0
+
+    @pytest.mark.parametrize("trials, beta", [(3, 0.0), (1, 1.0)],
+                             ids=["zero_no_eavesdropper_rate", "one_trial"])
+    def test_ratio_of_means_at_its_edges(self, trials, beta):
+        # A zero mean no-eavesdropper rate costs nothing, and one trial has no SE.
+        spec = replace(small_spec(trials=trials), betas=np.full(4, beta),
+                       cost_estimator="ratio_of_means")
+        for p in run_sweep(spec).points:
+            assert p.cost_se == 0.0
+            assert p.cost_mean == (1.0 - p.r_sum_mean / p.r_sum_noeve_mean if beta else 0.0)
 
     def test_cost_decreases_with_array_size(self):
         # relative secrecy cost shrinks as the array grows (within 1 SE)
@@ -446,7 +466,6 @@ class TestRunSweeps:
             built[scheme] += 1
             return real_build(H, cfg, scheme, *args)
 
-        monkeypatch.setattr(harness, "analog_phase_match", matching)
         monkeypatch.setattr(beamforming, "analog_phase_match", matching)
         monkeypatch.setattr(harness, "build_beamformers", building)
         assert [r.points for r in run_sweeps(specs, workers=1)] == alone
@@ -577,13 +596,17 @@ class TestRunSweeps:
             "; shares channel draws with s1 TAS_B, s2 HADP_B, s4 HADP_A, s5 HADP_A")
         assert heads[1].endswith(
             "; shares channel draws with s0 TAS_A, s2 HADP_B, s4 HADP_A, s5 HADP_A")
+        # The hybrids of one K share a phase match, listed unless the build is.
         assert heads[2].endswith(
-            "; shares channel draws with s0 TAS_A, s1 TAS_B, s4 HADP_A, s5 HADP_A")
+            "; shares channel draws with s0 TAS_A, s1 TAS_B, s4 HADP_A, s5 HADP_A"
+            "; shares a phase match with s4 HADP_A, s5 HADP_A")
         assert "shares" not in heads[3]
         assert heads[4].endswith("; shares channel draws with s0 TAS_A, s1 TAS_B, s2 HADP_B, "
-                                 "s5 HADP_A; shares beamformer builds with s5 HADP_A")
+                                 "s5 HADP_A; shares beamformer builds with s5 HADP_A"
+                                 "; shares a phase match with s2 HADP_B")
         assert heads[5].endswith("; shares channel draws with s0 TAS_A, s1 TAS_B, s2 HADP_B, "
-                                 "s4 HADP_A; shares beamformer builds with s4 HADP_A")
+                                 "s4 HADP_A; shares beamformer builds with s4 HADP_A"
+                                 "; shares a phase match with s2 HADP_B")
         per_m = caplog.messages[len(specs):]
         assert sorted(line.split(":")[0] for line in per_m) == [
             f"s{i} {s.scheme} m=8" for i, s in enumerate(specs)]
