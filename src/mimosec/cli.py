@@ -184,14 +184,16 @@ def _safe_name(text: str) -> str:
 
 
 def _sweep_workers(args) -> int:
-    """The worker count: ``--workers``, else ``SIM_THREADS``, else the CPU
-    count capped at ``MAX_WORKERS``.  A given count above the cap is an
-    error, raised before any process starts."""
+    """The worker count: ``--workers``, else ``SIM_THREADS``, else the number
+    of CPUs this process may run on, capped at ``MAX_WORKERS``.  A given
+    count above the cap is an error, raised before any process starts."""
     name, workers = "--workers", args.workers
     if workers is None:
         name, raw = "SIM_THREADS", os.environ.get("SIM_THREADS")
         if raw is None:
-            return min(os.cpu_count() or 1, MAX_WORKERS)
+            cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                    else os.cpu_count() or 1)
+            return min(cpus, MAX_WORKERS)
         try:
             workers = int(raw)
         except ValueError:
@@ -356,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="override the master seed of every sweep")
     p.add_argument("--workers", type=int, default=None,
                    help=f"worker processes, at most {MAX_WORKERS} "
-                        "(default: SIM_THREADS or CPU count)")
+                        "(default: SIM_THREADS or the CPUs this process may run on)")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("fit", help="fit a growth or cost model to a results CSV")

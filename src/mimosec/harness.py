@@ -170,41 +170,23 @@ def _block_task(args):
     return outcomes.transpose(1, 2, 0)
 
 
-def _standard_error(x: np.ndarray) -> float:
-    if x.size < 2:
-        return 0.0
-    return float(np.std(x, ddof=1) / np.sqrt(x.size))
-
-
-def _cost_stats(r_sum, r_noeve, cost, estimator):
-    """(mean, se) of the relative cost under the requested estimator."""
-    n = cost.size
-    if estimator == "mean_of_ratios":
-        return float(np.mean(cost)), _standard_error(cost)
-    # ratio of means, SE by first-order error propagation
-    ym = float(np.mean(r_noeve))
-    if ym == 0.0:
-        return 0.0, 0.0
-    xm = float(np.mean(r_sum))
-    mean = 1.0 - xm / ym
-    if n < 2:
-        return mean, 0.0
-    cov = np.cov(r_sum, r_noeve, ddof=1)
-    var = (cov[0, 0] / ym ** 2 - 2.0 * xm * cov[0, 1] / ym ** 3
-           + xm ** 2 * cov[1, 1] / ym ** 4) / n
-    return mean, float(np.sqrt(max(var, 0.0)))
-
-
 def _aggregate(spec: SweepSpec, m: int, outcome: np.ndarray) -> SweepPoint:
-    r_sum, r_noeve, leakage, cost = outcome[:4]
-    cost_mean, cost_se = _cost_stats(r_sum, r_noeve, cost, spec.cost_estimator)
-    return SweepPoint(
-        m=m, trials=spec.trials, resamples=int(outcome[4:-1].sum()),
-        r_sum_mean=float(np.mean(r_sum)), r_sum_se=_standard_error(r_sum),
-        r_sum_noeve_mean=float(np.mean(r_noeve)), r_sum_noeve_se=_standard_error(r_noeve),
-        leakage_mean=float(np.mean(leakage)), leakage_se=_standard_error(leakage),
-        cost_mean=cost_mean, cost_se=cost_se,
-    )
+    """The mean and standard error (0 for one trial) of each rate row of
+    ``outcome``.  Under ``ratio_of_means`` the cost is 1 - R, R = mean r_sum /
+    mean r_sum_noeve, and its standard error is that of the residuals
+    (r_sum - R r_sum_noeve) / mean r_sum_noeve, first-order error
+    propagation; both are 0 when the mean r_sum_noeve is 0."""
+    rows = outcome[:4].copy()
+    n = rows.shape[1]
+    mean = rows.mean(axis=1)
+    if spec.cost_estimator == "ratio_of_means":
+        noeve = mean[1]
+        mean[3] = 1.0 - mean[0] / noeve if noeve else 0.0
+        rows[3] = (rows[0] - mean[0] / noeve * rows[1]) / noeve if noeve else 0.0
+    se = rows.std(axis=1, ddof=1) / np.sqrt(n) if n > 1 else np.zeros(4)
+    # SweepPoint's fields after the counts are each rate row's mean, then its SE.
+    stats = [float(x) for pair in zip(mean, se) for x in pair]
+    return SweepPoint(m, spec.trials, int(outcome[4:-1].sum()), *stats)
 
 
 def _tasks(specs, workers: int) -> list:

@@ -6,6 +6,7 @@ implementations they verify.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -111,6 +112,28 @@ def greedy_tas(H, L, powers, betas, weights, sigma2) -> list:
 def harmonic_number(n: int) -> float:
     """Expected maximum of n i.i.d. unit-mean exponentials."""
     return float(sum(1.0 / i for i in range(1, n + 1)))
+
+
+def ratio_cost_se(r_sum, r_noeve) -> float:
+    """Standard error of the ratio-of-means cost 1 - mean(r_sum) /
+    mean(r_noeve) by the delta method: the two means' sample covariances
+    cov_xx / ym^2 - 2 xm cov_xy / ym^3 + xm^2 cov_yy / ym^4, over n.  The sums
+    run in exact rationals, so the three terms cancel exactly where r_sum
+    is proportional to r_noeve; 0 for one trial or a zero mean r_noeve."""
+    n = len(r_sum)
+    x = [Fraction(float(v)) for v in r_sum]
+    y = [Fraction(float(v)) for v in r_noeve]
+    xm, ym = sum(x) / n, sum(y) / n
+    if n < 2 or ym == 0:
+        return 0.0
+    cov_xx = cov_xy = cov_yy = Fraction(0)
+    for xi, yi in zip(x, y):
+        cov_xx += (xi - xm) ** 2
+        cov_xy += (xi - xm) * (yi - ym)
+        cov_yy += (yi - ym) ** 2
+    cov_xx, cov_xy, cov_yy = (c / (n - 1) for c in (cov_xx, cov_xy, cov_yy))
+    var = (cov_xx / ym ** 2 - 2 * xm * cov_xy / ym ** 3 + xm ** 2 * cov_yy / ym ** 4) / n
+    return math.sqrt(var)
 
 
 # The hybrid kernels as the one-line formulas they replaced.  These are

@@ -653,13 +653,24 @@ class TestSubcommands:
     def test_default_worker_count_is_capped(self, tmp_path, caplog, monkeypatch,
                                             pool_sizes):
         monkeypatch.delenv("SIM_THREADS", raising=False)
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 100000)
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(100000)),
+                            raising=False)
         cfg = write(tmp_path, SPARSE_TAS.replace("pow2:4..8", "16").replace("trials: 4",
                                                                           "trials: 100"))
         with caplog.at_level(logging.INFO, logger="mimosec.harness"):
             assert main(["-v", "sweep", str(cfg), "--out", str(tmp_path)]) == 0
         assert pool_sizes == [harness.MAX_WORKERS]
         assert caplog.messages[0].startswith(f"sparse-demo TAS_A: {harness.MAX_WORKERS} workers, ")
+
+    def test_default_worker_count_is_the_cpu_set(self, tmp_path, caplog, monkeypatch):
+        # A process pinned to one CPU of a larger host starts one worker.
+        monkeypatch.delenv("SIM_THREADS", raising=False)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        cfg = write(tmp_path, SPARSE_TAS.replace("pow2:4..8", "16"))
+        with caplog.at_level(logging.INFO, logger="mimosec.harness"):
+            assert main(["-v", "sweep", str(cfg), "--out", str(tmp_path)]) == 0
+        assert caplog.messages[0].startswith("sparse-demo TAS_A: 1 workers, ")
 
     def test_sim_threads_zero_runs_one_worker(self, tmp_path, caplog, monkeypatch):
         monkeypatch.setenv("SIM_THREADS", "0")

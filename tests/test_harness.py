@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 import mimosec
 import mimosec.beamforming as beamforming
 import mimosec.harness as harness
@@ -260,15 +261,55 @@ class TestRunSweep:
             assert b.cost_mean == pytest.approx(a.cost_mean, abs=0.05)
             assert 0.0 <= b.cost_mean <= 1.0
 
-    @pytest.mark.parametrize("trials, beta", [(3, 0.0), (1, 1.0)],
-                             ids=["zero_no_eavesdropper_rate", "one_trial"])
-    def test_ratio_of_means_at_its_edges(self, trials, beta):
-        # A zero mean no-eavesdropper rate costs nothing, and one trial has no SE.
-        spec = replace(small_spec(trials=trials), betas=np.full(4, beta),
+    @pytest.mark.parametrize("trials, field, value",
+                             [(3, "betas", 0.0), (1, "betas", 1.0), (3, "thetas", 0.0)],
+                             ids=["zero_no_eavesdropper_rate", "one_trial", "no_leakage"])
+    def test_ratio_of_means_at_its_edges(self, trials, field, value):
+        # A zero mean no-eavesdropper rate and a sweep with nothing overheard
+        # cost exactly nothing, and one trial has no SE.
+        spec = small_spec(trials=trials)
+        spec = replace(spec, **{field: np.full_like(getattr(spec, field), value)},
                        cost_estimator="ratio_of_means")
         for p in run_sweep(spec).points:
             assert p.cost_se == 0.0
-            assert p.cost_mean == (1.0 - p.r_sum_mean / p.r_sum_noeve_mean if beta else 0.0)
+            assert p.cost_mean == (1.0 - p.r_sum_mean / p.r_sum_noeve_mean if value else 0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(st.just((0.0, 0.0)),
+                              st.tuples(st.floats(1e-100, 10.0), st.floats(0.0, 1.0))),
+                    min_size=1, max_size=60))
+    def test_aggregate_is_one_pass_over_the_outcome(self, trials):
+        # trials: (r_sum_noeve, r_sum / r_sum_noeve) per trial, some all zero.
+        # Nonzero rates above 1e-100 keep the means clear of subnormal
+        # doubles, which hold too few bits for the oracle's tolerance.
+        n = len(trials)
+        outcome = np.zeros((harness._COLUMNS, n))
+        outcome[1] = [noeve for noeve, _ in trials]
+        outcome[0] = [noeve * share for noeve, share in trials]
+        outcome[2] = outcome[1] - outcome[0]
+        outcome[3] = [1.0 - x / y if y else 0.0 for x, y in zip(outcome[0], outcome[1])]
+        kept = outcome.copy()
+        spec = small_spec(trials=n)
+        p = harness._aggregate(spec, 8, outcome)
+        q = harness._aggregate(replace(spec, cost_estimator="ratio_of_means"), 8, outcome)
+        assert np.array_equal(outcome, kept)
+        stats = [(p.r_sum_mean, p.r_sum_se), (p.r_sum_noeve_mean, p.r_sum_noeve_se),
+                 (p.leakage_mean, p.leakage_se), (p.cost_mean, p.cost_se)]
+        for row, (mean, se) in zip(outcome, stats):
+            assert mean == np.mean(row)
+            assert se == (np.std(row, ddof=1) / np.sqrt(n) if n > 1 else 0.0)
+        assert stats[:3] == [(q.r_sum_mean, q.r_sum_se), (q.r_sum_noeve_mean, q.r_sum_noeve_se),
+                             (q.leakage_mean, q.leakage_se)]
+        noeve = np.mean(outcome[1])
+        assert q.cost_mean == (1.0 - np.mean(outcome[0]) / noeve if noeve else 0.0)
+        assert q.cost_se == pytest.approx(oracles.ratio_cost_se(outcome[0], outcome[1]),
+                                          rel=1e-9, abs=1e-12)
+        # Nothing leaks: every trial's r_sum is its r_sum_noeve.
+        outcome[0] = outcome[1]
+        outcome[2:4] = 0.0
+        for estimator in ("mean_of_ratios", "ratio_of_means"):
+            p = harness._aggregate(replace(spec, cost_estimator=estimator), 8, outcome)
+            assert (p.cost_mean, p.cost_se) == (0.0, 0.0)
 
     def test_cost_decreases_with_array_size(self):
         # relative secrecy cost shrinks as the array grows (within 1 SE)
