@@ -50,15 +50,6 @@ class GumbelCheck:
         return self.sample_mean_shifted + float(np.log(self.m))
 
 
-def _check_sizes(check: str, m: int, trials: int) -> tuple:
-    """(m, trials) as ints, each checked to be between 1 and MAX_SIZE."""
-    sizes = as_integer(m, "m"), as_integer(trials, "trials")
-    for name, value in zip(("m", "trials"), sizes):
-        if not 1 <= value <= MAX_SIZE:
-            raise MimosecError(f"{check} needs {name} between 1 and {MAX_SIZE}, got {value}")
-    return sizes
-
-
 def _in_blocks(trials: int, block: int, draw) -> np.ndarray:
     """``trials`` values drawn in turn by ``draw(n)``, n at most ``block`` at
     a time, so that no draw's temporaries exceed a block of rows."""
@@ -104,8 +95,7 @@ def fit_growth(m_values, y_values, K: int, model: str) -> FitResult:
     """Least-squares line y = intercept + slope * K * regressor(m)."""
     if model not in GROWTH_MODELS:
         raise MimosecError(f"unknown growth model '{model}'")
-    if as_integer(K, "K") < 1:
-        raise MimosecError(f"growth fit needs K >= 1, got {K}")
+    K = as_integer(K, "K", 1)
     m, y = _as_finite("growth fit needs finite m and y values", m_values, y_values)
     if m.size != y.size or m.size < 3:
         raise FitError("growth fit needs at least 3 (m, y) points")
@@ -151,7 +141,7 @@ def gumbel_check(m: int, trials: int, seed: int) -> GumbelCheck:
     statistic.  Sampling uses the exponential identity directly rather than
     squaring complex Gaussians.
     """
-    m, trials = _check_sizes("gumbel_check", m, trials)
+    m, trials = as_integer(m, "m", 1, MAX_SIZE), as_integer(trials, "trials", 1, MAX_SIZE)
     rng = derived_rng(seed)
     maxima = _in_blocks(trials, (1 << 22) // m,
                         lambda n: rng.standard_exponential((n, m)).max(axis=1))
@@ -166,7 +156,7 @@ def phase_aligned_sums(m: int, trials: int, rng: np.random.Generator) -> np.ndar
     r"""Draw S = m^{-1/2} \sum_m a_m conj(b_m)/|b_m| for independent CN(0,1)
     pairs (a, b); the cross-user / cross-eavesdropper statistic whose limit
     is standard complex Gaussian.  m and trials are between 1 and MAX_SIZE."""
-    m, trials = _check_sizes("phase_aligned_sums", m, trials)
+    m, trials = as_integer(m, "m", 1, MAX_SIZE), as_integer(trials, "trials", 1, MAX_SIZE)
 
     def sums(n):
         a = complex_normal(rng, (n, m))
@@ -180,6 +170,6 @@ def clt_check(m: int, trials: int, seed: int) -> float:
     """KS statistic of sqrt(2) * Re(S) against the standard normal CDF,
     where S is the phase-aligned cross sum of two independent CN(0,1)
     vectors of length m."""
-    s = phase_aligned_sums(*_check_sizes("clt_check", m, trials), derived_rng(seed))
+    s = phase_aligned_sums(m, trials, derived_rng(seed))
     from scipy import stats  # imported here: it dominates the CLI's start-up
     return float(stats.kstest(np.sqrt(2.0) * s.real, "norm").statistic)

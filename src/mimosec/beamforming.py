@@ -4,6 +4,7 @@ All constructions read only the user channels H, never the eavesdropper
 channels: the transmitter has no CSI of the overhearing links.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -188,10 +189,7 @@ def quantize_phases(F: np.ndarray, bits: int) -> np.ndarray:
     Nearest is in wrapped angular distance, which on the unit circle is the
     least-squares choice.  ``bits`` is an integer in [1, MAX_QUANT_BITS].
     """
-    bits = as_integer(bits, "bits")
-    if not 1 <= bits <= MAX_QUANT_BITS:
-        raise MimosecError(f"quantizer resolution must be an integer between 1 and "
-                           f"{MAX_QUANT_BITS}, got {bits}")
+    bits = as_integer(bits, "bits", 1, MAX_QUANT_BITS)
     F = np.asarray(F)
     half = 1 << (bits - 1)
     step = np.pi / half
@@ -241,13 +239,14 @@ def zf_effective(H_eff: np.ndarray) -> np.ndarray:
 def power_uniform(K: int, total_power: float) -> np.ndarray:
     """Equal share total_power / K for each of the K >= 1 users; the total
     is finite and >= 0."""
-    if as_integer(K, "K") < 1:
-        raise MimosecError(f"need at least one user, got K={K}")
+    K = as_integer(K, "K", 1)
     if not 0 <= total_power < np.inf:  # false for NaN too
         raise MimosecError(f"total power must be finite and >= 0, got {total_power}")
     return np.full(K, total_power / K)
 
 
+# Overflow is caught by the finite check of each step's best, not warned about.
+@np.errstate(over="ignore", invalid="ignore")
 def stepwise_tas(H: np.ndarray, L: int, cfg: SystemConfig) -> np.ndarray:
     """Greedy antenna selection maximizing the weighted no-eavesdropper
     sum-rate under MRT digital precoding and uniform power.
@@ -289,8 +288,13 @@ def stepwise_tas(H: np.ndarray, L: int, cfg: SystemConfig) -> np.ndarray:
         interference = np.maximum(received - P * c, 0.0)  # clip rounding residue
         utility = cfg.weights @ np.log2(1.0 + P * betas * c / (cfg.sigma2 + betas * interference))
         utility[chosen] = -np.inf
-        chosen.append(int(np.argmax(utility)))          # first max = smallest index
-        gram += np.outer(conj_X[:, chosen[-1]], X[:, chosen[-1]])
+        # The first NaN if any, else the first max: the smallest index.
+        best = int(np.argmax(utility))
+        if not math.isfinite(utility[best]):
+            raise MimosecError(f"the TAS_B search's utility is not finite ({utility[best]}): "
+                               "the powers, gains and noise levels overflow double precision")
+        chosen.append(best)
+        gram += np.outer(conj_X[:, best], X[:, best])
     return np.sort(chosen)
 
 

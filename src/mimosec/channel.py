@@ -1,25 +1,17 @@
 """I.i.d. Rayleigh channel generation with reproducible per-trial streams."""
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .config import SystemConfig
-from .errors import ConfigurationError, MimosecError
+from .config import SystemConfig, as_integer
+from .errors import ConfigurationError
 
 
 def _seed_sequence(key) -> np.random.SeedSequence:
     """The stream of a key tuple; an entry that is not an integer >= 0
-    raises MimosecError."""
-    try:
-        entropy = [operator.index(k) for k in key]
-    except TypeError:
-        entropy = None
-    if entropy is None or any(k < 0 for k in entropy):
-        raise MimosecError(f"random stream key {tuple(key)} must be non-negative integers: "
-                           "seeds and trial indices are integers >= 0")
-    return np.random.SeedSequence(entropy)
+    raises ConfigurationError."""
+    return np.random.SeedSequence([as_integer(k, "random stream key", 0) for k in key])
 
 
 def derived_rng(*key: int) -> np.random.Generator:

@@ -26,7 +26,7 @@ from . import __version__
 from .asymptotics import (COST_MODELS, GROWTH_MODELS, clt_check,
                           fit_cost_anchor, fit_growth, gumbel_check)
 from .channel import derive_seed
-from .config import KINDS, MAX_SIZE, PRESETS, SPEC_FIELDS, SweepSpec
+from .config import KINDS, MAX_SIZE, PRESETS, SPEC_FIELDS, SweepSpec, as_integer
 from .errors import ConfigParseError, MimosecError
 from .harness import MAX_WORKERS, SweepPoint, SweepResult, _trial_with_resampling, run_sweeps
 
@@ -125,7 +125,8 @@ def _print_report(*lines) -> None:
 
 def _write_all(files) -> None:
     """Write each (path, text) to a temp file in its directory, then rename
-    them into place.  If any step fails, none of the files is left behind."""
+    them into place.  If any step fails, none of the files is left behind,
+    and an OSError is raised as a MimosecError naming the file."""
     staged, placed = [], []
     try:
         for path, text in files:
@@ -135,22 +136,16 @@ def _write_all(files) -> None:
         for tmp, (path, _) in zip(staged, files):
             os.replace(tmp, path)
             placed.append(path)
-    except BaseException:
+    except BaseException as exc:
         for leftover in staged + placed:
             leftover.unlink(missing_ok=True)
+        if isinstance(exc, OSError):
+            raise MimosecError(f"cannot write results to {path}: {exc}") from exc
         raise
 
 
-def emit_results(result: SweepResult, path) -> None:
-    """Write one CSV row per swept m plus a JSON manifest alongside.
-
-    The columns are scenario, scheme and the fields of ``SweepPoint``, with
-    ``m`` headed ``M``.  Floating-point fields carry 9 significant digits
-    with a dot decimal separator; rerunning the manifest reproduces the CSV
-    byte for byte.  Both files appear together or, if writing fails, not at
-    all.
-    """
-    path = Path(path)
+def _result_files(result: SweepResult, path: Path) -> list:
+    """The (path, text) of ``result``'s CSV at ``path`` and of its manifest."""
     names = [f.name for f in fields(SweepPoint)]
     text = io.StringIO()
     writer = csv.writer(text, lineterminator="\n")
@@ -171,12 +166,20 @@ def emit_results(result: SweepResult, path) -> None:
                     for name, snr in (("snr_user_db", result.spec.snr_user_db()),
                                       ("snr_eve_db", result.spec.snr_eve_db()))},
     }
-    try:
-        _write_all([(path, text.getvalue()),
-                    (path.with_suffix(".manifest.json"),
-                     json.dumps(manifest, indent=2, allow_nan=False) + "\n")])
-    except OSError as exc:
-        raise MimosecError(f"cannot write results to {path}: {exc}") from exc
+    manifest = json.dumps(manifest, indent=2, allow_nan=False) + "\n"
+    return [(path, text.getvalue()), (path.with_suffix(".manifest.json"), manifest)]
+
+
+def emit_results(result: SweepResult, path) -> None:
+    """Write one CSV row per swept m plus a JSON manifest alongside.
+
+    The columns are scenario, scheme and the fields of ``SweepPoint``, with
+    ``m`` headed ``M``.  Floating-point fields carry 9 significant digits
+    with a dot decimal separator; rerunning the manifest reproduces the CSV
+    byte for byte.  Both files appear together or, if writing fails, not at
+    all.
+    """
+    _write_all(_result_files(result, Path(path)))
 
 
 def _safe_name(text: str) -> str:
@@ -198,16 +201,12 @@ def _sweep_workers(args) -> int:
             workers = int(raw)
         except ValueError:
             raise MimosecError(f"SIM_THREADS must be an integer, got '{raw}'") from None
-    if workers > MAX_WORKERS:
-        raise MimosecError(f"{name} must be at most {MAX_WORKERS}, got {workers}")
-    return workers
+    return as_integer(workers, name, high=MAX_WORKERS)
 
 
 def _seed_flag(args) -> int | None:
     """``--seed``, checked to be non-negative before any work starts."""
-    if args.seed is not None and args.seed < 0:
-        raise MimosecError(f"--seed must be non-negative, got {args.seed}")
-    return args.seed
+    return None if args.seed is None else as_integer(args.seed, "--seed", 0)
 
 
 def _cmd_sweep(args) -> int:
@@ -224,21 +223,22 @@ def _cmd_sweep(args) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise MimosecError(f"cannot create output directory {out_dir}: {exc.strerror}") from None
-    used = set()
+    used, files = set(), []
     try:
         for result in run_sweeps(specs, workers=workers):
             stem = _safe_name(f"{result.spec.scenario}_{result.spec.scheme}")
             if stem in used:
                 stem = f"{stem}_{len(used)}"
             used.add(stem)
-            target = out_dir / f"{stem}.csv"
-            emit_results(result, target)
-            print(f"wrote {target}")
+            files += _result_files(result, out_dir / f"{stem}.csv")
+        _write_all(files)
     except BaseException:
         with contextlib.suppress(OSError):  # ends at the first directory not empty
             for directory in created:
                 directory.rmdir()
         raise
+    for target, _ in files[::2]:  # each result's CSV
+        print(f"wrote {target}")
     return 0
 
 
@@ -288,8 +288,8 @@ def _lookup_k(csv_path: Path) -> int:
 
 def _cmd_fit(args) -> int:
     for flag, value in (("--k", args.k), ("--anchor", args.anchor)):
-        if value is not None and not 1 <= value <= MAX_SIZE:
-            raise MimosecError(f"{flag} must be at least 1 and at most {MAX_SIZE}, got {value}")
+        if value is not None:
+            as_integer(value, flag, 1, MAX_SIZE)
     path = Path(args.csv)
     rows = _read_results_csv(path)
     m = _column(rows, "M", int, path)
@@ -327,9 +327,7 @@ def _cmd_single(args) -> int:
     if seed is None:
         seed = spec.master_seed
     cfg = spec.config_for(args.m)
-    if not 0 <= args.trial < spec.trials:
-        raise MimosecError(f"--trial must be a non-negative index below the sweep's "
-                           f"{spec.trials} trials, in [0, {spec.trials}), got {args.trial}")
+    as_integer(args.trial, "--trial", 0, spec.trials - 1)
     report, resamples = _trial_with_resampling(cfg, spec.scheme, spec.quant_bits,
                                                derive_seed(seed, args.m), args.trial,
                                                spec.trials)

@@ -27,14 +27,22 @@ MAX_QUANT_BITS = 52
 COST_ESTIMATORS = ("mean_of_ratios", "ratio_of_means")
 
 
-def as_integer(value, name: str) -> int:
-    """``value`` as a Python int; a float, a bool or other non-integer raises
-    ConfigurationError naming ``name``, where ``int`` would truncate it."""
+def as_integer(value, name: str, low: int | None = None, high: int | None = None) -> int:
+    """``value`` as a Python int within the bounds given, None for no bound; a
+    float, a bool or other non-integer, which ``int`` would truncate, or an
+    integer out of bounds raises ConfigurationError naming ``name``."""
     if not isinstance(value, bool):
         try:
-            return operator.index(value)
+            v = operator.index(value)
         except TypeError:
             pass
+        else:
+            if (low is None or low <= v) and (high is None or v <= high):
+                return v
+            rule = (f"between {low} and {high}" if low is not None and high is not None
+                    else f"at most {high}" if low is None
+                    else "non-negative" if low == 0 else f"at least {low}")
+            raise ConfigurationError(f"{name} must be {rule}, got {v}", field=name)
     raise ConfigurationError(f"{name} must be an integer, got {value!r}", field=name)
 
 
@@ -89,8 +97,8 @@ class Network(ByValue):
     is stored as a vector.
 
     Each field's metadata gives its kind (a key of KINDS), an integer's
-    ``range``, and, where they differ from its name, its config-file ``key``
-    and ``manifest`` key.
+    ``range`` as ``as_integer``'s (low, high), and, where they differ from
+    its name, its config-file ``key`` and ``manifest`` key.
     """
 
     K: int = field(metadata={"kind": "int", "range": (1, MAX_SIZE)})
@@ -111,11 +119,7 @@ class Network(ByValue):
                 raise ConfigurationError(f"{f.name} must be {kind.json}, got {value!r}",
                                          field=f.name)
             if kind.type is numbers.Integral and value is not None:
-                object.__setattr__(self, f.name, int(value))
-            low, high = f.metadata.get("range", (None, None))
-            if low is not None and value is not None and not low <= value <= high:
-                raise ConfigurationError(f"{f.name} must be between {low} and {high}, "
-                                         f"got {value}", field=f.name)
+                object.__setattr__(self, f.name, as_integer(value, f.name, *f.metadata["range"]))
         for name, ok, rule in (("total_power", self.total_power >= 0, ">= 0"),
                                ("sigma2", self.sigma2 > 0, "> 0"), ("rho2", self.rho2 > 0, "> 0")):
             # Above the largest double: inf, and an integer past a double's range.
@@ -224,7 +228,8 @@ class SweepSpec(Network):
     scheme: str = field(metadata={"kind": "string"})
     m_values: tuple = field(metadata={"kind": "m_grid"})
     trials: int = field(metadata={"kind": "int", "range": (1, MAX_SIZE)})
-    master_seed: int = field(metadata={"kind": "int", "key": "seed", "manifest": "seed"})
+    master_seed: int = field(metadata={"kind": "int", "range": (0, None), "key": "seed",
+                                       "manifest": "seed"})
     quant_bits: int | None = field(default=None,
                                    metadata={"kind": "int", "range": (1, MAX_QUANT_BITS)})
     cost_estimator: str = field(default="mean_of_ratios", metadata={"kind": "string"})
@@ -243,13 +248,11 @@ class SweepSpec(Network):
         if self.cost_estimator not in COST_ESTIMATORS:
             raise ConfigurationError(f"unknown cost_estimator '{self.cost_estimator}', "
                                      f"expected one of {COST_ESTIMATORS}", field="cost_estimator")
-        m = tuple(as_integer(v, "m_values") for v in self.m_values)
+        m = tuple(as_integer(v, "m_values", high=MAX_SIZE) for v in self.m_values)
         object.__setattr__(self, "m_values", m)
         # An empty m_values is allowed; it emits a header-only CSV.
         if any(b <= a for a, b in zip(m, m[1:])):
             raise ConfigurationError("m_values must be strictly increasing", field="m_values")
-        if m and m[-1] > MAX_SIZE:
-            raise ConfigurationError(f"every m must be at most {MAX_SIZE}", field="m_values")
         if m:
             self.config_for(m[0])  # the smallest m, checked against the floor
         if (self.scheme == "HADP_B") != (self.quant_bits is not None):
@@ -258,8 +261,6 @@ class SweepSpec(Network):
         if self.scheme != "TAS_B" and self.L != self.K:
             raise ConfigurationError(f"scheme {self.scheme} has one RF chain per user, so L "
                                      f"must equal K = {self.K}, got {self.L}", field="L")
-        if self.master_seed < 0:
-            raise ConfigurationError("master_seed must be non-negative", field="master_seed")
 
     @classmethod
     def from_dict(cls, entries, *, path: str | None = None) -> "SweepSpec":

@@ -2,12 +2,13 @@
 and aggregates the rate metrics with standard errors."""
 
 import logging
+import math
 import signal
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -16,7 +17,7 @@ from .beamforming import build_beamformers, build_key, shared_stages
 from .channel import carve, derive_seed, trial_normals
 from .channel import sample_realization  # unused here: perfbench/inproc.py patches it by name
 from .config import SweepSpec, SystemConfig, as_integer
-from .errors import ConfigurationError, DegenerateChannelError, MimosecError, SingularChannelError
+from .errors import DegenerateChannelError, MimosecError, SingularChannelError
 from .metrics import RateReport, rate_report
 
 log = logging.getLogger(__name__)
@@ -175,17 +176,24 @@ def _aggregate(spec: SweepSpec, m: int, outcome: np.ndarray) -> SweepPoint:
     ``outcome``.  Under ``ratio_of_means`` the cost is 1 - R, R = mean r_sum /
     mean r_sum_noeve, and its standard error is that of the residuals
     (r_sum - R r_sum_noeve) / mean r_sum_noeve, first-order error
-    propagation; both are 0 when the mean r_sum_noeve is 0."""
+    propagation; both are 0 when the mean r_sum_noeve is 0.  A statistic
+    that overflows to a non-finite value raises MimosecError."""
     rows = outcome[:4].copy()
     n = rows.shape[1]
-    mean = rows.mean(axis=1)
-    if spec.cost_estimator == "ratio_of_means":
-        noeve = mean[1]
-        mean[3] = 1.0 - mean[0] / noeve if noeve else 0.0
-        rows[3] = (rows[0] - mean[0] / noeve * rows[1]) / noeve if noeve else 0.0
-    se = rows.std(axis=1, ddof=1) / np.sqrt(n) if n > 1 else np.zeros(4)
+    # Overflow is caught by the finite check below, not warned about.
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = rows.mean(axis=1)
+        if spec.cost_estimator == "ratio_of_means":
+            noeve = mean[1]
+            mean[3] = 1.0 - mean[0] / noeve if noeve else 0.0
+            rows[3] = (rows[0] - mean[0] / noeve * rows[1]) / noeve if noeve else 0.0
+        se = rows.std(axis=1, ddof=1) / np.sqrt(n) if n > 1 else np.zeros(4)
     # SweepPoint's fields after the counts are each rate row's mean, then its SE.
     stats = [float(x) for pair in zip(mean, se) for x in pair]
+    for f, value in zip(fields(SweepPoint)[3:], stats):
+        if not math.isfinite(value):
+            raise MimosecError(f"{spec.scenario} {spec.scheme} m={m}: {f.name} is not finite "
+                               f"({value}): the rates overflow double precision when aggregated")
     return SweepPoint(m, spec.trials, int(outcome[4:-1].sum()), *stats)
 
 
@@ -241,11 +249,8 @@ def run_sweeps(specs, workers: int = 1) -> list:
         shared build to the sweep that made it.  A worker process that ends
         abruptly raises MimosecError naming the block whose result was awaited.
     """
-    workers = as_integer(workers, "workers")
-    if workers > MAX_WORKERS:
-        raise ConfigurationError(f"workers must be at most {MAX_WORKERS}, got {workers}")
+    workers = max(1, as_integer(workers, "workers", high=MAX_WORKERS))
     specs = list(specs)
-    workers = max(1, workers)
     tasks = _tasks(specs, workers)
     processes = min(workers, len(tasks))
     env = " ".join(f"{var}={value}" for var, value in SETTINGS["blas_threads"].items())

@@ -45,7 +45,7 @@ class TestFitGrowth:
 
     @pytest.mark.parametrize("K, match", [
         (float("nan"), "K must be an integer"), (2.5, "K must be an integer"),
-        (0, "K >= 1"), (-2, "K >= 1"),
+        (0, "K must be at least 1, got 0"), (-2, "K must be at least 1, got -2"),
     ])
     def test_user_count_not_a_positive_integer_rejected(self, K, match):
         with pytest.raises(MimosecError, match=match):
@@ -163,5 +163,5 @@ class TestCltCheck:
 
     @pytest.mark.parametrize("m, trials, name", [(0, 3, "m"), (-1, 3, "m"), (4, 0, "trials")])
     def test_sums_need_a_positive_size(self, m, trials, name):
-        with pytest.raises(MimosecError, match=f"needs {name} between 1 and"):
+        with pytest.raises(MimosecError, match=f"{name} must be between 1 and"):
             phase_aligned_sums(m, trials, derived_rng(3))

@@ -403,7 +403,7 @@ class TestPowerUniform:
 
     @pytest.mark.parametrize("K", [0, -1])
     def test_no_users_rejected(self, K):
-        with pytest.raises(MimosecError, match="at least one user"):
+        with pytest.raises(MimosecError, match="K must be at least 1"):
             power_uniform(K, 1.0)
 
     def test_non_integer_count_rejected(self):

@@ -9,7 +9,7 @@ from mimosec import (ConfigurationError, MimosecError, SystemConfig,
                      complex_normal, derive_seed, derived_rng,
                      sample_realization)
 from mimosec.channel import carve, trial_normals
-from mimosec.config import MAX_SIZE
+from mimosec.config import MAX_SIZE, as_integer
 
 
 def make_cfg(**overrides):
@@ -63,13 +63,13 @@ class TestSampleRealization:
 
     @pytest.mark.parametrize("derive", [derived_rng, derive_seed])
     def test_negative_key_rejected(self, derive):
-        with pytest.raises(MimosecError, match=r"key \(5, -2\) must be non-negative"):
+        with pytest.raises(MimosecError, match="random stream key must be non-negative, got -2"):
             derive(5, -2)
 
     @pytest.mark.parametrize("derive", [derived_rng, derive_seed])
     @pytest.mark.parametrize("key", [(1.5,), (5, 2.5)])
     def test_non_integer_key_rejected(self, derive, key):
-        with pytest.raises(MimosecError, match="must be non-negative integers"):
+        with pytest.raises(MimosecError, match="random stream key must be an integer"):
             derive(*key)
 
 
@@ -125,6 +125,31 @@ class TestConfigValidation:
             SystemConfig(**sizes, total_power=1.0, sigma2=1.0, rho2=1.0,
                          betas=np.ones(1), thetas=np.ones(1), weights=np.ones(1))
         assert exc.value.field == field
+
+    @given(value=st.one_of(st.integers(-8, 8), st.integers(), st.integers(-8, 8).map(np.int64),
+                           st.integers(0, 8).map(np.uint8), st.booleans(),
+                           st.booleans().map(np.bool_), st.floats(),
+                           st.floats(-8, 8).map(np.float64), st.text(max_size=3)),
+           low=st.none() | st.integers(-4, 4), high=st.none() | st.integers(-4, 4),
+           name=st.sampled_from(["K", "m_values", "--trial"]))
+    def test_as_integer_is_the_one_bounded_integer_rule(self, value, low, high, name):
+        integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+        if integer and (low is None or low <= value) and (high is None or value <= high):
+            got = as_integer(value, name, low, high)
+            assert type(got) is int and got == value
+            return
+        with pytest.raises(ConfigurationError) as exc:
+            as_integer(value, name, low, high)
+        assert exc.value.field == name
+        if not integer:
+            rule, value = "an integer", repr(value)
+        elif low is None:
+            rule = f"at most {high}"
+        elif high is None:
+            rule = "non-negative" if low == 0 else f"at least {low}"
+        else:
+            rule = f"between {low} and {high}"
+        assert str(exc.value) == f"{name} must be {rule}, got {value}"
 
     @pytest.mark.parametrize("field, value", [("M", 8.5), ("K", 2.5), ("J", 1.5), ("L", 2.5)])
     def test_non_integer_sizes_rejected(self, field, value):

@@ -520,6 +520,26 @@ class TestSubcommands:
         assert not (tmp_path / "d").exists()
         assert len(capsys.readouterr().err.splitlines()) == 3
 
+    def test_a_failed_write_leaves_none_of_the_runs_files(self, tmp_path, capsys, monkeypatch):
+        # Two sweeps, four files: the third rename fails, as a full disk would.
+        real_replace, renames = cli.os.replace, []
+
+        def fail_third(src, dst):
+            renames.append(dst)
+            if len(renames) == 3:
+                raise OSError("injected")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(cli.os, "replace", fail_third)
+        out = tmp_path / "a" / "out"
+        assert main(["sweep", str(write(tmp_path, TWO_DOCS)), "--out", str(out),
+                     "--workers", "1"]) == 1
+        captured = capsys.readouterr()
+        assert len(renames) == 3 and captured.out == ""
+        assert captured.err.startswith("error: cannot write results to ")
+        assert len(captured.err.splitlines()) == 1
+        assert not (tmp_path / "a").exists()
+
     def test_non_finite_rates_print_one_line(self, tmp_path, fresh_python):
         # pytest captures warnings, so a new interpreter runs the commands,
         # with file descriptor 2 (its own and its workers') sent to stdout.
@@ -575,27 +595,32 @@ class TestSubcommands:
         assert capsys.readouterr().err.startswith("error: M must be between 1 and ")
 
     @pytest.mark.parametrize("argv, detail", [
-        (["single", "hadp_sparse.cfg", "--m", "64", "--trial", "-1"], "non-negative"),
-        (["single", "hadp_sparse.cfg", "--m", "64", "--trial", "200"], "in [0, 200)"),
-        (["single", "hadp_sparse.cfg", "--m", "64", "--trial", "203"], "in [0, 200)"),
+        (["single", "hadp_sparse.cfg", "--m", "64", "--trial", "-1"],
+         "--trial must be between 0 and 199, got -1"),
+        (["single", "hadp_sparse.cfg", "--m", "64", "--trial", "200"],
+         "--trial must be between 0 and 199, got 200"),
+        (["single", "hadp_sparse.cfg", "--m", "64", "--trial", "203"],
+         "--trial must be between 0 and 199, got 203"),
         (["single", "hadp_sparse.cfg", "--m", "64", "--seed", "-3"], "non-negative"),
         (["gumbel", "--m", "8", "--trials", "3", "--seed", "-1"], "non-negative"),
-        (["gumbel", "--m", "0", "--trials", "3"], "m between 1 and"),
-        (["gumbel", "--m", "-4", "--trials", "3"], "m between 1 and"),
-        (["gumbel", "--m", "1000000000000000000000", "--trials", "3"], "m between 1 and"),
-        (["gumbel", "--m", "8", "--trials", "0"], "trials between 1 and"),
-        (["clt", "--m", "0", "--trials", "3"], "m between 1 and"),
-        (["clt", "--m", "8", "--trials", str(MAX_SIZE + 1)], "trials between 1 and"),
+        (["gumbel", "--m", "0", "--trials", "3"], "m must be between 1 and"),
+        (["gumbel", "--m", "-4", "--trials", "3"], "m must be between 1 and"),
+        (["gumbel", "--m", "1000000000000000000000", "--trials", "3"], "m must be between 1 and"),
+        (["gumbel", "--m", "8", "--trials", "0"], "trials must be between 1 and"),
+        (["clt", "--m", "0", "--trials", "3"], "m must be between 1 and"),
+        (["clt", "--m", "8", "--trials", str(MAX_SIZE + 1)], "trials must be between 1 and"),
         (["single", "hadp_sparse.cfg", "--m", "8"], "at least max(L, K) = 16, got 8"),
         (["single", "hadp_sparse.cfg", "--m", "0"], "at least max(L, K) = 16, got 0"),
-        (["fit", "results.csv", "--model", "LOG_GROWTH", "--k", "-3"], "--k must be at least 1"),
-        (["fit", "results.csv", "--model", "LOG_GROWTH", "--k", "0"], "--k must be at least 1"),
+        (["fit", "results.csv", "--model", "LOG_GROWTH", "--k", "-3"],
+         f"--k must be between 1 and {MAX_SIZE}, got -3"),
+        (["fit", "results.csv", "--model", "LOG_GROWTH", "--k", "0"],
+         f"--k must be between 1 and {MAX_SIZE}, got 0"),
         (["fit", "results.csv", "--model", "LOG_GROWTH", "--k", "2000000"],
-         f"--k must be at least 1 and at most {MAX_SIZE}"),
+         f"--k must be between 1 and {MAX_SIZE}, got 2000000"),
         (["fit", "results.csv", "--model", "LOG_GROWTH", "--k", "1" * 401],
-         f"--k must be at least 1 and at most {MAX_SIZE}"),
+         f"--k must be between 1 and {MAX_SIZE}"),
         (["fit", "results.csv", "--model", "LOG_COST", "--anchor", "1" * 401],
-         f"--anchor must be at least 1 and at most {MAX_SIZE}"),
+         f"--anchor must be between 1 and {MAX_SIZE}"),
     ], ids=["single_trial_-1", "single_trial_200", "single_trial_203", "single_seed_-3",
             "gumbel_seed_-1", "gumbel_m_0", "gumbel_m_-4", "gumbel_m_1e21",
             "gumbel_trials_0", "clt_m_0", "clt_trials_too_many", "single_m_8", "single_m_0",
@@ -882,7 +907,7 @@ JSON_ERRORS = [
     ({"scheme": None}, "key 'scheme': expected a string, got None"),
     ({"bogus": 1}, "key 'bogus': unknown key"),
     ({"trials": None}, "key 'trials': expected an integer, got None"),
-    ({"seed": -1}, "key 'seed': master_seed must be non-negative"),
+    ({"seed": -1}, "key 'seed': master_seed must be non-negative, got -1"),
     ({"quant_bits": 4}, "key 'quant_bits': quant_bits is required for scheme HADP_B "
                         "and must be absent otherwise"),
     ({"thetas": [0.1, 0.2]},

@@ -124,7 +124,7 @@ class TestRunTrial:
 
     @pytest.mark.parametrize("seed, trial_index", [(1.5, 1), (1, 1.5)])
     def test_non_integer_seed_or_trial_index_rejected(self, seed, trial_index):
-        with pytest.raises(MimosecError, match="must be non-negative integers"):
+        with pytest.raises(MimosecError, match="random stream key must be an integer"):
             run_trial(preset_cfg(), "TAS_A", None, seed, trial_index)
 
     def test_deterministic(self):
