@@ -66,7 +66,7 @@ from .config import SCHEMES, SweepSpec, SystemConfig
 from .errors import (ConfigParseError, ConfigurationError,
                      DegenerateChannelError, FitError, InfeasibleSelectionError,
                      MimosecError, SingularChannelError)
-from .harness import SweepPoint, SweepResult, run_sweep, run_sweeps, run_trial
+from .harness import SweepPoint, SweepResult, run_sweep, run_sweeps, run_trial, sweep_trial
 from .metrics import RateReport, rate_report
 
 # The heap is kept once per process, after the imports so that what they freed
@@ -90,5 +90,5 @@ __all__ = [
     "fit_cost_anchor", "fit_growth", "gumbel_check", "mrt_effective",
     "phase_aligned_sums", "power_uniform", "quantize_phases", "rate_report",
     "run_sweep", "run_sweeps", "run_trial", "sample_realization",
-    "select_antennas_protocol1", "stepwise_tas", "zf_effective",
+    "select_antennas_protocol1", "stepwise_tas", "sweep_trial", "zf_effective",
 ]

@@ -81,6 +81,7 @@ def _as_finite(message: str, *values) -> list:
 
 
 def _goodness(y: np.ndarray, fitted: np.ndarray):
+    """The residual RMS and R^2 of ``fitted``, FitError if either overflows."""
     residuals = y - fitted
     rms = float(np.sqrt(np.mean(residuals ** 2)))
     ss_tot = float(np.sum((y - np.mean(y)) ** 2))
@@ -88,9 +89,13 @@ def _goodness(y: np.ndarray, fitted: np.ndarray):
         r2 = 1.0 if np.allclose(residuals, 0.0) else 0.0
     else:
         r2 = 1.0 - float(np.sum(residuals ** 2)) / ss_tot
+    if not np.isfinite([rms, r2]).all():
+        raise FitError(f"the fit overflows double precision: residual_rms {rms}, r_squared {r2}")
     return rms, r2
 
 
+# Overflow ends in the finite check of _goodness, not in a warning.
+@np.errstate(over="ignore", invalid="ignore")
 def fit_growth(m_values, y_values, K: int, model: str) -> FitResult:
     """Least-squares line y = intercept + slope * K * regressor(m)."""
     if model not in GROWTH_MODELS:
@@ -108,6 +113,7 @@ def fit_growth(m_values, y_values, K: int, model: str) -> FitResult:
                      slope=float(slope), residual_rms=rms, r_squared=r2)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def fit_cost_anchor(m_values, c_values, model: str, m0: int) -> FitResult:
     """Anchor the decay amplitude so the model matches the cost at m0.
 

@@ -25,10 +25,9 @@ import numpy as np
 from . import __version__
 from .asymptotics import (COST_MODELS, GROWTH_MODELS, clt_check,
                           fit_cost_anchor, fit_growth, gumbel_check)
-from .channel import derive_seed
 from .config import KINDS, MAX_SIZE, PRESETS, SPEC_FIELDS, SweepSpec, as_integer
 from .errors import ConfigParseError, MimosecError
-from .harness import MAX_WORKERS, SweepPoint, SweepResult, _trial_with_resampling, run_sweeps
+from .harness import MAX_WORKERS, SweepPoint, SweepResult, run_sweeps, sweep_trial
 
 _FIELD_BY_KEY = {f.key: f for f in SPEC_FIELDS}
 _CONFIG_KEY = {f.manifest: f.key for f in SPEC_FIELDS}
@@ -324,15 +323,13 @@ def _cmd_single(args) -> int:
     resampled exactly as ``sweep`` draws it."""
     seed = _seed_flag(args)
     spec = parse_config(args.config)[0]
-    if seed is None:
-        seed = spec.master_seed
-    cfg = spec.config_for(args.m)
+    if seed is not None:
+        spec = replace(spec, master_seed=seed)
+    spec.config_for(args.m)  # --m is checked before --trial
     as_integer(args.trial, "--trial", 0, spec.trials - 1)
-    report, resamples = _trial_with_resampling(cfg, spec.scheme, spec.quant_bits,
-                                               derive_seed(seed, args.m), args.trial,
-                                               spec.trials)
+    report, resamples = sweep_trial(spec, args.m, args.trial)
     _print_report(("scenario", spec.scenario), ("scheme", spec.scheme), ("m", args.m),
-                  ("seed", seed), ("trial", args.trial), ("resamples", resamples.sum()),
+                  ("seed", spec.master_seed), ("trial", args.trial), ("resamples", resamples.sum()),
                   *((name, getattr(report, name)) for name in (
                       "sinr", "esnr", "r_secrecy", "r_noeve", "interference", "eve_power",
                       "r_sum", "r_sum_noeve", "leakage", "cost")))

@@ -14,8 +14,7 @@ import numpy as np
 
 from . import SETTINGS
 from .beamforming import build_beamformers, build_key, shared_stages
-from .channel import carve, derive_seed, trial_normals
-from .channel import sample_realization  # unused here: perfbench/inproc.py patches it by name
+from .channel import carve, derive_seed, sample_realization, trial_normals
 from .config import SweepSpec, SystemConfig, as_integer
 from .errors import DegenerateChannelError, MimosecError, SingularChannelError
 from .metrics import RateReport, rate_report
@@ -63,35 +62,36 @@ class SweepResult:
     points: tuple
 
 
-def _reused(uses) -> frozenset:
-    """What more than one of ``uses`` makes from H: a build, or a ``shared_stages`` key."""
-    made = Counter(build_key(*use) for use in uses)
-    made.update(key for cfg, scheme, _ in uses for key in shared_stages(cfg, scheme))
-    return frozenset(key for key, n in made.items() if n > 1)
+class _Group:
+    """The sweeps ``specs`` of one group, which share their master seed, at
+    array size m, with ``reused`` what more than one of them makes from H
+    (see ``_tasks``).  Array size m draws from the stream
+    ``derive_seed(master_seed, m)``.  ``draw(t)`` draws trial t from its
+    index t once for all the sweeps, at their widest K + J, and carves it
+    into a read-only realization per (K, J) with one H per K; ``run(j, t)``
+    evaluates sweep j on it.  A sweep whose draw is degenerate redraws it
+    alone, redraw a from index ``a * trials + t`` of its own trial count."""
 
+    def __init__(self, m: int, specs, reused: frozenset = frozenset()):
+        self.m, self.specs, self.reused = m, specs, reused
+        self.seed = derive_seed(specs[0].master_seed, m)
+        self.uses = [(spec.config_for(m), spec.scheme, spec.quant_bits) for spec in specs]
 
-class _Trial:
-    """One trial index t of array size m, drawn once for ``uses``, the
-    (cfg, scheme, quant_bits) that evaluate it: the trial's stream is drawn
-    at the widest K + J of the uses and carved into a read-only realization
-    per (K, J) with one H per K, and each key of ``reused``, which is
-    ``_reused(uses)``, is made once."""
-
-    def __init__(self, m: int, seed: int, t: int, uses, reused: frozenset):
-        normals = trial_normals(seed, t, 2 * m * max(cfg.K + cfg.J for cfg, _, _ in uses))
-        self.draws, H = {}, {}
-        for cfg, _, _ in uses:
+    def draw(self, t: int):
+        self.draws, self.built, H = {}, {}, {}  # the last trial's go before this one is drawn
+        normals = trial_normals(self.seed, t,
+                                2 * self.m * max(cfg.K + cfg.J for cfg, _, _ in self.uses))
+        for cfg, _, _ in self.uses:
             if (cfg.K, cfg.J) not in self.draws:
-                ch = carve(normals, m, cfg.K, cfg.J, H.get(cfg.K))
+                ch = carve(normals, self.m, cfg.K, cfg.J, H.get(cfg.K))
                 ch.H.flags.writeable = ch.G.flags.writeable = False
                 self.draws[cfg.K, cfg.J] = ch
                 H[cfg.K] = ch.H
-        self.reused = reused
-        self.built = {}
+        return self
 
     def _stage(self, key, make):
-        """``make()``, kept for the other uses if more than one makes ``key``.
-        A build that raises is not kept, so each use redraws its own."""
+        """``make()``, kept for the other sweeps if more than one makes ``key``.
+        A build that raises is not kept, so each sweep redraws its own."""
         if key not in self.reused:
             return make()
         if key not in self.built:
@@ -99,73 +99,69 @@ class _Trial:
         return self.built[key]
 
     def report(self, cfg: SystemConfig, scheme: str, quant_bits: int | None) -> RateReport:
-        """The rate metrics of one use: its scheme's beamformers, made from
-        the H of its K, evaluated on its realization."""
+        """The rate metrics of one sweep on the trial drawn: its scheme's
+        beamformers, made from the H of its K, evaluated on its realization."""
         ch = self.draws[cfg.K, cfg.J]
         bf = self._stage(build_key(cfg, scheme, quant_bits),
                          lambda: build_beamformers(ch.H, cfg, scheme, quant_bits, self._stage))
         return rate_report(ch, bf, cfg)
 
+    def run(self, j: int, t: int):
+        """Sweep j's report on trial t, which ``draw`` drew, redrawn at most
+        ``_MAX_RESAMPLES`` times while degenerate, and its redraws per cause,
+        an array indexed like ``RESAMPLE_CAUSES``."""
+        resamples = np.zeros(len(RESAMPLE_CAUSES), dtype=int)
+        for attempt in range(_MAX_RESAMPLES + 1):
+            try:
+                return run_trial(*self.uses[j], self.seed, attempt * self.specs[j].trials + t,
+                                 trial=None if attempt else self), resamples
+            except tuple(RESAMPLE_CAUSES) as exc:
+                if attempt == _MAX_RESAMPLES:
+                    raise
+                resamples += [isinstance(exc, cause) for cause in RESAMPLE_CAUSES]
+
 
 def run_trial(cfg: SystemConfig, scheme: str, quant_bits: int | None,
-              master_seed: int, trial_index: int, *, trial: _Trial | None = None) -> RateReport:
+              master_seed: int, trial_index: int, *, trial: _Group | None = None) -> RateReport:
     """Sample one realization of the stream ``master_seed`` (see
     ``sample_realization``), build the scheme's beamformers from H only,
     and evaluate the rate metrics.
 
     Degenerate draws (exact-zero coefficients, ill-conditioned zero
-    forcing) raise; a sweep resamples and counts them.  ``trial``,
-    when given, is the ``_Trial`` of this array size, ``master_seed`` and
-    ``trial_index`` drawn for this use among others, whose draw and shared
-    builds are used; by default the trial is drawn for this use alone.
+    forcing) raise; a sweep resamples and counts them.  ``trial``, when
+    given, is the ``_Group`` that drew this trial, whose draw and shared
+    builds are used.
     """
-    if trial is None:
-        trial = _Trial(cfg.M, master_seed, trial_index, [(cfg, scheme, quant_bits)], frozenset())
-    return trial.report(cfg, scheme, quant_bits)
+    if trial is not None:
+        return trial.report(cfg, scheme, quant_bits)
+    ch = sample_realization(cfg, master_seed, trial_index)
+    ch.H.flags.writeable = ch.G.flags.writeable = False
+    return rate_report(ch, build_beamformers(ch.H, cfg, scheme, quant_bits), cfg)
 
 
-def _trial_with_resampling(cfg, scheme, quant_bits, seed, trial_index, trials, trial=None):
-    """Run one trial, on ``trial`` if given, retrying on measure-zero
-    degeneracies with a fresh derived stream drawn for this use alone.
-    Returns the report and the number of redrawn attempts per cause, an
-    array indexed like ``RESAMPLE_CAUSES``."""
-    resamples = np.zeros(len(RESAMPLE_CAUSES), dtype=int)
-    for attempt in range(_MAX_RESAMPLES + 1):
-        try:
-            return run_trial(cfg, scheme, quant_bits, seed, attempt * trials + trial_index,
-                             trial=trial), resamples
-        except tuple(RESAMPLE_CAUSES) as exc:
-            if attempt == _MAX_RESAMPLES:
-                raise
-            resamples[next(i for i, cause in enumerate(RESAMPLE_CAUSES)
-                           if isinstance(exc, cause))] += 1
-            trial = None
+def sweep_trial(spec: SweepSpec, m: int, trial_index: int):
+    """Trial ``trial_index`` of the sweep ``spec`` at array size m, drawn and
+    redrawn as the sweep draws it: its ``RateReport``, and its redraws per
+    cause, an array indexed like ``RESAMPLE_CAUSES``."""
+    return _Group(m, [spec]).draw(trial_index).run(0, trial_index)
 
 
 def _block_task(args):
     """Run trials lo..hi-1 of array size m for each sweep of ``members``, a
-    tuple of (position, spec) sharing the master seed, each with at least hi
-    trials, trial index by trial index: each trial is one ``_Trial`` for all
-    the sweeps, so its channels are drawn once and each build from H that
-    several of them make is made once.  Returns an (n, columns, hi - lo)
-    array of each sweep's outcome per trial.  The columns are r_sum,
-    r_sum_noeve, leakage and cost, the redraws per ``RESAMPLE_CAUSES``
-    cause, then the seconds, which bill each trial's draw to the sweeps in
-    equal shares and a build that several share to the one that made it.
-    """
-    m, lo, hi, members = args
-    seed = derive_seed(members[0][1].master_seed, m)
-    uses = [(spec.config_for(m), spec.scheme, spec.quant_bits) for _, spec in members]
-    reused = _reused(uses)
+    tuple of (position, spec) of one group, each with at least hi trials, as
+    one ``_Group``.  Returns an (n, columns, hi - lo) array of each sweep's
+    outcome per trial: r_sum, r_sum_noeve, leakage and cost, the redraws per
+    ``RESAMPLE_CAUSES`` cause, then the seconds (see ``run_sweeps``)."""
+    m, lo, hi, members, reused = args
+    group = _Group(m, [spec for _, spec in members], reused)
     outcomes = np.zeros((hi - lo, len(members), _COLUMNS))
     for t, out in zip(range(lo, hi), outcomes):
-        trial = None  # the last trial's draws go before the next is drawn
         start = time.perf_counter()
-        trial = _Trial(m, seed, t, uses, reused)
+        group.draw(t)
         out[:, -1] = (time.perf_counter() - start) / len(members)
-        for j, ((_, spec), use) in enumerate(zip(members, uses)):
+        for j in range(len(members)):
             start = time.perf_counter()
-            report, redraws = _trial_with_resampling(*use, seed, t, spec.trials, trial)
+            report, redraws = group.run(j, t)
             out[j, :-1] = report.r_sum, report.r_sum_noeve, report.leakage, report.cost, *redraws
             out[j, -1] += time.perf_counter() - start
     return outcomes.transpose(1, 2, 0)
@@ -197,13 +193,11 @@ def _aggregate(spec: SweepSpec, m: int, outcome: np.ndarray) -> SweepPoint:
     return SweepPoint(m, spec.trials, int(outcome[4:-1].sum()), *stats)
 
 
-def _tasks(specs, workers: int) -> list:
-    """The blocks of a run of ``specs`` as ``_block_task`` arguments.  Specs
-    with equal master seed draw from the same trial streams, whatever their
-    K and J, so they form one group; its blocks go array size by array
-    size, over at most ``max(1, trials // (4 * workers))`` consecutive
-    trial indices of its largest trial count, and end where a member's
-    trials end, so every member of a block runs all of its trial indices."""
+def _tasks(specs, made, workers: int) -> list:
+    """The blocks of a run of ``specs``, cut as ``run_sweeps`` says, as
+    ``_block_task`` arguments.  ``made[i]`` is what spec i makes from H, its
+    build key and ``shared_stages`` keys; a block carries those that more
+    than one of its members makes."""
     groups = {}
     for i, spec in enumerate(specs):
         groups.setdefault(spec.master_seed, []).append(i)
@@ -215,8 +209,10 @@ def _tasks(specs, workers: int) -> list:
             cuts = sorted(set(range(0, max(specs[i].trials for i in at_m), block))
                           | {specs[i].trials for i in at_m})
             for lo, hi in zip(cuts, cuts[1:]):
-                tasks.append((m, lo, hi, tuple((i, specs[i]) for i in at_m
-                                               if specs[i].trials >= hi)))
+                runs = [i for i in at_m if specs[i].trials >= hi]
+                keys = Counter(key for i in runs for key in made[i])
+                tasks.append((m, lo, hi, tuple((i, specs[i]) for i in runs),
+                              frozenset(key for key, n in keys.items() if n > 1)))
     return tasks
 
 
@@ -238,9 +234,9 @@ def run_sweeps(specs, workers: int = 1) -> list:
     workers : int
         Process count for the trial loop, at most ``MAX_WORKERS``; below 1
         runs serially.  A group of sweeps sharing draws goes out array size
-        by array size in blocks of at most ``trials // (4 * workers)`` trials
-        of its largest trial count, about four per worker, each ending where
-        a sweep's trials end; no more processes start than there are blocks.
+        by array size in blocks of at most ``max(1, trials // (4 * workers))``
+        trials of its largest trial count, about four per worker, each ending
+        where a sweep's trials end; no more processes start than there are blocks.
         A sweep's outcomes, r_sum, r_sum_noeve, leakage, cost, the redraws
         per cause and the seconds, fill one array per m by trial index, so
         the output is bitwise-identical for any worker count.  The ``-v``
@@ -251,15 +247,15 @@ def run_sweeps(specs, workers: int = 1) -> list:
     """
     workers = max(1, as_integer(workers, "workers", high=MAX_WORKERS))
     specs = list(specs)
-    tasks = _tasks(specs, workers)
+    made = [(build_key(s, s.scheme, s.quant_bits), *shared_stages(s, s.scheme)) for s in specs]
+    tasks = _tasks(specs, made, workers)
     processes = min(workers, len(tasks))
     env = " ".join(f"{var}={value}" for var, value in SETTINGS["blas_threads"].items())
     heap = (f"heap left to the C library ({SETTINGS['heap_left']})" if SETTINGS["heap_left"]
             else "heap kept between trials")
     names = [f"{s.scenario} {s.scheme}" for s in specs]
-    made = [(build_key(s, s.scheme, s.quant_bits), *shared_stages(s, s.scheme)) for s in specs]
     for i, spec in enumerate(specs):
-        own = [(hi - lo, members) for _, lo, hi, members in tasks if i in dict(members)]
+        own = [(hi - lo, members) for _, lo, hi, members, _ in tasks if i in dict(members)]
         draws = sorted({j for _, members in own for j, _ in members} - {i})
         builds = [j for j in draws if made[j][0] == made[i][0]]
         shares = [("channel draws", draws), ("beamformer builds", builds)]
@@ -284,7 +280,7 @@ def run_sweeps(specs, workers: int = 1) -> list:
         # sweep's m is complete when the block ending at its last trial arrives.
         results = map(_block_task, tasks) if pool is None else pool.map(_block_task, tasks)
         for awaited in tasks:
-            m, lo, hi, members = awaited
+            m, lo, hi, members, _ = awaited
             for (i, spec), rows in zip(members, next(results)):
                 outcome = outcomes[i]
                 outcome[:, lo:hi] = rows
@@ -299,7 +295,7 @@ def run_sweeps(specs, workers: int = 1) -> list:
                          spec.trials, point.resamples, causes, outcome[-1].sum())
     except BrokenProcessPool:
         # A worker was lost while the blocks were being sent, or while one was awaited.
-        m, lo, hi, _ = awaited
+        m, lo, hi, *_ = awaited
         raise MimosecError("a worker process ended abruptly (killed, or out of memory); "
                            f"no result for m={m}, trials {lo}..{hi - 1}") from None
     finally:

@@ -8,6 +8,7 @@ import signal
 import subprocess
 import sys
 import threading
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -358,6 +359,49 @@ class TestSubcommands:
         # The redraw takes trial 1's stream one sweep length on: 1 + 4.
         assert calls == [1, 5]
         assert "\nresamples: 1\n" in capsys.readouterr().out
+
+    def test_single_prints_what_the_sweep_computed_for_each_trial(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        # One-bit phase shifters at M = K = 2 leave F^T H singular about half
+        # the time, so some trials are redrawn, some more than once.
+        cfg = write(tmp_path, "scenario: coarse\nscheme: HADP_B\nquant_bits: 1\nK: 2\nJ: 1\n"
+                              "L: 2\ntotal_power: 1\nsigma2: 1\nrho2: 1\nbeta: 1\ntheta: 0.5\n"
+                              "m_values: 2, 4\ntrials: 6\nseed: 11\n")
+        real, attempts, computed = harness.run_trial, Counter(), {}
+
+        def recording(cfg, scheme, quant_bits, seed, trial_index, trial=None):
+            attempts[cfg.M, trial_index % 6] += 1
+            computed[cfg.M, trial_index % 6] = real(cfg, scheme, quant_bits, seed, trial_index,
+                                                    trial=trial)
+            return computed[cfg.M, trial_index % 6]
+
+        monkeypatch.setattr(harness, "run_trial", recording)
+        assert main(["sweep", str(cfg), "--out", str(tmp_path), "--workers", "1"]) == 0
+        monkeypatch.undo()
+        assert max(attempts.values()) > 2
+        for (m, t), report in computed.items():
+            capsys.readouterr()
+            assert main(["single", str(cfg), "--m", str(m), "--trial", str(t)]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            assert f"resamples: {attempts[m, t] - 1}" in lines
+            assert f"r_sum: {report.r_sum:.9g}" in lines
+            assert f"r_sum_noeve: {report.r_sum_noeve:.9g}" in lines
+
+    def test_fit_that_overflows_is_one_error_line(self, tmp_path, capsys):
+        # Every swept r_sum_noeve is finite, about 2.5e307, but the squares of
+        # a growth fit's residuals overflow a double; the cost is 0 throughout.
+        cfg = write(tmp_path, "scenario: big\nscheme: TAS_A\nK: 1\nJ: 0\nL: 1\ntotal_power: 1\n"
+                              "sigma2: 1\nrho2: 1\nbeta: 1\ntheta: 1\nweights: 1e307\n"
+                              "m_values: 4, 8, 16\ntrials: 1\nseed: 3\n")
+        assert main(["sweep", str(cfg), "--out", str(tmp_path), "--workers", "1"]) == 0
+        capsys.readouterr()
+        for model in ("LOGLOG_GROWTH", "LOG_GROWTH"):
+            assert main(["fit", str(tmp_path / "big_TAS_A.csv"), "--model", model]) == 1
+            assert capsys.readouterr() == ("", "error: the fit overflows double precision: "
+                                               "residual_rms inf, r_squared nan\n")
+        for model in ("LOGLOG_COST", "LOG_COST"):
+            assert main(["fit", str(tmp_path / "big_TAS_A.csv"), "--model", model]) == 0
+            assert capsys.readouterr().out.endswith("\nresidual_rms: 0\nr_squared: 1\n")
 
     def test_error_exit_code(self, tmp_path, capsys):
         missing = tmp_path / "gone.cfg"

@@ -1,6 +1,7 @@
-"""The CLI contract, fuzzed: every run of ``sweep``, ``single``, ``gumbel``
-and ``clt`` ends in exit 0 with a finite CSV, or in exit 1 with exactly one
-``error:`` line and no CSV."""
+"""The CLI contract, fuzzed: every run of ``sweep``, ``single``, ``fit``,
+``gumbel`` and ``clt`` ends in exit 0 with a finite CSV or report, or in
+exit 1 with exactly one ``error:`` line and no CSV; and the manifest of a
+sweep that exits 0 reruns to the same CSV bytes."""
 
 import contextlib
 import csv
@@ -16,6 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mimosec import SCHEMES
+from mimosec.asymptotics import COST_MODELS, GROWTH_MODELS
 from mimosec.cli import main
 from mimosec.config import COST_ESTIMATORS, MAX_QUANT_BITS, MAX_SIZE
 
@@ -61,7 +63,7 @@ def sweeps(draw):
     ranks = list(range(1, min(K, 4) + 1)) if scheme == "TAS_B" else []
     L = draw(st.sampled_from([0, MAX_SIZE + 1] if broken == "L" else ranks or [K]))
     sizes = ([[K - 1, K + 4], [MAX_SIZE + 1], [K + 4, K]] if broken == "m_values"
-             else [[K], [K + 4], [K, K + 4]])
+             else [[K], [K + 4], [K, K + 4], [K, K + 2, K + 4]])
     settings = dict(scenario="fuzz", scheme=scheme, K=K, J=integer("J"), L=L,
                     **{name: real(name) for name in ("total_power", "sigma2", "rho2",
                                                      "betas", "thetas", "weights")},
@@ -100,14 +102,15 @@ def write_config(directory: Path, form: str, sweep: dict) -> Path:
 
 
 def run(argv) -> tuple:
-    """``main(argv)``'s exit code and stderr lines, with each warning raised
-    along the way counted as a stderr line."""
+    """``main(argv)``'s exit code, stderr lines, with each warning raised
+    along the way counted as a stderr line, and stdout lines."""
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught, \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         warnings.simplefilter("always")
         code = main(argv)
-    return code, err.getvalue().splitlines() + [str(w.message) for w in caught]
+    return (code, err.getvalue().splitlines() + [str(w.message) for w in caught],
+            out.getvalue().splitlines())
 
 
 def assert_ends_in_the_contract(code, err):
@@ -128,6 +131,11 @@ OVERFLOWING_SEARCH = dict(scenario="fuzz", scheme="TAS_B", K=2, J=0, L=2, total_
                           sigma2=1.0, rho2=1.0, betas=1.0, thetas=0.0,
                           weights=sys.float_info.max, m_values=[2, 6], trials=1, seed=0,
                           cost_estimator="mean_of_ratios")
+# Every sweep point is finite, about 2.5e307, but the squares of a growth
+# fit's residuals overflow a double.
+OVERFLOWING_FIT = dict(scenario="fuzz", scheme="TAS_A", K=1, J=0, L=1, total_power=1.0,
+                       sigma2=1.0, rho2=1.0, betas=1.0, thetas=1.0, weights=1e307,
+                       m_values=[4, 8, 16], trials=1, seed=3, cost_estimator="mean_of_ratios")
 
 
 @settings(max_examples=60, deadline=None)
@@ -142,18 +150,30 @@ OVERFLOWING_SEARCH = dict(scenario="fuzz", scheme="TAS_B", K=2, J=0, L=2, total_
          check=["gumbel", "--m", "2", "--trials", "3", "--seed", "0"])
 @example(form="json", sweep=OVERFLOWING_SEARCH, single=(4, 0),
          check=["clt", "--m", "1", "--trials", "1", "--seed", "0"])
+@example(form="text", sweep=OVERFLOWING_FIT, single=(0, 0),
+         check=["clt", "--m", "2", "--trials", "1", "--seed", "0"])
 def test_every_run_ends_in_a_finite_csv_or_one_error_line(form, sweep, single, check):
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         config, out = str(write_config(tmp, form, sweep)), tmp / "out"
-        code, err = run(["sweep", config, "--out", str(out), "--workers", "1"])
+        code, err, _ = run(["sweep", config, "--out", str(out), "--workers", "1"])
         assert_ends_in_the_contract(code, err)
-        tables = [list(csv.reader(path.read_text().splitlines())) for path in out.glob("*.csv")]
-        assert len(tables) == (code == 0)
-        for row in tables[0][1:] if tables else []:
-            assert all(math.isfinite(float(cell)) for cell in row[2:]), row
+        csvs = list(out.glob("*.csv"))
+        assert len(csvs) == (code == 0)
+        for path in csvs:
+            for row in list(csv.reader(path.read_text().splitlines()))[1:]:
+                assert all(math.isfinite(float(cell)) for cell in row[2:]), row
+            for model in GROWTH_MODELS + COST_MODELS:
+                code, err, report = run(["fit", str(path), "--model", model])
+                assert_ends_in_the_contract(code, err)
+                # Each line after the model's is a finite number.
+                assert all(math.isfinite(float(line.split(": ")[1])) for line in report[1:])
+            rerun = tmp / "rerun"
+            assert run(["sweep", str(path.with_suffix(".manifest.json")), "--out", str(rerun),
+                        "--workers", "1"])[:2] == (0, [])
+            assert (rerun / path.name).read_bytes() == path.read_bytes()
 
         m, trial = sweep["K"] + single[0], single[1]
         assert_ends_in_the_contract(*run(["single", config, "--m", str(m),
-                                          "--trial", str(trial)]))
-    assert_ends_in_the_contract(*run(check))
+                                          "--trial", str(trial)])[:2])
+    assert_ends_in_the_contract(*run(check)[:2])

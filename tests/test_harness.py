@@ -26,15 +26,14 @@ from mimosec.config import MAX_SIZE
 from mimosec import (ConfigurationError, DegenerateChannelError, MimosecError,
                      SingularChannelError, SweepSpec, SystemConfig,
                      build_beamformers, complex_normal, derive_seed, derived_rng,
-                     run_sweep, run_sweeps, run_trial, sample_realization)
+                     run_sweep, run_sweeps, run_trial, sample_realization, sweep_trial)
 
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
 def small_spec(scheme="TAS_A", quant_bits=None, J=2, trials=20,
-               m_values=(8, 16), seed=5):
-    K = 4
+               m_values=(8, 16), seed=5, K=4):
     return SweepSpec(scenario="unit", scheme=scheme, K=K, J=J, L=K,
                      total_power=1.0, sigma2=1.0, rho2=1.0,
                      betas=np.ones(K), thetas=np.full(J, 0.1),
@@ -248,7 +247,7 @@ class TestRunSweep:
 
         monkeypatch.setattr(harness, "run_trial", always_degenerate)
         with pytest.raises(cause):
-            harness._trial_with_resampling(preset_cfg(), "TAS_A", None, 7, 1, 4)
+            sweep_trial(small_spec(trials=4), 16, 1)
         # The first draw and _MAX_RESAMPLES redraws, each a sweep length on.
         assert calls == [1 + 4 * a for a in range(harness._MAX_RESAMPLES + 1)]
 
@@ -439,6 +438,12 @@ def tas_specs():
             small_spec("TAS_B", trials=22, m_values=narrow)]
 
 
+def made(spec):
+    """What ``spec`` makes from H, as ``run_sweeps`` plans its blocks."""
+    return (beamforming.build_key(spec, spec.scheme, spec.quant_bits),
+            *beamforming.shared_stages(spec, spec.scheme))
+
+
 def trial_streams(specs):
     """Distinct trial streams of a run of ``specs``: one per (seed, m, trial
     index) of any of them."""
@@ -457,7 +462,7 @@ class TestRunSweeps:
         for spec in specs:
             group_trials[spec.master_seed] = max(group_trials[spec.master_seed], spec.trials)
         runs = Counter()
-        for m, lo, hi, members in harness._tasks(specs, workers):
+        for m, lo, hi, members, _ in harness._tasks(specs, [made(s) for s in specs], workers):
             for i, spec in members:
                 block = max(1, group_trials[spec.master_seed] // (4 * workers))
                 assert spec is specs[i] and spec.trials >= hi and hi - lo <= block
@@ -546,18 +551,18 @@ class TestRunSweeps:
         own = {"TAS_A": 0.5, "HADP_A": 0.25, "HADP_B": 2.0}
         report = SimpleNamespace(r_sum=1.0, r_sum_noeve=1.0, leakage=0.0, cost=0.0)
 
-        def draw(*args):
+        def draw(group, t):
             clock[0] += 3.0
 
-        def evaluate(cfg, scheme, *args):
+        def evaluate(cfg, scheme, *args, trial=None):
             clock[0] += own[scheme]
-            return report, np.zeros(len(harness.RESAMPLE_CAUSES))
+            return report
 
         monkeypatch.setattr(harness.time, "perf_counter", lambda: clock[0])
-        monkeypatch.setattr(harness, "_Trial", draw)
-        monkeypatch.setattr(harness, "_trial_with_resampling", evaluate)
+        monkeypatch.setattr(harness._Group, "draw", draw)
+        monkeypatch.setattr(harness, "run_trial", evaluate)
         specs = [small_spec("TAS_A"), small_spec("HADP_A"), small_spec("HADP_B", quant_bits=4)]
-        block = harness._block_task((16, 2, 5, tuple(enumerate(specs))))
+        block = harness._block_task((16, 2, 5, tuple(enumerate(specs)), frozenset()))
         assert block[:, -1].tolist() == [[1.0 + own[spec.scheme]] * 3 for spec in specs]
 
     @pytest.mark.parametrize("sent", [0, 1], ids=["while_sending", "while_awaiting"])
@@ -580,15 +585,15 @@ class TestRunSweeps:
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", LostPool)
         spec = small_spec(trials=16)
-        m, lo, hi, _ = harness._tasks([spec], 2)[sent]
+        m, lo, hi, *_ = harness._tasks([spec], [made(spec)], 2)[sent]
         with pytest.raises(MimosecError, match=r"^a worker process ended abruptly \(killed, or "
                            rf"out of memory\); no result for m={m}, trials {lo}\.\.{hi - 1}$"):
             run_sweeps([spec], workers=2)
 
     def test_trials_outside_a_sweep_draw_every_time(self, monkeypatch):
         drawn = []
-        real = harness.trial_normals
-        monkeypatch.setattr(harness, "trial_normals",
+        real = harness.sample_realization
+        monkeypatch.setattr(harness, "sample_realization",
                             lambda *args: drawn.append(args) or real(*args))
         for _ in range(3):
             run_trial(preset_cfg(), "HADP_A", None, 17, 2)
@@ -692,6 +697,13 @@ class TestRunSweeps:
         assert calls
 
 
+def drawn(specs, t, m=24):
+    """Trial t of ``specs``, sweeps of one group with one trial at m, drawn
+    as the block of their sweep draws it."""
+    (_, _, _, members, reused), = harness._tasks(specs, [made(s) for s in specs], 1)
+    return harness._Group(m, [spec for _, spec in members], reused).draw(t)
+
+
 def outcome(cfg, scheme, quant_bits, seed, t, trial=None):
     """The bytes of every field of ``run_trial``'s report, or the type of
     the degeneracy it raises."""
@@ -710,42 +722,96 @@ class TestTrial:
     def test_a_shared_trial_reports_as_one_drawn_alone(self, scheme, K, J, wider_K,
                                                        wider_J, t):
         quant_bits = 4 if scheme == "HADP_B" else None
-        cfg = preset_cfg(M=24, K=K, J=J)
-        sibling = preset_cfg(M=24, K=K, J=J + wider_J)
-        # The draw is made for a wider (K, J) than cfg's, and cfg's build,
-        # and a hybrid's phase match, is shared with a sibling that differs
-        # in J alone and is evaluated first.
-        uses = [(preset_cfg(M=24, K=K + wider_K, J=J + wider_J), "HADP_A", None),
-                (sibling, scheme, quant_bits), (cfg, scheme, quant_bits)]
-        trial = harness._Trial(24, 41, t, uses, harness._reused(uses))
-        assert beamforming.build_key(*uses[-1]) in trial.reused
-        outcome(sibling, scheme, quant_bits, 41, t, trial)
-        alone = outcome(cfg, scheme, quant_bits, 41, t)
-        assert outcome(cfg, scheme, quant_bits, 41, t, trial) == alone
+        # The draw is made for a wider (K, J) than the last sweep's, and its
+        # build, and a hybrid's phase match, is shared with a sibling that
+        # differs in J alone and is evaluated first.
+        trial = drawn([small_spec("HADP_A", K=K + wider_K, J=J + wider_J, m_values=(24,),
+                                  trials=1),
+                       small_spec(scheme, quant_bits, K=K, J=J + wider_J, m_values=(24,),
+                                  trials=1),
+                       small_spec(scheme, quant_bits, K=K, J=J, m_values=(24,), trials=1)], t)
+        sibling, use = trial.uses[1:]
+        assert beamforming.build_key(*use) in trial.reused
+        outcome(*sibling, trial.seed, t, trial)
+        alone = outcome(*use, trial.seed, t)
+        assert outcome(*use, trial.seed, t, trial) == alone
 
     def test_a_build_made_for_one_use_is_dropped_after_its_report(self):
         # Three quantizers of one K share the phase match alone: each build
         # goes with its report, so at large M the trial holds one M x K match.
-        cfg = preset_cfg(M=24)
-        uses = [(cfg, "HADP_B", bits) for bits in (2, 4, 16)]
-        trial = harness._Trial(24, 41, 0, uses, harness._reused(uses))
-        for use in uses:
+        trial = drawn([small_spec("HADP_B", bits, m_values=(24,), trials=1)
+                       for bits in (2, 4, 16)], 0)
+        for use in trial.uses:
             trial.report(*use)
-            assert list(trial.built) == [("phase match", cfg.K)]
+            assert list(trial.built) == [("phase match", 4)]
+
+
+def benchmark_traced() -> dict:
+    """The ``TRACED`` dict of perfbench/inproc.py, read without importing the
+    benchmark: the harness globals it patches by name, and their layers."""
+    tree = ast.parse((ROOT / "perfbench" / "inproc.py").read_text())
+    traced = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                  and [getattr(t, "id", None) for t in node.targets] == ["TRACED"])
+    return ast.literal_eval(traced)
 
 
 def test_every_name_the_benchmark_traces_is_bound_in_the_harness():
     """perfbench/inproc.py traces a sweep by patching, by name, the harness
     globals listed in its ``TRACED`` dict, so a name the harness stops
-    binding breaks ``perfbench/run.py --trace 1``.  The dict is read without
-    importing the benchmark.  This test goes when the benchmark stops
-    patching the harness (ROADMAP item 1)."""
-    tree = ast.parse((ROOT / "perfbench" / "inproc.py").read_text())
-    traced = next(node.value for node in tree.body if isinstance(node, ast.Assign)
-                  and [getattr(t, "id", None) for t in node.targets] == ["TRACED"])
-    names = ast.literal_eval(traced)
+    binding breaks ``perfbench/run.py --trace 1``.  This test goes when the
+    benchmark stops patching the harness (ROADMAP item 1)."""
+    names = benchmark_traced()
     assert names
     assert [name for name in names if not callable(getattr(harness, name, None))] == []
+
+
+def import_problems(path: Path, allowed=()) -> list:
+    """What the module at ``path`` imports and never uses, but for the names
+    of ``allowed``, and each private name it imports from the package: one
+    that starts with ``_`` and is not a dunder.  A name counts as used where
+    the module reads it, or lists it in ``__all__``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used |= {item.value for node in ast.walk(tree) if isinstance(node, ast.Assign)
+             and [getattr(t, "id", None) for t in node.targets] == ["__all__"]
+             for item in node.value.elts}
+    problems = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            bound = [alias.asname or alias.name for alias in node.names]
+            if node.level or (node.module or "").split(".")[0] == "mimosec":
+                problems += [f"{path.name}:{node.lineno} imports the private {alias.name}"
+                             for alias in node.names if alias.name.startswith("_")
+                             and not (alias.name.startswith("__") and alias.name.endswith("__"))]
+        else:
+            continue
+        problems += [f"{path.name}:{node.lineno} imports {name} and never uses it"
+                     for name in bound if name not in used and name not in allowed]
+    return problems
+
+
+def test_no_module_imports_a_name_it_never_uses_or_a_private_one():
+    """A seam kept only for another program, or a private name used across
+    modules, shows as an import here; the harness alone may import, unused,
+    a name the benchmark traces.  Read with ``ast``, since no linter ships
+    with the package."""
+    modules = sorted((ROOT / "src" / "mimosec").glob("*.py"))
+    assert len(modules) > 5
+    assert [problem for path in modules for problem in import_problems(
+        path, benchmark_traced() if path.name == "harness.py" else ())] == []
+
+
+@pytest.mark.parametrize("source, problem", [
+    ("from .harness import _Group\n_Group(8, [])\n",
+     "imports the private _Group"),
+    ("import os\nfrom . import __version__\nprint(__version__)\n", "imports os and never uses it"),
+    ("from numpy import linalg as la\n", "imports la and never uses it"),
+], ids=["private", "unused_module", "unused_alias"])
+def test_the_import_check_finds_each_kind_of_problem(tmp_path, source, problem):
+    (tmp_path / "module.py").write_text(source)
+    assert [p.split(" ", 1)[1] for p in import_problems(tmp_path / "module.py")] == [problem]
 
 
 def test_every_name_the_benchmark_imports_is_bound_in_mimosec():
